@@ -53,14 +53,12 @@ from .jets import (
     ChartId,
     ChartRelation,
     IdealGens,
-    JetChartMap,
     chart_consistency,
     chart_ring,
     discriminant_ideal,
     generic_section,
     homogeneous_classical_discriminant,
     incidence_ideal,
-    rank_table,
     taylor_map,
 )
 from .strata import Stratum, etale_verdict, is_unit_localized, main1_strata, standard_etale_check
@@ -73,6 +71,7 @@ from .dims import (
     h_ext_jet,
     h_ext_jet_dual,
     rank_jet,
+    rank_table,
 )
 from .oracle import (
     GrowthReport,
@@ -118,7 +117,6 @@ __all__ = [
     "incidence_ideal",
     "InputSyntaxError",
     "is_unit_localized",
-    "JetChartMap",
     "main1_strata",
     "MINUS_INFINITY",
     "MultiPoly",

@@ -51,6 +51,20 @@ def rank_jet(k: int, N: int) -> int:
     return math.comb(k + N, N)
 
 
+def rank_table(d: int, k: int) -> dict[str, int]:
+    """Ranks of the three bundles in the jet evaluation sequence.
+
+    The order-k evaluation of a rank-(d+1) space of sections has jet
+    rank k+1, so the quotient has rank d-k; the table makes the
+    additivity identity rk_jet + rk_Q = rk_W explicit.
+    """
+    if d < 1:
+        raise ParameterError(f"the form degree must be at least 1, got {d}")
+    if not 0 <= k <= d:
+        raise ParameterError(f"jet order must satisfy 0 <= k <= d, got k={k}, d={d}")
+    return {"rk_jet": k + 1, "rk_W": d + 1, "rk_Q": d - k}
+
+
 def _check_common(N: int, d: int, k: int, j: int, i: int):
     if N < 1:
         raise ParameterError(f"the ambient dimension N must be at least 1, got {N}")

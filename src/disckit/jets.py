@@ -18,10 +18,21 @@ ideal at level l is generated by the resultants
 
 each taken at the declared (not actual) degrees, so the generators
 stay meaningful when leading u's vanish.
+
+Determinants commute with ring maps, so no generator needs its own
+determinant.  With a = y_0 + y_1 t + ... + y_n t^n over ZZ[y_0..y_n],
+the generic raw discriminant R_n = Res_{n, n-1}(a, a') is computed on
+first use and kept in a least-recently-used memo of eight entries (room
+for R_1..R_8; nothing is computed at import).  P_j on any chart is the
+image of R_{d-j} under y_m -> coefficient m of f^(j), which on every
+chart is a constant or an integer multiple of one u_k.  The per-chart
+Sylvester determinant is kept as the reference the cached path is
+tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,14 +55,6 @@ class ChartId:
             raise ParameterError(f"affine chart must be 0 or 1, got {self.affine_chart}")
         if self.dehom_section < 0:
             raise ParameterError("the pinned coefficient index must be nonnegative")
-
-
-@dataclass(frozen=True)
-class JetChartMap:
-    d: int
-    l: int
-    chart: ChartId
-    components: tuple[UniPoly, ...]
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ def generic_section(d: int, chart: ChartId, base: Ring = ZZ) -> UniPoly:
     return UniPoly(ring, var, coeffs)
 
 
-def taylor_map(d: int, l: int, chart: ChartId) -> JetChartMap:
+def taylor_map(d: int, l: int, chart: ChartId) -> tuple[UniPoly, ...]:
     """Truncated Taylor components [f, f'/1!, ..., f^(l)/l!] over QQ."""
     _check_chart(d, chart)
     if not 0 <= l <= d:
@@ -106,7 +109,7 @@ def taylor_map(d: int, l: int, chart: ChartId) -> JetChartMap:
         scale = QQ.element(1).exact_div(QQ.element(math.factorial(j)))
         components.append(deriv * scale)
         deriv = deriv.derivative()
-    return JetChartMap(d, l, chart, tuple(components))
+    return tuple(components)
 
 
 def _flatten(poly: UniPoly, flat: PolynomialRing) -> MultiPoly:
@@ -142,16 +145,52 @@ def incidence_ideal(d: int, l: int, chart: ChartId) -> IdealGens:
     return IdealGens(flat, tuple(gens))
 
 
+@functools.lru_cache(maxsize=8)
+def _generic_raw_discriminant(n: int) -> MultiPoly:
+    """R_n = Res_{n,n-1}(a, a') for a = y_0 + y_1 t + ... + y_n t^n.
+
+    The result is shared by every caller through the memo, and
+    MultiPoly.terms is a mutable dict: callers map or divide it into a
+    fresh polynomial and never hand it out as is.
+    """
+    ring = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(n + 1)))
+    a = UniPoly(ring, "t", ring.variables())
+    return resultant(a, a.derivative(), SylvesterSpec(n, n - 1)).value
+
+
+def _check_level(d: int, l: int):
+    if not 1 <= l <= d:
+        raise ParameterError(f"level must satisfy 1 <= l <= d, got l={l}, d={d}")
+
+
 def discriminant_ideal(d: int, l: int, chart: ChartId | None = None) -> IdealGens:
     """Resultant generators P_0, ..., P_{l-1} over the chart ring.
 
     P_j is the raw Sylvester determinant of (f^(j), f^(j+1)) at the
-    declared degrees (d-j, d-j-1).
+    declared degrees (d-j, d-j-1).  It is computed as the image of the
+    memoized generic R_{d-j} (see the module docstring) under
+    y_m -> coefficient m of f^(j), so the determinant runs once per
+    degree, not once per chart and level; every call returns freshly
+    built generators.
     """
     chart = chart if chart is not None else ChartId(d, 0)
     _check_chart(d, chart)
-    if not 1 <= l <= d:
-        raise ParameterError(f"level must satisfy 1 <= l <= d, got l={l}, d={d}")
+    _check_level(d, l)
+    f = generic_section(d, chart, ZZ)
+    gens = []
+    deriv = f
+    for j in range(l):
+        generic = _generic_raw_discriminant(d - j)
+        images = {f"y{m}": deriv.coefficient(m) for m in range(d - j + 1)}
+        gens.append(RingHom(generic.ring, f.coeff_ring, images)(generic).value)
+        deriv = deriv.derivative()
+    return IdealGens(f.coeff_ring, tuple(gens))
+
+
+def _discriminant_ideal_sylvester(d: int, l: int, chart: ChartId) -> IdealGens:
+    """Reference for discriminant_ideal: one Sylvester determinant per generator."""
+    _check_chart(d, chart)
+    _check_level(d, l)
     f = generic_section(d, chart, ZZ)
     gens = []
     deriv = f
@@ -166,18 +205,17 @@ def discriminant_ideal(d: int, l: int, chart: ChartId | None = None) -> IdealGen
 def homogeneous_classical_discriminant(d: int) -> MultiPoly:
     """Classical discriminant of the generic form, over ZZ[y_0..y_d].
 
-    Computed as the raw Sylvester determinant Res_{d,d-1}(a, a') of the
-    generic polynomial a = y_0 + y_1 t + ... + y_d t^d, which always
-    carries the leading coefficient y_d as an exact factor; that factor
-    is divided out, leaving the irreducible classical discriminant with
-    the sign fixed so that d = 2 gives 4*y0*y2 - y1^2.
+    The memoized raw determinant R_d = Res_{d,d-1}(a, a') of the generic
+    polynomial a = y_0 + y_1 t + ... + y_d t^d (see the module
+    docstring) always carries the leading coefficient y_d as an exact
+    factor; the quotient R_d / y_d, a fresh polynomial on every call, is
+    the irreducible classical discriminant with the sign fixed so that
+    d = 2 gives 4*y0*y2 - y1^2.
     """
     if d < 2:
         raise ParameterError(f"the form degree must be at least 2, got {d}")
-    ring = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(d + 1)))
-    a = UniPoly(ring, "t", ring.variables())
-    raw = resultant(a, a.derivative(), SylvesterSpec(d, d - 1))
-    return raw.value.exact_div(ring.variable(f"y{d}").value)
+    raw = _generic_raw_discriminant(d)
+    return raw.exact_div(raw.ring.variable(f"y{d}").value)
 
 
 @dataclass(frozen=True)
@@ -257,17 +295,3 @@ def chart_consistency(d: int, l: int, i: int) -> list[ChartRelation]:
         else:
             rows.append(ChartRelation(j, "unrelated", None, None, False))
     return rows
-
-
-def rank_table(d: int, k: int) -> dict[str, int]:
-    """Ranks of the three bundles in the jet evaluation sequence.
-
-    The order-k evaluation of a rank-(d+1) space of sections has jet
-    rank k+1, so the quotient has rank d-k; the table makes the
-    additivity identity rk_jet + rk_Q = rk_W explicit.
-    """
-    if d < 1:
-        raise ParameterError(f"the form degree must be at least 1, got {d}")
-    if not 0 <= k <= d:
-        raise ParameterError(f"jet order must satisfy 0 <= k <= d, got k={k}, d={d}")
-    return {"rk_jet": k + 1, "rk_W": d + 1, "rk_Q": d - k}

@@ -9,8 +9,9 @@ of derivatives).  Mismatch points are returned in sorted order, split
 by direction, so a failure is reproducible and attributable.
 
 Set DISCKIT_THREADS=n to spread the enumeration over n worker
-processes; chunks are merged in coefficient order, so reports are
-byte-identical whatever the worker count.
+processes (capped at the CPU count and at q); chunks are merged in
+coefficient order, so reports are byte-identical whatever the worker
+count.
 """
 
 from __future__ import annotations
@@ -58,9 +59,14 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def coeffs_mod(P: UniPoly, p: int) -> list[int]:
-    """Ascending coefficient list of P reduced mod p (integer coefficients)."""
-    GF(p)  # validates the modulus
-    return _trim([int(c.value) % p for c in P.coeffs])
+    """Ascending coefficient list of P reduced mod p.
+
+    Integer and residue coefficients reduce as integers; a rational a/b
+    reduces to a * b^-1 mod p, and a denominator divisible by p raises
+    ParameterError.
+    """
+    field = GF(p)  # validates the modulus
+    return _trim([field.coerce(c.value) for c in P.coeffs])
 
 
 def _has_mult_root_ints(coeffs: list[int], m: int, p: int) -> bool:
@@ -187,6 +193,18 @@ def _thread_count() -> int:
     return n
 
 
+def _plan_chunks(q: int) -> list[range]:
+    """Split the first coordinate range(q) into one contiguous chunk per worker.
+
+    The worker count is DISCKIT_THREADS capped by q and by the CPU
+    count, so no setting asks for more processes than the machine has
+    cores.  Chunk sizes differ by at most one.  Starts no process.
+    """
+    workers = min(_thread_count(), q, os.cpu_count() or 1)
+    bounds = [q * k // workers for k in range(workers + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def verify_discriminant_locus(
     d: int,
     l: int,
@@ -215,15 +233,9 @@ def verify_discriminant_locus(
         raise BudgetError(
             f"enumerating q^d = {q}^{d} = {total} points exceeds the budget {budget}"
         )
+    plan = _plan_chunks(q)
     compiled = _compile_gens(d, l, q)
-    threads = min(_thread_count(), q)
-    chunks: list[tuple] = []
-    if threads == 1:
-        chunks.append((d, l, q, compiled, range(q)))
-    else:
-        step = (q + threads - 1) // threads
-        for start in range(0, q, step):
-            chunks.append((d, l, q, compiled, range(start, min(start + step, q))))
+    chunks = [(d, l, q, compiled, first_coords) for first_coords in plan]
     if len(chunks) == 1:
         results = [_scan_chunk(chunks[0])]
     else:

@@ -734,6 +734,12 @@ class RingHom:
         return self.codomain.element(raw)
 
     def __call__(self, x) -> RingElement:
+        """Image of x, accumulated term by term into one raw dict.
+
+        Each power of a variable image is computed once per call and
+        reused by every term that needs it, so the cost is linear in the
+        number of terms of x times the size of their images.
+        """
         if isinstance(x, RingElement):
             if x.ring != self.domain:
                 raise RingMismatchError(f"element of {x.ring} fed to a map from {self.domain}")
@@ -742,12 +748,29 @@ class RingHom:
             raw = self.domain.coerce(x)
         if not isinstance(self.domain, PolynomialRing):
             return self._map_scalar(raw)
-        acc = self.codomain.zero
-        var_images = [self._images[name] for name in self.domain.names]
-        for exps, coeff in sorted(raw.terms.items()):
-            term = self._map_scalar(coeff)
-            for img, e in zip(var_images, exps):
+        dst = self.codomain
+        poly_dst = isinstance(dst, PolynomialRing)
+        scalar = dst.base if poly_dst else dst
+        one = dst.coerce(1)
+        images = [self._images[name].value for name in self.domain.names]
+        powers = [[one, img] for img in images]  # powers[i][e] = images[i]**e
+        acc: dict = {}
+        for exps, coeff in raw.terms.items():
+            c = scalar.coerce(coeff)
+            if scalar._is_zero(c):
+                continue
+            mono = one
+            for i, e in enumerate(exps):
                 if e:
-                    term = term * img**e
-            acc = acc + term
-        return acc
+                    cached = powers[i]
+                    while len(cached) <= e:
+                        cached.append(dst._mul(cached[-1], images[i]))
+                    mono = cached[e] if mono is one else dst._mul(mono, cached[e])
+            mono_terms = mono.terms if poly_dst else {(): mono}
+            for e, v in mono_terms.items():
+                v = scalar._mul(c, v)
+                acc[e] = scalar._add(acc[e], v) if e in acc else v
+        acc = {e: v for e, v in acc.items() if not scalar._is_zero(v)}
+        if poly_dst:
+            return RingElement(dst, MultiPoly(dst, acc))
+        return RingElement(dst, acc.get((), scalar.coerce(0)))

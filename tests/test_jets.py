@@ -1,8 +1,12 @@
 """Jet map, incidence ideal, discriminant ideal, and chart tests."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,7 @@ from disckit import (
     resultant,
     taylor_map,
 )
+from disckit.jets import _discriminant_ideal_sylvester, _generic_raw_discriminant
 
 
 def test_chart_id_validation():
@@ -73,9 +78,7 @@ def test_generic_section_interior_pin_and_s_patch():
 
 
 def test_taylor_map_worked_example():
-    jm = taylor_map(3, 2, ChartId(3, 0))
-    assert jm.d == 3 and jm.l == 2 and jm.chart == ChartId(3, 0)
-    comps = [str(c) for c in jm.components]
+    comps = [str(c) for c in taylor_map(3, 2, ChartId(3, 0))]
     assert comps == [
         "t^3 + u2*t^2 + u1*t + u0",
         "3*t^2 + 2*u2*t + u1",
@@ -86,18 +89,17 @@ def test_taylor_map_worked_example():
 @pytest.mark.parametrize("chart", [ChartId(4, 0), ChartId(2, 0), ChartId(1, 1)])
 def test_taylor_components_are_scaled_derivatives(chart):
     d, l = 4, 4
-    jm = taylor_map(d, l, chart)
     f = generic_section(d, chart, QQ)
     deriv = f
-    for j, comp in enumerate(jm.components):
+    for j, comp in enumerate(taylor_map(d, l, chart)):
         scale = QQ.element(Fraction(1, math.factorial(j)))
         assert comp == deriv * scale
         deriv = deriv.derivative()
 
 
 def test_taylor_map_prefix_property_and_bounds():
-    full = taylor_map(3, 3, ChartId(3, 0)).components
-    part = taylor_map(3, 1, ChartId(3, 0)).components
+    full = taylor_map(3, 3, ChartId(3, 0))
+    part = taylor_map(3, 1, ChartId(3, 0))
     assert part == full[:2]
     with pytest.raises(ParameterError):
         taylor_map(3, 4, ChartId(3, 0))
@@ -108,16 +110,16 @@ def test_taylor_map_prefix_property_and_bounds():
 def test_taylor_expansion_identity_at_points():
     # full-order components reconstruct f(t0 + e0) exactly
     rng = random.Random(5001)
-    jm = taylor_map(3, 3, ChartId(3, 0))
-    ring = jm.components[0].coeff_ring
+    comps = taylor_map(3, 3, ChartId(3, 0))
+    ring = comps[0].coeff_ring
     for _ in range(15):
         images = {name: QQ.element(rng.randint(-4, 4)) for name in ring.names}
         psi = RingHom(ring, QQ, images)
         t0 = QQ.element(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         e0 = QQ.element(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        f = jm.components[0].map_coefficients(psi)
+        f = comps[0].map_coefficients(psi)
         total = QQ.zero
-        for j, comp in enumerate(jm.components):
+        for j, comp in enumerate(comps):
             total = total + comp.map_coefficients(psi).evaluate(t0) * e0**j
         assert f.evaluate(t0 + e0) == total
 
@@ -184,13 +186,13 @@ def test_generators_match_scaled_taylor_resultants(d, l, chart):
     # P_j = Res(j! * comp_j, (j+1)! * comp_(j+1)) at declared degrees,
     # computed independently through the rational taylor components
     gens = discriminant_ideal(d, l, chart)
-    jm = taylor_map(d, l, chart)
+    comps = taylor_map(d, l, chart)
     zring = gens.ring
-    qring = jm.components[0].coeff_ring
+    qring = comps[0].coeff_ring
     to_q = RingHom(zring, qring)
     for j in range(l):
-        fj = jm.components[j] * QQ.element(math.factorial(j))
-        fj1 = jm.components[j + 1] * QQ.element(math.factorial(j + 1))
+        fj = comps[j] * QQ.element(math.factorial(j))
+        fj1 = comps[j + 1] * QQ.element(math.factorial(j + 1))
         expected = resultant(fj, fj1, SylvesterSpec(d - j, d - j - 1))
         assert to_q(zring.element(gens.gens[j])) == expected
 
@@ -236,6 +238,54 @@ def test_homogeneous_specializes_to_every_chart(d):
             assert spec == P0
         else:
             assert spec * uring.variable(f"u{d}") == P0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_cached_ideal_matches_sylvester_reference(d):
+    for i in range(d + 1):
+        for patch in (0, 1):
+            chart = ChartId(i, patch)
+            # the reference's level-l generators are a prefix of its level-d ones
+            reference = _discriminant_ideal_sylvester(d, d, chart)
+            for l in range(1, d + 1):
+                cached = discriminant_ideal(d, l, chart)
+                assert cached.ring == reference.ring
+                assert cached.gens == reference.gens[:l]
+
+
+def test_cached_ideal_matches_sylvester_reference_degree6():
+    chart = ChartId(3, 1)
+    assert discriminant_ideal(6, 6, chart) == _discriminant_ideal_sylvester(6, 6, chart)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_homogeneous_discriminant_matches_direct_sylvester_quotient(d):
+    ring = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(d + 1)))
+    a = UniPoly(ring, "t", ring.variables())
+    raw = resultant(a, a.derivative(), SylvesterSpec(d, d - 1)).value
+    assert homogeneous_classical_discriminant(d) == raw.exact_div(ring.variable(f"y{d}").value)
+
+
+def test_cached_results_are_fresh_copies():
+    chart = ChartId(2, 1)
+    first = discriminant_ideal(4, 2, chart)
+    first.gens[0].terms.clear()
+    assert discriminant_ideal(4, 2, chart) == _discriminant_ideal_sylvester(4, 2, chart)
+    h = homogeneous_classical_discriminant(4)
+    expected = dict(h.terms)
+    h.terms.clear()
+    assert homogeneous_classical_discriminant(4).terms == expected
+    # the generic R_4 itself survives both mutations
+    assert discriminant_ideal(4, 1, ChartId(4, 0)) == _discriminant_ideal_sylvester(4, 1, ChartId(4, 0))
+
+
+def test_generic_discriminant_memo_is_bounded_and_lazy():
+    assert 8 <= _generic_raw_discriminant.cache_info().maxsize < 64
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import disckit, disckit.jets as j; print(j._generic_raw_discriminant.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_chart_consistency_frozen_relations():

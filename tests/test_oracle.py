@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from disckit import oracle
 from disckit import (
     GF,
     QQ,
@@ -160,6 +161,13 @@ def test_coeffs_mod():
     assert coeffs_mod(f, 5) == [0, 4, 2]
     with pytest.raises(ParameterError):
         coeffs_mod(f, 6)
+    g = UniPoly(QQ, "t", [Fraction(1, 2), Fraction(-3, 4), Fraction(14, 3)])
+    assert coeffs_mod(g, 7) == [4, 1]  # 1/2 = 4 and -3/4 = 1 mod 7; 14/3 dies
+    assert coeffs_mod(g, 5) == [3, 3, 3]
+    with pytest.raises(ParameterError):
+        coeffs_mod(g, 2)  # 2 divides a denominator
+    with pytest.raises(ParameterError):
+        coeffs_mod(g, 3)
 
 
 # ----- exhaustive locus comparison -------------------------------------------
@@ -257,6 +265,21 @@ def test_worker_count_does_not_change_the_report(monkeypatch):
     assert verify_discriminant_locus(4, 2, 7) == baseline
     monkeypatch.setenv("DISCKIT_THREADS", "16")
     assert verify_discriminant_locus(4, 2, 7) == baseline
+
+
+def test_chunk_plan_is_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("DISCKIT_THREADS", "100000")
+    plan = oracle._plan_chunks(101)
+    assert len(plan) == 4
+    assert [x for chunk in plan for x in chunk] == list(range(101))
+    assert max(map(len, plan)) - min(map(len, plan)) <= 1
+    assert len(oracle._plan_chunks(3)) == 3  # q caps it too
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+    assert oracle._plan_chunks(101) == [range(101)]
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("DISCKIT_THREADS", "1")
+    assert oracle._plan_chunks(101) == [range(101)]
 
 
 def test_worker_count_validation(monkeypatch):

@@ -19,7 +19,7 @@ from disckit import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from conftest import SCALAR_RINGS, rand_element
+from conftest import SCALAR_RINGS, rand_element, rand_scalar
 
 ALL_RINGS = SCALAR_RINGS + (
     PolynomialRing(ZZ, ("u", "v")),
@@ -264,6 +264,35 @@ def test_hom_is_a_ring_map():
         assert hom(a + b) == hom(a) + hom(b)
         assert hom(a * b) == hom(a) * hom(b)
         assert hom(-a) == -hom(a)
+
+
+def _hom_term_by_term(hom, x):
+    """Reference image: map each term on its own and add the results."""
+    acc = hom.codomain.zero
+    images = [hom._images[name] for name in hom.domain.names]
+    for exps, coeff in sorted(x.value.terms.items()):
+        term = hom.codomain.element(coeff)
+        for img, e in zip(images, exps):
+            term = term * img**e
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize(
+    "src_base,dst_base", [(ZZ, ZZ), (QQ, QQ), (GF(7), GF(7)), (ZZ, QQ), (ZZ, GF(7))], ids=str
+)
+def test_hom_matches_term_by_term_evaluation(src_base, dst_base):
+    rng = random.Random(1007)
+    src = PolynomialRing(src_base, ("u", "v", "w"))
+    dst = PolynomialRing(dst_base, ("a", "b"))
+    for _ in range(20):
+        images = {name: rand_element(rng, dst, terms=2, max_exp=2) for name in src.names}
+        to_poly = RingHom(src, dst, images)
+        to_scalar = RingHom(src, dst_base, {name: rand_scalar(rng, dst_base) for name in src.names})
+        for _ in range(5):
+            x = rand_element(rng, src, terms=6, max_exp=4)
+            assert to_poly(x) == _hom_term_by_term(to_poly, x)
+            assert to_scalar(x) == _hom_term_by_term(to_scalar, x)
 
 
 def test_hom_default_images_and_errors():
