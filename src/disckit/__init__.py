@@ -6,8 +6,8 @@ those; stratifies the base of a polynomial family into etale and
 ramified pieces; produces the resultant generators of higher
 discriminant ideals on the line together with their chart-change
 behavior; tabulates the closed-form dimension counts attached to jet
-bundles; and cross-checks the discriminant loci against brute-force
-enumeration over small prime fields.
+bundles; and checks the discriminant loci exhaustively over small
+prime fields.
 """
 
 from .errors import (
@@ -29,16 +29,13 @@ from .rings import (
     Ring,
     RingElement,
     RingHom,
-    polynomial_ring,
 )
 from .unipoly import (
     MINUS_INFINITY,
     UniPoly,
-    specialize,
-    unipoly_derivative,
     unipoly_gcd,
 )
-from .parser import parse_element, parse_poly, parse_ring, print_element, print_poly
+from .parser import parse_element, parse_poly, parse_ring
 from .resultants import (
     SylvesterSpec,
     bezout_certificate,
@@ -124,11 +121,8 @@ __all__ = [
     "parse_element",
     "parse_poly",
     "parse_ring",
-    "polynomial_ring",
     "PolynomialRing",
     "PrimeField",
-    "print_element",
-    "print_poly",
     "QQ",
     "rank_jet",
     "rank_table",
@@ -137,14 +131,12 @@ __all__ = [
     "RingElement",
     "RingHom",
     "RingMismatchError",
-    "specialize",
     "standard_etale_check",
     "Stratum",
     "sylvester_matrix",
     "SylvesterSpec",
     "taylor_map",
     "UniPoly",
-    "unipoly_derivative",
     "unipoly_gcd",
     "UnsupportedRingError",
     "verify_discriminant_locus",

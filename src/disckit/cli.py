@@ -263,14 +263,42 @@ def cmd_verify(args) -> CommandResult:
 
 # ----- argument wiring --------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+class _UsageError(Exception):
+    """An argparse usage error, raised instead of exiting so main can render it."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    commands: tuple[str, ...] = ()  # the subcommand names, set on the top parser
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+def _format_parser() -> argparse.ArgumentParser:
+    common = _ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("plain", "json"), default="plain",
         help="output rendering (default: plain)",
     )
+    return common
 
-    top = argparse.ArgumentParser(
+
+def _requested_format(tokens: list[str]) -> str:
+    """The --format among a subcommand's arguments; plain if it is absent or bad."""
+    try:
+        return _format_parser().parse_known_args(tokens)[0].format
+    except _UsageError:
+        return "plain"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _format_parser()
+
+    top = _ArgumentParser(
         prog="disckit",
         description="Exact resultants, discriminants, strata, and jet dimension tables.",
     )
@@ -326,7 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_dims)
 
     p = sub.add_parser("verify", parents=[common],
-                       help="brute-force check of the discriminant locus over F_q")
+                       help="check the discriminant locus over F_q",
+                       description="Compare the zeros of the level-l discriminant "
+                       "ideal with the monic forms that have a root of multiplicity "
+                       ">= l+1 over F_q.  The zeros are solved fiber by fiber, the "
+                       "multiple-root forms are enumerated as h^(l+1)*g, and every "
+                       "point in one set but not the other is re-tested on its own.")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--q", type=int, required=True, help="prime field size")
@@ -336,12 +369,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"enumeration budget (default: {DEFAULT_BUDGET})")
     p.set_defaults(handler=cmd_verify)
 
+    top.commands = tuple(sub.choices)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        # The envelope needs a command from the schema's enum, so a usage
+        # error before a known subcommand keeps argparse's plain text.
+        command = argv[0] if argv and argv[0] in parser.commands else None
+        if command is None or _requested_format(argv[1:]) != "json":
+            argparse.ArgumentParser.error(exc.parser, str(exc))
+        result = CommandResult("error", None, [f"error: {exc}"])
+        sys.stderr.write(render(result, command, "json"))
+        return 2
     command = args.command
     fmt = args.format
     try:

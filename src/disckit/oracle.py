@@ -1,17 +1,28 @@
-"""Brute-force verification of discriminant loci over small prime fields.
+"""Finite-field verification of discriminant loci over small prime fields.
 
 The level-l discriminant ideal on the monic chart claims to cut out
-the forms with a root of multiplicity at least l+1.  Over a prime
-field F_q that claim is finitely checkable: enumerate all q^d monic
-forms, evaluate the resultant generators at each, and compare against
-a multiplicity test that knows nothing about resultants (a gcd chain
-of derivatives).  Mismatch points are returned in sorted order, split
-by direction, so a failure is reproducible and attributable.
+the forms with a root of multiplicity at least m = l+1.  Over a prime
+field F_q that claim is finitely checkable.  Two point sets are built
+independently of each other:
 
-Set DISCKIT_THREADS=n to spread the enumeration over n worker
-processes (capped at the CPU count and at q); chunks are merged in
-coefficient order, so reports are byte-identical whatever the worker
-count.
+* Z, the zero set of the generators, fiber by fiber: fix every
+  coefficient but the last, specialise the generators to univariate
+  polynomials in u_{d-1}, and read the zeros off the roots in F_q of
+  their gcd, found as gcd(G, x^q - x).
+* M, the forms with a root of multiplicity >= m in the algebraic
+  closure, enumerated directly as the products h^m * g with h monic
+  irreducible; over the perfect field F_q these are exactly those forms.
+
+Every point of the symmetric difference of Z and M is tested again with
+the per-point predicates (evaluating the generators, and a gcd chain of
+derivatives that knows nothing about resultants); a disagreement raises
+DisckitError.  The work is about q^(d-1) fibers rather than q^d points.
+Mismatch points are returned in sorted order, split by direction, so a
+failure is reproducible and attributable.
+
+Set DISCKIT_THREADS=n to spread the scan over n worker processes
+(capped at the CPU count and at q); chunks are merged in coefficient
+order, so reports are byte-identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetError, ParameterError, UnsupportedRingError
+from .errors import BudgetError, DisckitError, ParameterError, UnsupportedRingError
 from .jets import ChartId, discriminant_ideal
 from .rings import GF, PrimeField
 from .unipoly import UniPoly
@@ -58,6 +69,15 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim([c % p for c in out])
+
+
 def coeffs_mod(P: UniPoly, p: int) -> list[int]:
     """Ascending coefficient list of P reduced mod p.
 
@@ -74,6 +94,8 @@ def _has_mult_root_ints(coeffs: list[int], m: int, p: int) -> bool:
     if m < 1:
         raise ParameterError(f"the multiplicity must be at least 1, got {m}")
     f = _trim([c % p for c in coeffs])
+    if not f:
+        raise ParameterError("the multiplicity test needs a nonzero polynomial")
     if len(f) - 1 >= p:
         raise ParameterError(
             f"the multiplicity test needs p > deg f, got p={p}, deg={len(f) - 1}"
@@ -92,6 +114,7 @@ def has_root_of_multiplicity(f: UniPoly, m: int) -> bool:
     f must have prime-field coefficients.  Tests whether
     gcd(f, f', ..., f^(m-1)) has positive degree, which requires the
     characteristic to exceed deg f so the derivative chain is faithful.
+    The zero polynomial has no such answer and raises ParameterError.
     """
     ring = f.coeff_ring
     if not isinstance(ring, PrimeField):
@@ -158,19 +181,23 @@ class VerifyReport:
     completeness_mismatches: tuple[Point, ...]
 
 
-def _scan_chunk(args) -> tuple[int, int, list[Point], list[Point]]:
+def _classify(point: Point, compiled, m: int, q: int) -> tuple[bool, bool]:
+    """(the generators vanish, a root of multiplicity >= m) at one point."""
+    ideal_zero = all(_eval_terms(terms, point, q) == 0 for terms in compiled)
+    return ideal_zero, _has_mult_root_ints(list(point) + [1], m, q)
+
+
+def _scan_chunk_brute(args) -> tuple[int, int, list[Point], list[Point]]:
+    """Reference scan: classify each of the points one at a time."""
     d, l, q, compiled, first_coords = args
     ideal_zero_count = 0
     mult_root_count = 0
     sound_miss: list[Point] = []
     complete_miss: list[Point] = []
-    m = l + 1
     for u0 in first_coords:
         for rest in itertools.product(range(q), repeat=d - 1):
             point = (u0,) + rest
-            ideal_zero = all(_eval_terms(terms, point, q) == 0 for terms in compiled)
-            f = list(point) + [1]
-            mult_root = _has_mult_root_ints(f, m, q)
+            ideal_zero, mult_root = _classify(point, compiled, l + 1, q)
             if ideal_zero:
                 ideal_zero_count += 1
             if mult_root:
@@ -179,6 +206,199 @@ def _scan_chunk(args) -> tuple[int, int, list[Point], list[Point]]:
                 sound_miss.append(point)
             elif ideal_zero and not mult_root:
                 complete_miss.append(point)
+    return ideal_zero_count, mult_root_count, sound_miss, complete_miss
+
+
+def _xq_minus_x_mod(g: list[int], q: int) -> list[int]:
+    """x^q - x reduced mod g (deg g >= 2) by square-and-multiply.
+
+    Products are accumulated as plain integers and reduced once, by the
+    monic multiple of g, at each step.
+    """
+    inv = pow(g[-1], -1, q)
+    n = len(g) - 1
+    low = [c * inv % q for c in g[:-1]]
+    xq = [1]
+    for bit in bin(q)[2:]:
+        r = [0] * (2 * len(xq) - 1)
+        for i, a in enumerate(xq):
+            if a:
+                for j, b in enumerate(xq):
+                    r[i + j] += a * b
+        if bit == "1":
+            r.insert(0, 0)
+        for k in range(len(r) - 1, n - 1, -1):
+            c = r[k] % q
+            if c:
+                for i, b in enumerate(low):
+                    r[k - n + i] -= c * b
+        xq = [c % q for c in r[:n]]
+    xq[1] = (xq[1] - 1) % q
+    return xq
+
+
+def _roots_mod(polys: list[list[int]], q: int):
+    """Common roots in F_q of plain coefficient lists, or None if all are 0."""
+    g: list[int] = []
+    for f in polys:
+        g = _gcd_mod(g, f, q)
+        if len(g) == 1:
+            return ()
+    if not g:
+        return None
+    if len(g) > 2:
+        # gcd(g, x^q - x) is the product of the distinct linear factors of g
+        g = _gcd_mod(g, _xq_minus_x_mod(g, q), q)
+    if len(g) == 1:
+        return ()
+    if len(g) == 2:
+        return ((-g[0] * pow(g[1], -1, q)) % q,)
+    roots = []
+    for x in range(q):
+        acc = 0
+        for c in reversed(g):
+            acc = (acc * x + c) % q
+        if acc == 0:
+            roots.append(x)
+    return tuple(roots)
+
+
+def _fiber_plan(compiled, d: int):
+    """Maps that specialise the generators one coordinate at a time.
+
+    The generators are flattened into one coefficient vector over keys
+    (generator, e_0, ..., e_{d-1}).  The map of level k sends each key
+    to its exponent of u_k and to the index of the key with that
+    exponent dropped, so substituting u_k = a is one pass of
+    multiply-adds.  Returns the maps of u_0..u_{d-2} and the final keys
+    (generator, e_{d-1}).
+    """
+    keys = [(g,) + exps for g, terms in enumerate(compiled) for exps, _ in terms]
+    levels = []
+    for _ in range(d - 1):
+        shorter = sorted({key[:1] + key[2:] for key in keys})
+        index = {key: j for j, key in enumerate(shorter)}
+        levels.append((len(shorter), [(key[1], index[key[:1] + key[2:]]) for key in keys]))
+        keys = shorter
+    return levels, keys
+
+
+def _ideal_zero_points(d: int, q: int, compiled, first_coords):
+    """Z: yields the points with u_0 in first_coords where every generator vanishes."""
+    levels, last_keys = _fiber_plan(compiled, d)
+    top = max((e for terms in compiled for exps, _ in terms for e in exps), default=0)
+    powers = [[pow(a, e, q) for e in range(top + 1)] for a in range(q)]
+    widths = [0] * len(compiled)
+    for g, e in last_keys:
+        widths[g] = e + 1
+
+    def solve(vec: list[int], prefix: Point):
+        polys = [[0] * w for w in widths]
+        for c, (g, e) in zip(vec, last_keys):
+            polys[g][e] = c
+        roots = _roots_mod([_trim(f) for f in polys], q)
+        return (prefix + (r,) for r in (range(q) if roots is None else roots))
+
+    def descend(k: int, vec: list[int], prefix: Point, coords):
+        size, moves = levels[k]
+        for a in coords:
+            pw = powers[a]
+            out = [0] * size
+            for c, (e, j) in zip(vec, moves):
+                if c:
+                    out[j] += c * pw[e]
+            sub = [c % q for c in out]
+            if k + 1 < len(levels):
+                yield from descend(k + 1, sub, prefix + (a,), range(q))
+            else:
+                yield from solve(sub, prefix + (a,))
+
+    vec = [c for terms in compiled for _, c in terms]
+    if levels:
+        yield from descend(0, vec, (), first_coords)
+    else:  # d = 1: solve for u_0 itself and keep the roots in first_coords
+        wanted = set(first_coords)
+        yield from (point for point in solve(vec, ()) if point[0] in wanted)
+
+
+def _monic_irreducibles(top: int, q: int) -> list[list[list[int]]]:
+    """Monic irreducibles over F_q of degree 1..top, by sieving out products.
+
+    A reducible monic of degree k has a monic irreducible factor of
+    degree i <= k/2 times a monic cofactor of degree k - i.
+    """
+    by_degree: list[list[list[int]]] = []
+    for k in range(1, top + 1):
+        reducible = set()
+        for i in range(1, k // 2 + 1):
+            for a in by_degree[i - 1]:
+                for low in itertools.product(range(q), repeat=k - i):
+                    reducible.add(tuple(_mul_mod(a, [*low, 1], q)))
+        by_degree.append([[*low, 1] for low in itertools.product(range(q), repeat=k)
+                          if (*low, 1) not in reducible])
+    return by_degree
+
+
+def _multiple_root_points(d: int, m: int, q: int, first_coords) -> set[Point]:
+    """M: the points with u_0 in first_coords of the forms h^m * g.
+
+    h runs over monic irreducibles with m * deg h <= d and g over monic
+    forms of degree d - m * deg h; only the constant terms of g that
+    give u_0 = h(0)^m g(0) in first_coords are enumerated.
+    """
+    wanted = set(first_coords)
+    points: set[Point] = set()
+    for k, irreducibles in enumerate(_monic_irreducibles(d // m, q), start=1):
+        r = d - m * k
+        for h in irreducibles:
+            hm = [1]
+            for _ in range(m):
+                hm = _mul_mod(hm, h, q)
+            if r == 0:
+                if hm[0] in wanted:
+                    points.add(tuple(hm[:-1]))
+                continue
+            if hm[0]:
+                inv = pow(hm[0], -1, q)
+                lows = [u0 * inv % q for u0 in wanted]
+            else:
+                lows = range(q) if 0 in wanted else ()
+            for mid in itertools.product(range(q), repeat=r - 1):
+                for g0 in lows:
+                    points.add(tuple(_mul_mod(hm, [g0, *mid, 1], q)[:-1]))
+    return points
+
+
+def _scan_chunk(args) -> tuple[int, int, list[Point], list[Point]]:
+    """Counts and mismatches for the points whose u_0 is in first_coords.
+
+    Z and M are built independently (see the module docstring).  Z is
+    streamed against the set M, so only M and the mismatches are held.
+    Each point in exactly one of them is checked again with the
+    per-point predicates, and a disagreement raises DisckitError.
+    """
+    d, l, q, compiled, first_coords = args
+    multiple = _multiple_root_points(d, l + 1, q, first_coords)
+    mult_root_count = len(multiple)
+    ideal_zero_count = 0
+    complete_miss: list[Point] = []
+    for point in _ideal_zero_points(d, q, compiled, first_coords):
+        ideal_zero_count += 1
+        if point in multiple:
+            multiple.remove(point)
+        else:
+            complete_miss.append(point)
+    sound_miss = sorted(multiple)
+    complete_miss.sort()
+    for points, fast in ((sound_miss, (False, True)), (complete_miss, (True, False))):
+        for point in points:
+            slow = _classify(point, compiled, l + 1, q)
+            if slow != fast:
+                raise DisckitError(
+                    f"the fiberwise scan over F_{q} disagrees with the per-point test at "
+                    f"{point}: (ideal zero, multiple root) is {fast} fiberwise, "
+                    f"{slow} per point"
+                )
     return ideal_zero_count, mult_root_count, sound_miss, complete_miss
 
 
@@ -214,10 +434,13 @@ def verify_discriminant_locus(
 ) -> VerifyReport:
     """Compare V(discriminant ideal) with the multiple-root locus over F_q.
 
-    Enumerates every monic degree-d form over F_q (the chart pinning
-    the leading coefficient), so q^d must fit the budget and q must be
-    a prime exceeding d.  Only the monic chart (d, 0) is enumerable for
-    now; passing any other chart is an error.
+    Covers every monic degree-d form over F_q (the chart pinning the
+    leading coefficient): the generators' zeros are solved fiber by
+    fiber, the multiple-root forms are enumerated as h^m * g, and each
+    point in one set but not the other is re-tested on its own.  q^d
+    must fit the budget and q must be a prime exceeding d.  Only the
+    monic chart (d, 0) is enumerable for now; passing any other chart
+    is an error.
     """
     if chart is not None and chart != ChartId(d, 0):
         raise ParameterError(

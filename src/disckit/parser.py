@@ -301,14 +301,3 @@ def parse_ring(text: str) -> Ring:
         raise ParameterError(f"empty variable block in ring descriptor {text!r}")
     return PolynomialRing(base, names)
 
-
-def print_poly(poly) -> str:
-    """Canonical text form; parse_poly(print_poly(p)) reproduces p.
-
-    Accepts a UniPoly or a (multivariate) ring element.
-    """
-    return str(poly)
-
-
-def print_element(elem: RingElement) -> str:
-    return str(elem)

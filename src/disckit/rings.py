@@ -410,10 +410,6 @@ class PolynomialRing(Ring):
     __repr__ = __str__
 
 
-def polynomial_ring(base: Ring, names: Iterable[str]) -> PolynomialRing:
-    return PolynomialRing(base, names)
-
-
 def _grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 

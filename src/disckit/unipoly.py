@@ -272,16 +272,6 @@ class UniPoly:
     __repr__ = __str__
 
 
-def unipoly_derivative(f: UniPoly) -> UniPoly:
-    """Formal derivative with respect to the main variable."""
-    return f.derivative()
-
-
-def specialize(f: UniPoly, hom: RingHom, var: str | None = None) -> UniPoly:
-    """Apply a coefficient-ring map; the degree may drop at the image."""
-    return f.map_coefficients(hom, var)
-
-
 def unipoly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic greatest common divisor over a field (QQ or a prime field)."""
     if f.coeff_ring != g.coeff_ring or f.var != g.var:

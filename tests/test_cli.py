@@ -277,6 +277,35 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["dims", "--N", "x", "--d", "4", "--k", "1"], "--N"),
+        (["verify", "--d", "2", "--l", "1"], "--q"),
+        (["verify", "--d", "2", "--l", "1", "--q", "5", "--bogus"], "--bogus"),
+    ],
+)
+def test_usage_error_json_envelope(argv, flag, capsys):
+    env = run_json(argv, capsys, expect_code=2)
+    assert capsys.readouterr().out == ""
+    assert (env["command"], env["status"], env["payload"]) == (argv[0], "error", None)
+    [diagnostic] = env["diagnostics"]
+    assert diagnostic.startswith("error:") and flag in diagnostic
+
+
+def test_usage_error_keeps_plain_text_without_json_or_a_known_command(capsys):
+    for argv in (
+        ["dims", "--N", "x", "--d", "4", "--k", "1"],
+        ["dims", "--N", "x", "--d", "4", "--k", "1", "--format", "yaml"],
+        ["frobnicate", "--format", "json"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: disckit")
+
+
 def test_json_output_is_deterministic(capsys):
     argv = ["verify", "--d", "3", "--l", "1", "--q", "5", "--format", "json"]
     first = run(argv, capsys)

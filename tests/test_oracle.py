@@ -1,8 +1,8 @@
-"""Finite-field brute-force oracle tests.
+"""Finite-field oracle tests.
 
 The multiplicity test is checked against trial division by linear
-factors, and the locus comparison against hand-verified counts over
-small fields.
+factors, the locus comparison against hand-verified counts over small
+fields, and the fiberwise scan against the per-point reference scan.
 """
 
 import random
@@ -16,6 +16,7 @@ from disckit import (
     QQ,
     BudgetError,
     ChartId,
+    DisckitError,
     ParameterError,
     UniPoly,
     UnsupportedRingError,
@@ -151,6 +152,10 @@ def test_multiplicity_rejects_bad_inputs():
     h = poly_over(5, [1, 1])
     with pytest.raises(ParameterError):
         has_root_of_multiplicity(h, 0)
+    with pytest.raises(ParameterError):
+        has_root_of_multiplicity(poly_over(5, []), 1)
+    with pytest.raises(ParameterError):
+        oracle._has_mult_root_ints([0, 5], 2, 5)  # zero mod 5
 
 
 def test_coeffs_mod():
@@ -289,6 +294,92 @@ def test_worker_count_validation(monkeypatch):
     monkeypatch.setenv("DISCKIT_THREADS", "0")
     with pytest.raises(ParameterError):
         verify_discriminant_locus(2, 1, 5)
+
+
+# ----- fiberwise scan against the per-point reference ---------------------------
+
+REFERENCE_GRID = [
+    (d, l, q)
+    for d in range(1, 6)
+    for q in (2, 3, 5, 7, 11, 13)
+    if d < q and q**d <= 2 * 10**5
+    for l in range(1, d + 1)
+]
+
+
+def _halves(q):
+    return [range(q // 2), range(q // 2, q)]
+
+
+def test_reference_grid_covers_the_edge_cases():
+    assert len(REFERENCE_GRID) == 54
+    assert any(d == 1 for d, _, _ in REFERENCE_GRID)
+    # at l = d a generator is a nonzero constant, so no fiber has a zero
+    compiled = oracle._compile_gens(3, 3, 5)
+    assert any(len(t) == 1 and not any(t[0][0]) for t in compiled)
+    assert (4, 2, 13) in REFERENCE_GRID  # has completeness mismatches
+    assert oracle._scan_chunk((4, 2, 13, oracle._compile_gens(4, 2, 13), range(13)))[3]
+
+
+@pytest.mark.parametrize("d,l,q", REFERENCE_GRID)
+def test_fiberwise_scan_matches_the_brute_force(d, l, q):
+    compiled = oracle._compile_gens(d, l, q)
+    brute = [oracle._scan_chunk_brute((d, l, q, compiled, c)) for c in _halves(q)]
+    for chunk, want in zip(_halves(q), brute):
+        assert oracle._scan_chunk((d, l, q, compiled, chunk)) == want
+    # the brute scan loops over first_coords in order, so on range(q) it
+    # returns the two halves' counts added and their lists concatenated
+    whole = tuple(a + b for a, b in zip(*brute))
+    assert oracle._scan_chunk((d, l, q, compiled, range(q))) == whole
+
+
+@pytest.mark.parametrize("d,l,q", [(3, 1, 7), (4, 2, 7)])
+def test_fiberwise_scan_matches_the_brute_force_on_perturbed_generators(d, l, q):
+    compiled = oracle._compile_gens(d, l, q)
+    exps, c = compiled[0][1]
+    bent = [list(terms) for terms in compiled]
+    bent[0][1] = (exps, (c + 1) % q)
+    for chunk in [range(q)] + _halves(q):
+        fast = oracle._scan_chunk((d, l, q, bent, chunk))
+        assert fast == oracle._scan_chunk_brute((d, l, q, bent, chunk))
+    _zeros, _multiple, sound, complete = oracle._scan_chunk((d, l, q, bent, range(q)))
+    assert sound and complete  # both mismatch directions occur
+
+
+def test_fiberwise_disagreement_with_the_per_point_test_raises(monkeypatch):
+    honest = oracle._multiple_root_points
+    # t^3 + 1 has three simple roots over the closure of F_5
+    monkeypatch.setattr(
+        oracle, "_multiple_root_points", lambda *args: honest(*args) | {(1, 0, 0)}
+    )
+    with pytest.raises(DisckitError) as info:
+        verify_discriminant_locus(3, 1, 5)
+    assert info.value.exit_code == 5
+
+
+def test_scan_chunk_contract(monkeypatch):
+    """verify hands _scan_chunk (d, l, q, compiled, first_coords) and gets
+    (ideal_zero_count, mult_root_count, sound_miss, complete_miss) back;
+    the benchmark's tracer wraps _scan_chunk and relies on both shapes."""
+    monkeypatch.setenv("DISCKIT_THREADS", "1")
+    calls = []
+    scan = oracle._scan_chunk
+
+    def recording(args):
+        calls.append(args)
+        return scan(args)
+
+    monkeypatch.setattr(oracle, "_scan_chunk", recording)
+    verify_discriminant_locus(4, 2, 7)
+    [(d, l, q, compiled, first_coords)] = calls
+    assert (d, l, q, first_coords) == (4, 2, 7, range(7))
+    assert compiled == oracle._compile_gens(4, 2, 7)
+    result = scan(calls[0])
+    assert type(result) is tuple and len(result) == 4
+    zeros, multiple, sound, complete = result
+    assert type(zeros) is int and type(multiple) is int
+    assert type(sound) is list and type(complete) is list
+    assert (zeros, multiple, len(sound), len(complete)) == (91, 49, 0, 42)
 
 
 # ----- dimension growth -------------------------------------------------------
