@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 input syntax, 3 ring or parameter problems,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -278,6 +279,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
+@functools.lru_cache(maxsize=None)
 def _format_parser() -> argparse.ArgumentParser:
     common = _ArgumentParser(add_help=False)
     common.add_argument(
@@ -295,7 +297,13 @@ def _requested_format(tokens: list[str]) -> str:
         return "plain"
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared.
+
+    Parsing does not mutate an argparse parser, so every call of main
+    reuses the same one; callers must not add to it.
+    """
     common = _format_parser()
 
     top = _ArgumentParser(

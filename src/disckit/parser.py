@@ -12,6 +12,12 @@ right-associatively to x^8.  Implicit multiplication (2t, 3(x+1)) is a
 syntax error, as is '/' applied to anything but two integer literals.
 All syntax errors carry a 1-based line and column.
 
+Every intermediate value is bounded before it is built: no exponent
+and no total degree (main variable included) may exceed MAX_DEGREE, and
+a power over ZZ or QQ may not predict coefficients longer than
+_MAX_HEIGHT_BITS bits.  Degrees are checked from the operands before a
+product or a power is computed, so an oversized input fails at once.
+
 Ring descriptors use the syntax ZZ, QQ, Fp(p), optionally followed by
 a variable block: ZZ[b,c], Fp(7)[u0,u1].
 """
@@ -24,10 +30,42 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputSyntaxError, ParameterError, RingMismatchError
-from .rings import GF, QQ, ZZ, PolynomialRing, Ring, RingElement
+from .rings import GF, QQ, ZZ, MultiPoly, PolynomialRing, PrimeField, Ring, RingElement
 from .unipoly import UniPoly
 
-MAX_EXPONENT = 10**6
+MAX_DEGREE = 10**4
+_MAX_HEIGHT_BITS = 10**5
+
+
+def _degree(value) -> int:
+    """Total degree of a parsed value, main variable included (0 for zero)."""
+    if isinstance(value, UniPoly):
+        return max((k + _degree(c) for k, c in enumerate(value.coeffs)), default=0)
+    raw = value.value
+    return (raw.total_degree() or 0) if isinstance(raw, MultiPoly) else 0
+
+
+def _height(value) -> int:
+    """Bit length of the largest coefficient plus that of the term count.
+
+    A power a^n has coefficients of at most n * _height(a) bits, since
+    each is bounded by (terms * largest coefficient)^n.  Residues never
+    grow, so over a prime field the height is 0.
+    """
+    ring = value.coeff_ring if isinstance(value, UniPoly) else value.ring
+    if isinstance(getattr(ring, "base", ring), PrimeField):
+        return 0
+    if isinstance(value, UniPoly):
+        coeffs = [c.value for c in value.coeffs]
+    else:
+        coeffs = [value.value]
+    if coeffs and isinstance(coeffs[0], MultiPoly):
+        coeffs = [c for poly in coeffs for c in poly.terms.values()]
+    bits = 0
+    for c in coeffs:
+        for part in (c.numerator, c.denominator):
+            bits = max(bits, abs(part).bit_length())
+    return bits + len(coeffs).bit_length()
 
 
 class TokenKind(enum.Enum):
@@ -168,8 +206,10 @@ class _Parser:
     def term(self):
         value = self.factor()
         while self.peek().kind is TokenKind.STAR:
-            self.advance()
-            value = value * self.factor()
+            op = self.advance()
+            rhs = self.factor()
+            self.check_degree(_degree(value) + _degree(rhs), op)
+            value = value * rhs
         return value
 
     def factor(self):
@@ -178,9 +218,18 @@ class _Parser:
             return -self.factor()
         value = self.atom()
         if self.peek().kind is TokenKind.CARET:
-            self.advance()
-            value = value ** self.exponent()
+            op = self.advance()
+            n = self.exponent()
+            if n > 1:
+                self.check_degree(n * _degree(value), op)
+                if n * _height(value) > _MAX_HEIGHT_BITS:
+                    self.fail(f"the power would have coefficients over {_MAX_HEIGHT_BITS} bits", op)
+            value = value**n
         return value
+
+    def check_degree(self, degree: int, op: Token):
+        if degree > MAX_DEGREE:
+            self.fail(f"degree {degree} exceeds the limit {MAX_DEGREE}", op)
 
     def exponent(self) -> int:
         parts = [self.nat(limit=True)]
@@ -190,8 +239,8 @@ class _Parser:
         acc = parts[-1]
         for x in reversed(parts[:-1]):
             if x > 1:
-                if acc > 20 or x**acc > MAX_EXPONENT:
-                    self.fail(f"exponent exceeds the limit {MAX_EXPONENT}", self.tokens[self.pos - 1])
+                if acc > 20 or x**acc > MAX_DEGREE:
+                    self.fail(f"exponent exceeds the limit {MAX_DEGREE}", self.tokens[self.pos - 1])
                 acc = x**acc
             else:
                 acc = x**acc
@@ -200,8 +249,8 @@ class _Parser:
     def nat(self, limit: bool = False) -> int:
         tok = self.expect(TokenKind.NUMBER)
         value = int(tok.text)
-        if limit and value > MAX_EXPONENT:
-            self.fail(f"exponent exceeds the limit {MAX_EXPONENT}", tok)
+        if limit and value > MAX_DEGREE:
+            self.fail(f"exponent exceeds the limit {MAX_DEGREE}", tok)
         return value
 
     def atom(self):

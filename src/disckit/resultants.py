@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterError, RingMismatchError
-from .rings import Ring, RingElement
+from .rings import Ring, RingElement, _bareiss_arith
 from .unipoly import UniPoly
 
 
@@ -79,7 +79,44 @@ def sylvester_matrix(
 
 
 def det_fraction_free(matrix: list[list[RingElement]], ring: Ring) -> RingElement:
-    """Bareiss determinant; every division is exact over an integral domain."""
+    """Bareiss determinant; every division is exact over an integral domain.
+
+    The matrix is unwrapped once and eliminated on raw values: ints,
+    Fractions or residues over a scalar ring, packed-monomial dicts
+    (rings._Packed) over a polynomial ring, at a width that holds every
+    intermediate.  Only the determinant is wrapped again.
+    """
+    n = len(matrix)
+    if n == 0:
+        return ring.one
+    work = [[ring.coerce(x) for x in row] for row in matrix]
+    arith = _bareiss_arith(ring, work)
+    work = [[arith.pack(x) for x in row] for row in work]
+    mul_sub, exact_div = arith.mul_sub, arith.exact_div
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        pivot_row = next((r for r in range(k, n) if work[r][k]), None)
+        if pivot_row is None:
+            return ring.zero
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            sign = -sign
+        row_k = work[k]
+        pivot = row_k[k]
+        for i in range(k + 1, n):
+            row_i = work[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                value = mul_sub(pivot, row_i[j], head, row_k[j])
+                row_i[j] = exact_div(value, prev) if prev is not None and value else value
+        prev = pivot
+    det = work[n - 1][n - 1]
+    return RingElement(ring, arith.unpack(det if sign > 0 else arith.neg(det)))
+
+
+def _det_fraction_free_reference(matrix: list[list[RingElement]], ring: Ring) -> RingElement:
+    """Bareiss on RingElement wrappers; the reference det_fraction_free is tested against."""
     n = len(matrix)
     if n == 0:
         return ring.one

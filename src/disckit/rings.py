@@ -15,16 +15,24 @@ Raw element values by ring:
 
 Everything is immutable and every operation is a pure function, so
 values can be shared freely between threads.
+
+The heavy symbolic work (Bareiss determinants and exact division) runs
+in a private packed-monomial kernel, _Packed, on dicts keyed by one int
+per exponent vector; MultiPoly is converted into it and back at the
+boundary.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import (
+    DisckitError,
     ExactDivisionError,
     ParameterError,
     RingMismatchError,
@@ -484,12 +492,6 @@ class MultiPoly:
         """Terms in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
-    def leading_term(self):
-        if not self.terms:
-            raise ExactDivisionError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
-
     # arithmetic -----------------------------------------------------------
 
     def _add(self, other: "MultiPoly") -> "MultiPoly":
@@ -527,37 +529,17 @@ class MultiPoly:
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Quotient self / divisor when the division is exact.
 
-        Repeated graded-lex leading-term cancellation; raises
+        Runs in the packed-monomial kernel (see _Packed.exact_div) at the
+        width of the largest exponent of either operand; raises
         ExactDivisionError as soon as a leading term fails to divide,
         which over an integral domain happens iff divisor does not
         divide self.
         """
         if divisor.is_zero():
             raise ExactDivisionError("division by zero polynomial")
-        base = self.ring.base
-        div_e, div_c = divisor.leading_term()
-        rem = dict(self.terms)
-        out: dict = {}
-        while rem:
-            e = max(rem, key=_grlex_key)
-            c = rem[e]
-            diff = tuple(x - y for x, y in zip(e, div_e))
-            if any(x < 0 for x in diff):
-                raise ExactDivisionError("inexact polynomial division (monomial)")
-            q = base._exact_div(c, div_c)
-            out[diff] = q
-            for de, dc in divisor.terms.items():
-                ke = tuple(x + y for x, y in zip(diff, de))
-                prod = base._mul(q, dc)
-                if ke in rem:
-                    s = base._sub(rem[ke], prod)
-                    if base._is_zero(s):
-                        del rem[ke]
-                    else:
-                        rem[ke] = s
-                elif not base._is_zero(prod):
-                    rem[ke] = base._neg(prod)
-        return self._new(out)
+        bound = max(max(e) for e in itertools.chain(self.terms, divisor.terms))
+        kernel = _Packed(self.ring, bound)
+        return kernel.unpack(kernel.exact_div(kernel.pack(self), kernel.pack(divisor)))
 
     # comparisons ----------------------------------------------------------
 
@@ -598,6 +580,203 @@ class MultiPoly:
         return "".join(chunks)
 
     __repr__ = __str__
+
+
+class _Packed:
+    """Packed-monomial arithmetic in one polynomial ring at one field width.
+
+    An exponent vector (e_1, ..., e_k) becomes one int of k fields of
+    `width` bits, e_1 in the most significant field.  The top bit of each
+    field is a guard bit that no exponent up to `cap` = 2^(width-1) - 1
+    reaches, and the width is chosen so that no exponent met by the
+    caller's computation exceeds the cap.  Then multiplying monomials is
+    one int addition, int order is the lexicographic monomial order, and
+    d divides e iff ((e | G) - d) & G == G for the guard mask G: every
+    field of e | G is at least its guard, so the subtraction borrows
+    across no field, and a field keeps its guard iff e_i >= d_i.
+
+    A packed value is a dict from packed monomials to nonzero base
+    coefficients.  Over ZZ the coefficients are plain ints handled
+    inline; over QQ and Fp they go through the base ring's raw
+    operations.
+    """
+
+    def __init__(self, ring: PolynomialRing, bound: int):
+        self.ring = ring
+        self.width = w = bound.bit_length() + 1
+        self.cap = (1 << (w - 1)) - 1
+        self._mask = (1 << w) - 1
+        self._shifts = range(w * (len(ring.names) - 1), -1, -w)
+        ones = self._key((1,) * len(ring.names))
+        self.guard = ones << (w - 1)
+        self.caps = ones * self.cap
+        self._zz = isinstance(ring.base, IntegerRing)
+
+    def _key(self, exps) -> int:
+        key = 0
+        for x in exps:
+            key = (key << self.width) | x
+        return key
+
+    def _exponents(self, key: int) -> tuple[int, ...]:
+        return tuple((key >> s) & self._mask for s in self._shifts)
+
+    def pack(self, poly: MultiPoly) -> dict:
+        return {self._key(exps): c for exps, c in poly.terms.items()}
+
+    def unpack(self, packed: dict) -> MultiPoly:
+        return MultiPoly(self.ring, {self._exponents(key): c for key, c in packed.items()})
+
+    def _field_max(self, packed: dict) -> int:
+        """The packed vector of the largest exponent of each variable."""
+        return self._key(map(max, zip(*map(self._exponents, packed))))
+
+    def neg(self, a: dict) -> dict:
+        if self._zz:
+            return {e: -c for e, c in a.items()}
+        neg = self.ring.base._neg
+        return {e: neg(c) for e, c in a.items()}
+
+    def mul_sub(self, a: dict, b: dict, c: dict, d: dict) -> dict:
+        """a*b - c*d.
+
+        A product monomial that set a guard bit would mean the width was
+        chosen too small; that raises DisckitError instead of carrying
+        into the next field.
+        """
+        out: dict = {}
+        if self._zz:
+            get = out.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
+            for e1, c1 in c.items():
+                for e2, c2 in d.items():
+                    e = e1 + e2
+                    out[e] = get(e, 0) - c1 * c2
+            out = {e: v for e, v in out.items() if v}
+        else:
+            base = self.ring.base
+            mul, add, sub, neg = base._mul, base._add, base._sub, base._neg
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    p = mul(c1, c2)
+                    out[e] = add(out[e], p) if e in out else p
+            for e1, c1 in c.items():
+                for e2, c2 in d.items():
+                    e = e1 + e2
+                    p = mul(c1, c2)
+                    out[e] = sub(out[e], p) if e in out else neg(p)
+            out = {e: v for e, v in out.items() if not base._is_zero(v)}
+        guard = self.guard
+        for e in out:
+            if e & guard:
+                raise DisckitError(f"packed exponent overflow at field width {self.width}")
+        return out
+
+    def exact_div(self, a: dict, b: dict) -> dict:
+        """a / b by leading-term cancellation, the leading terms off a heap.
+
+        Every quotient term is checked against cap - (largest exponent
+        of b) field by field, so no remainder term passes the cap; an
+        exact quotient always passes, since each of its exponents is
+        that of a minus that of b.
+        """
+        if not b:
+            raise ExactDivisionError("division by zero polynomial")
+        guard = self.guard
+        qmax = (self.caps - self._field_max(b)) | guard
+        lead = max(b)
+        lc = b[lead]
+        rest = [(e, c) for e, c in b.items() if e != lead]
+        rem = dict(a)
+        heap = [-e for e in rem]
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        out = {}
+        zz = self._zz
+        base = self.ring.base
+        while heap:
+            e = -pop(heap)
+            c = rem.pop(e, None)
+            if c is None:  # cancelled after it was pushed
+                continue
+            if ((e | guard) - lead) & guard != guard:
+                raise ExactDivisionError("inexact polynomial division (monomial)")
+            d = e - lead
+            if (qmax - d) & guard != guard:
+                raise ExactDivisionError("inexact polynomial division (degree)")
+            if zz:
+                q, r = divmod(c, lc)
+                if r:
+                    raise ExactDivisionError("inexact polynomial division (coefficient)")
+                out[d] = q
+                for be, bc in rest:
+                    k = d + be
+                    v = rem.get(k)
+                    if v is None:
+                        rem[k] = -q * bc
+                        push(heap, -k)
+                    else:
+                        v -= q * bc
+                        if v:
+                            rem[k] = v
+                        else:
+                            del rem[k]
+            else:
+                q = base._exact_div(c, lc)
+                out[d] = q
+                for be, bc in rest:
+                    k = d + be
+                    p = base._mul(q, bc)
+                    if k in rem:
+                        v = base._sub(rem[k], p)
+                        if base._is_zero(v):
+                            del rem[k]
+                        else:
+                            rem[k] = v
+                    else:
+                        rem[k] = base._neg(p)
+                        push(heap, -k)
+        return out
+
+
+class _ScalarArith:
+    """The _Packed interface for a scalar ring: raw values pass through."""
+
+    def __init__(self, ring: Ring):
+        self.ring = ring
+
+    def pack(self, x):
+        return x
+
+    def unpack(self, x):
+        return x
+
+    def neg(self, a):
+        return self.ring._neg(a)
+
+    def mul_sub(self, a, b, c, d):
+        ring = self.ring
+        return ring._sub(ring._mul(a, b), ring._mul(c, d))
+
+    def exact_div(self, a, b):
+        return self.ring._exact_div(a, b)
+
+
+def _bareiss_arith(ring: Ring, rows: list[list]):
+    """Raw arithmetic wide enough for a Bareiss elimination of rows over ring.
+
+    Every intermediate of the elimination is a product of two minors,
+    so its total degree is at most twice the sum over the rows of the
+    largest entry degree in the row; that bound sets the packed width.
+    """
+    if not isinstance(ring, PolynomialRing):
+        return _ScalarArith(ring)
+    bound = 2 * sum(max((x.total_degree() or 0) for x in row) for row in rows)
+    return _Packed(ring, bound)
 
 
 class RingElement:

@@ -12,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from disckit.cli import main
+from disckit.cli import _format_parser, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -252,6 +252,15 @@ def test_syntax_error_exit_code_and_caret(capsys):
     assert lines[1][caret_col - 1 : caret_col + 1] != ""  # caret under the source line
 
 
+@pytest.mark.parametrize("f", ["t^200000", "t^6000 * 3*t^6000"])
+def test_oversized_input_is_a_syntax_error(f, capsys):
+    code, out, err = run(["resultant", f, "t - 1", "--ring", "ZZ"], capsys)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert "exceeds the limit 10000" in lines[0]
+    assert lines[1] == "  " + f and lines[2].rstrip().endswith("^")
+
+
 def test_syntax_error_json_envelope(capsys):
     env = run_json(["discriminant", "t + (", "--ring", "QQ"], capsys, expect_code=2)
     assert env["status"] == "error"
@@ -329,3 +338,35 @@ def test_plain_rendering_of_nested_payload(capsys):
     assert "chart:" in out
     assert "  affine_chart: 0" in out
     assert "gens: [-u1^2 + 4*u0]" in out
+
+
+def test_parser_built_once_matches_fresh_parsers(capsys):
+    """One process reuses one parser; its outputs match freshly built parsers."""
+    cases = [
+        ["dims", "--N", "x", "--d", "4", "--k", "1", "--format", "json"],
+        ["resultant", "t - 2", "t - 5", "--ring", "ZZ"],
+        ["--help"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    build_parser.cache_clear()
+    _format_parser.cache_clear()
+    shared = [outcome(argv) for argv in cases]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in cases:
+        build_parser.cache_clear()
+        _format_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    (usage, _, usage_err), (ok, ok_out, _), (helped, help_out, _) = shared
+    assert usage == 2 and json.loads(usage_err)["status"] == "error"
+    assert ok == 0 and "resultant: -3" in ok_out
+    assert helped == ("exit", 0) and help_out.startswith("usage: disckit")

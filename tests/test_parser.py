@@ -1,6 +1,7 @@
 """Expression parser tests: grammar, positions, rings, round trips."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,11 @@ def test_fraction_errors_are_positioned():
         "t$",
         "t & 1",
         "t^10000001",
+        "t^200000",
+        "t^6000*t^6000",
+        "(t^5000)^3",
+        "(t^2 + 1)^5001",
+        "(2^9999)^9999",
         "2^2^2^2^2^2",
         "x + 1",
         "3.5",
@@ -208,3 +214,31 @@ def test_parsing_is_deterministic():
     a = parse_poly("t^3 - (b - 1)*t + c^2", ring, "t")
     b = parse_poly("t^3 - (b - 1)*t + c^2", ring, "t")
     assert a == b and str(a) == str(b)
+
+
+@pytest.mark.parametrize(
+    "src, ring, column, message",
+    [
+        ("t^200000", ZZ, 3, "exponent exceeds the limit 10000"),
+        ("t^9000 * t^2000", ZZ, 8, "degree 11000 exceeds the limit 10000"),
+        ("(u^4000*t)^2 * t^2001", PolynomialRing(QQ, ("u",)), 14, "degree 10003 exceeds the limit 10000"),
+        ("(t + u)^10001", PolynomialRing(GF(7), ("u",)), 9, "exponent exceeds the limit 10000"),
+        ("(3^9999)^20", ZZ, 9, "coefficients over 100000 bits"),
+    ],
+)
+def test_degree_bound_fails_fast_at_the_operator(src, ring, column, message):
+    start = time.perf_counter()
+    with pytest.raises(InputSyntaxError) as info:
+        parse_poly(src, ring, "t")
+    assert time.perf_counter() - start < 1.0
+    err = info.value
+    assert message in str(err) and (err.line, err.column) == (1, column)
+    assert err.caret_diagnostic().splitlines()[-1].index("^") == column + 1
+
+
+def test_degree_bound_is_inclusive():
+    value = parse_poly("t^5000 * t^5000", ZZ, "t")
+    assert value.degree == 10000
+    ring = PolynomialRing(ZZ, ("u",))
+    assert parse_poly("u^9999 * t", ring, "t").degree == 1
+    assert parse_element("(u^100)^100", ring) == ring.variable("u") ** 10000
