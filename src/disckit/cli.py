@@ -16,16 +16,16 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from fractions import Fraction
 
 from .dims import DimReport, complex_table, h_ext_jet
 from .errors import DisckitError, InputSyntaxError, ParameterError
 from .jets import ChartId, discriminant_ideal, homogeneous_classical_discriminant
 from .oracle import DEFAULT_BUDGET, dimension_growth_check, verify_discriminant_locus
 from .parser import parse_poly, parse_ring
-from .resultants import SylvesterSpec, classify_discriminant, resultant
+from .resultants import SylvesterSpec, classify_discriminant, declared_degree, resultant
 from .strata import etale_verdict, main1_strata
-from .unipoly import UniPoly
 
 SCHEMA_ID = "disckit/cli_result_v1"
 
@@ -92,26 +92,22 @@ def render(result: CommandResult, command: str, fmt: str) -> str:
 
 # ----- subcommand handlers ---------------------------------------------------
 
-def _declared(poly: UniPoly, flag: int | None, which: str) -> int:
-    if flag is not None:
-        return flag
-    if poly.is_zero():
-        raise ParameterError(f"{which} is the zero polynomial; pass its declared degree")
-    return poly.degree
+def _payload(value):
+    """A report as payload: dataclass -> dict of its fields, tuple -> list, Fraction -> str."""
+    if is_dataclass(value):
+        return {f.name: _payload(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_payload(x) for x in value]
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def cmd_resultant(args) -> CommandResult:
     ring = parse_ring(args.ring)
     f = parse_poly(args.f, ring, args.var)
     g = parse_poly(args.g, ring, args.var)
-    if args.deg_f is None and args.deg_g is None:
-        spec = None
-        m, n = _declared(f, None, "f"), _declared(g, None, "g")
-    else:
-        m = _declared(f, args.deg_f, "f")
-        n = _declared(g, args.deg_g, "g")
-        spec = SylvesterSpec(m, n)
-    value = resultant(f, g, spec)
+    m = declared_degree(f, args.deg_f, "f")
+    n = declared_degree(g, args.deg_g, "g")
+    value = resultant(f, g, SylvesterSpec(m, n))
     payload = {
         "ring": str(ring),
         "var": args.var,
@@ -127,7 +123,7 @@ def cmd_resultant(args) -> CommandResult:
 def cmd_discriminant(args) -> CommandResult:
     ring = parse_ring(args.ring)
     p = parse_poly(args.poly, ring, args.var)
-    degree = _declared(p, args.degree, "the polynomial")
+    degree = declared_degree(p, args.degree, "the polynomial")
     verdict, value = classify_discriminant(p, degree)
     payload = {
         "ring": str(ring),
@@ -160,7 +156,7 @@ def cmd_disc_ideal(args) -> CommandResult:
         "d": args.d,
         "l": args.l,
         "homogeneous": False,
-        "chart": {"dehom_section": chart.dehom_section, "affine_chart": chart.affine_chart},
+        "chart": _payload(chart),
         "ring": str(ideal.ring),
         "gens": [str(g) for g in ideal.gens],
     }
@@ -170,7 +166,7 @@ def cmd_disc_ideal(args) -> CommandResult:
 def cmd_etale(args) -> CommandResult:
     ring = parse_ring(args.ring)
     p = parse_poly(args.poly, ring, args.var)
-    degree = _declared(p, args.degree, "the polynomial")
+    degree = declared_degree(p, args.degree, "the polynomial")
     verdict, b = etale_verdict(p, degree)
     payload = {
         "ring": str(ring),
@@ -181,17 +177,7 @@ def cmd_etale(args) -> CommandResult:
         "verdict": verdict,
     }
     if args.strata:
-        payload["strata"] = [
-            {
-                "inverted": list(s.inverted),
-                "quotiented": list(s.quotiented),
-                "residual_poly": s.residual_poly,
-                "residual_degree": s.residual_degree,
-                "discriminant": s.discriminant,
-                "verdict": s.verdict,
-            }
-            for s in main1_strata(p, degree)
-        ]
+        payload["strata"] = _payload(main1_strata(p, degree))
     return CommandResult("ok", payload)
 
 
@@ -214,52 +200,15 @@ def cmd_dims(args) -> CommandResult:
     i = args.i if args.i is not None else 0
     value = h_ext_jet(args.N, args.d, args.k, args.j, i)
     report = DimReport(args.N, args.d, args.k, args.j, i, value, "ext_jet")
-    payload = {
-        "N": report.N,
-        "d": report.d,
-        "k": report.k,
-        "j": report.j,
-        "i": report.i,
-        "value": report.value,
-        "object": report.object,
-    }
-    return CommandResult("ok", payload)
+    return CommandResult("ok", _payload(report))
 
 
 def cmd_verify(args) -> CommandResult:
     if args.q2 is not None:
-        report = dimension_growth_check(
-            args.d, args.l, args.q, args.q2, budget=args.budget
-        )
-        payload = {
-            "d": report.d,
-            "l": report.l,
-            "q1": report.q1,
-            "q2": report.q2,
-            "count_q1": report.count_q1,
-            "count_q2": report.count_q2,
-            "ratio": None if report.ratio is None else str(report.ratio),
-            "expected": str(report.expected),
-            "tolerance": report.tolerance,
-            "within_tolerance": report.within_tolerance,
-        }
-        return CommandResult("ok", payload)
-    report = verify_discriminant_locus(args.d, args.l, args.q, budget=args.budget)
-    payload = {
-        "d": report.d,
-        "l": report.l,
-        "q": report.q,
-        "chart": {
-            "dehom_section": report.chart.dehom_section,
-            "affine_chart": report.chart.affine_chart,
-        },
-        "ideal_zero_count": report.ideal_zero_count,
-        "mult_root_count": report.mult_root_count,
-        "mismatches": [list(p) for p in report.mismatches],
-        "soundness_mismatches": [list(p) for p in report.soundness_mismatches],
-        "completeness_mismatches": [list(p) for p in report.completeness_mismatches],
-    }
-    return CommandResult("ok", payload)
+        report = dimension_growth_check(args.d, args.l, args.q, args.q2, budget=args.budget)
+    else:
+        report = verify_discriminant_locus(args.d, args.l, args.q, budget=args.budget)
+    return CommandResult("ok", _payload(report))
 
 
 # ----- argument wiring --------------------------------------------------------
@@ -382,6 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Parsed literals are bounded by parser.MAX_DIGITS, but a value built
+    # from them, such as 3^9999, may print to more digits than the
+    # interpreter's int-string limit allows; lift it while the command runs.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _run(argv)
+    saved = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _run(argv)
+    finally:
+        set_limit(saved)
+
+
+def _run(argv: list[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
@@ -399,20 +363,15 @@ def main(argv: list[str] | None = None) -> int:
     fmt = args.format
     try:
         result = args.handler(args)
-    except InputSyntaxError as exc:
-        result = CommandResult("error", None, exc.caret_diagnostic().splitlines())
-        out = render(result, command, fmt)
-        sys.stderr.write(out)
-        return exc.exit_code
-    except DisckitError as exc:
-        result = CommandResult("error", None, [f"error: {exc}"])
-        out = render(result, command, fmt)
-        sys.stderr.write(out)
-        return exc.exit_code
-    except Exception as exc:  # pragma: no cover - guards against internal bugs
-        result = CommandResult("error", None, [f"internal error: {exc!r}"])
-        sys.stderr.write(render(result, command, fmt))
-        return 5
+    except Exception as exc:
+        if isinstance(exc, InputSyntaxError):
+            diagnostics = exc.caret_diagnostic().splitlines()
+        elif isinstance(exc, DisckitError):
+            diagnostics = [f"error: {exc}"]
+        else:  # an internal bug
+            diagnostics = [f"internal error: {exc!r}"]
+        sys.stderr.write(render(CommandResult("error", None, diagnostics), command, fmt))
+        return exc.exit_code if isinstance(exc, DisckitError) else 5
     sys.stdout.write(render(result, command, fmt))
     return 0
 

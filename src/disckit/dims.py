@@ -108,16 +108,13 @@ def h_ext_jet_dual(N: int, d: int, k: int, j: int, i: int) -> int:
 
 
 def _check_stable_range(N: int, d: int, k: int) -> int:
-    if N < 1:
-        raise ParameterError(f"the ambient dimension N must be at least 1, got {N}")
-    if not 1 <= k < d:
-        raise ParameterError(f"the jet order must satisfy 1 <= k < d, got k={k}, d={d}")
+    r = _check_common(N, d, k, 1, 0)  # j = 1 and i = 0 always pass: this checks N and k
     if d - k - N - 1 < 0:
         raise ParameterError(
             f"the stable-range inequality d - k - N - 1 >= 0 fails: "
             f"d={d}, k={k}, N={N} give {d - k - N - 1}"
         )
-    return rank_jet(k, N)
+    return r
 
 
 def complex_term_rank(N: int, d: int, k: int, j: int) -> ComplexTerm:

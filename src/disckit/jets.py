@@ -97,11 +97,15 @@ def generic_section(d: int, chart: ChartId, base: Ring = ZZ) -> UniPoly:
     return UniPoly(ring, var, coeffs)
 
 
-def taylor_map(d: int, l: int, chart: ChartId) -> tuple[UniPoly, ...]:
-    """Truncated Taylor components [f, f'/1!, ..., f^(l)/l!] over QQ."""
+def _check_jet_order(d: int, l: int, chart: ChartId):
     _check_chart(d, chart)
     if not 0 <= l <= d:
         raise ParameterError(f"jet order must satisfy 0 <= l <= d, got l={l}, d={d}")
+
+
+def taylor_map(d: int, l: int, chart: ChartId) -> tuple[UniPoly, ...]:
+    """Truncated Taylor components [f, f'/1!, ..., f^(l)/l!] over QQ."""
+    _check_jet_order(d, l, chart)
     f = generic_section(d, chart, QQ)
     components = []
     deriv = f
@@ -132,9 +136,7 @@ def _flatten(poly: UniPoly, flat: PolynomialRing) -> MultiPoly:
 
 def incidence_ideal(d: int, l: int, chart: ChartId) -> IdealGens:
     """Generators (f, f', ..., f^(l)) in the flat ring ZZ[u..., t]."""
-    _check_chart(d, chart)
-    if not 0 <= l <= d:
-        raise ParameterError(f"jet order must satisfy 0 <= l <= d, got l={l}, d={d}")
+    _check_jet_order(d, l, chart)
     f = generic_section(d, chart, ZZ)
     flat = PolynomialRing(ZZ, f.coeff_ring.names + (f.var,))
     gens = []

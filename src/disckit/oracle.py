@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, DisckitError, ParameterError, UnsupportedRingError
-from .jets import ChartId, discriminant_ideal
+from .jets import ChartId, _check_level, discriminant_ideal
 from .rings import GF, PrimeField
 from .unipoly import UniPoly
 
@@ -446,8 +446,7 @@ def verify_discriminant_locus(
         raise ParameterError(
             f"only the monic chart ({d}, 0) is enumerated, got {chart}"
         )
-    if not 1 <= l <= d:
-        raise ParameterError(f"level must satisfy 1 <= l <= d, got l={l}, d={d}")
+    _check_level(d, l)
     GF(q)
     if q <= d:
         raise ParameterError(f"the field size must exceed the degree, got q={q}, d={d}")

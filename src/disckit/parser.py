@@ -12,11 +12,12 @@ right-associatively to x^8.  Implicit multiplication (2t, 3(x+1)) is a
 syntax error, as is '/' applied to anything but two integer literals.
 All syntax errors carry a 1-based line and column.
 
-Every intermediate value is bounded before it is built: no exponent
-and no total degree (main variable included) may exceed MAX_DEGREE, and
-a power over ZZ or QQ may not predict coefficients longer than
-_MAX_HEIGHT_BITS bits.  Degrees are checked from the operands before a
-product or a power is computed, so an oversized input fails at once.
+Every intermediate value is bounded before it is built: no integer
+literal may have more than MAX_DIGITS digits, no exponent and no total
+degree (main variable included) may exceed MAX_DEGREE, and a power over
+ZZ or QQ may not predict coefficients longer than _MAX_HEIGHT_BITS bits.
+Degrees are checked from the operands before a product or a power is
+computed, so an oversized input fails at once.
 
 Ring descriptors use the syntax ZZ, QQ, Fp(p), optionally followed by
 a variable block: ZZ[b,c], Fp(7)[u0,u1].
@@ -34,6 +35,7 @@ from .rings import GF, QQ, ZZ, MultiPoly, PolynomialRing, PrimeField, Ring, Ring
 from .unipoly import UniPoly
 
 MAX_DEGREE = 10**4
+MAX_DIGITS = 4300  # CPython's default int-string limit
 _MAX_HEIGHT_BITS = 10**5
 
 
@@ -125,6 +127,11 @@ def tokenize(src: str) -> list[Token]:
             j = i
             while j < n and src[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise InputSyntaxError(
+                    f"integer literal of {j - i} digits exceeds the limit {MAX_DIGITS}",
+                    line, col, src,
+                )
             tokens.append(Token(TokenKind.NUMBER, src[i:j], line, col))
             col += j - i
             i = j
@@ -341,6 +348,8 @@ def parse_ring(text: str) -> Ring:
         base: Ring = ZZ
     elif scalar_name == "QQ":
         base = QQ
+    elif len(prime_text) > MAX_DIGITS:
+        raise ParameterError(f"the prime of Fp(p) has {len(prime_text)} digits, over {MAX_DIGITS}")
     else:
         base = GF(int(prime_text))
     if var_block is None:

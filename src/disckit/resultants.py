@@ -34,17 +34,25 @@ class SylvesterSpec:
             raise ParameterError(f"declared degrees must be nonnegative, got {self}")
 
 
-def _declared_degree(poly: UniPoly, declared: int | None, which: str) -> int:
+def declared_degree(poly: UniPoly, declared: int | None, which: str) -> int:
+    """The degree poly is taken at: declared, or else its actual degree.
+
+    The one rule for declared degrees, shared by the resultants,
+    discriminants, strata and the command line: the zero polynomial
+    needs one, and it is never negative nor below the actual degree.
+    """
     if declared is None:
         if poly.is_zero():
             raise ParameterError(
-                f"{which} is the zero polynomial; a declared degree is required"
+                f"{which} is the zero polynomial; pass its declared degree"
             )
         return poly.degree
     if poly.degree > declared:
         raise ParameterError(
             f"declared degree {declared} of {which} is below its actual degree {poly.degree}"
         )
+    if declared < 0:
+        raise ParameterError(f"the declared degree of {which} must be nonnegative, got {declared}")
     return declared
 
 
@@ -59,8 +67,8 @@ def sylvester_matrix(
     """
     if F.coeff_ring != G.coeff_ring or F.var != G.var:
         raise RingMismatchError("resultant arguments live in different polynomial rings")
-    m = _declared_degree(F, spec.m if spec else None, "the first polynomial")
-    n = _declared_degree(G, spec.n if spec else None, "the second polynomial")
+    m = declared_degree(F, spec.m if spec else None, "the first polynomial")
+    n = declared_degree(G, spec.n if spec else None, "the second polynomial")
     ring = F.coeff_ring
     size = m + n
     zero = ring.zero
@@ -188,7 +196,7 @@ def bezout_certificate(
             "the empty Sylvester matrix carries no cofactor identity"
         )
     ring = F.coeff_ring
-    m = _declared_degree(F, spec.m if spec else None, "the first polynomial")
+    m = declared_degree(F, spec.m if spec else None, "the first polynomial")
     n = size - m
     cofactors = []
     for k in range(size):
@@ -202,7 +210,7 @@ def bezout_certificate(
 
 def discriminant(P: UniPoly, degree: int | None = None) -> RingElement:
     """Raw discriminant Res_{d,d-1}(P, P') at declared degree d >= 1."""
-    d = _declared_degree(P, degree, "the polynomial")
+    d = declared_degree(P, degree, "the polynomial")
     if d < 1:
         raise ParameterError(f"the discriminant needs declared degree >= 1, got {d}")
     return resultant(P, P.derivative(), SylvesterSpec(d, d - 1))

@@ -62,7 +62,7 @@ class Ring:
 
     The raw-value protocol (underscore methods) operates on the plain
     Python values listed in the module docstring.  User code works with
-    RingElement wrappers obtained from element()/zero/one/from_int.
+    RingElement wrappers obtained from element()/zero/one.
     """
 
     def element(self, value) -> "RingElement":
@@ -75,9 +75,6 @@ class Ring:
     @property
     def one(self) -> "RingElement":
         return self.element(1)
-
-    def from_int(self, n: int) -> "RingElement":
-        return self.element(n)
 
     # raw-value protocol -------------------------------------------------
 

@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ExactDivisionError, ParameterError
+from .errors import ExactDivisionError
 from .rings import MultiPoly, PolynomialRing, RingElement, RingHom
-from .resultants import classify_discriminant, discriminant
+from .resultants import classify_discriminant, declared_degree, discriminant
 from .unipoly import UniPoly
 
 
@@ -77,19 +77,19 @@ def is_unit_localized(x: RingElement, inverted: Sequence[RingElement]) -> bool:
     return value.is_unit()
 
 
+_ETALE_VERDICTS = {"separable": "etale", "inseparable": "ramified", "neither": "mixed"}
+
+
 def etale_verdict(P: UniPoly, degree: int | None = None) -> tuple[str, RingElement]:
     """Verdict for the generic level, before any stratification.
 
     Returns (verdict, b) with b the declared-degree discriminant and
-    the verdict one of "etale" (b a unit), "ramified" (b nilpotent),
-    or "mixed" (the base splits along b).
+    the verdict of classify_discriminant in the language of covers:
+    "etale" (b a unit), "ramified" (b nilpotent), or "mixed" (the base
+    splits along b).
     """
-    b = discriminant(P, degree)
-    if b.is_unit():
-        return "etale", b
-    if b.is_nilpotent():
-        return "ramified", b
-    return "mixed", b
+    verdict, b = classify_discriminant(P, degree)
+    return _ETALE_VERDICTS[verdict], b
 
 
 def standard_etale_check(P: UniPoly) -> bool:
@@ -145,22 +145,10 @@ def _eliminable(a: RingElement):
 def main1_strata(P: UniPoly, degree: int | None = None) -> list[Stratum]:
     """Full etale/ramified stratification of the base of P.
 
-    The declared degree defaults to the actual degree; it must be given
-    for the zero polynomial.
+    The declared degree follows resultants.declared_degree: it defaults
+    to the actual degree and must be given for the zero polynomial.
     """
-    if degree is None:
-        if P.is_zero():
-            raise ParameterError(
-                "the zero polynomial needs an explicit declared degree"
-            )
-        degree = P.degree
-    elif not P.is_zero() and P.degree > degree:
-        raise ParameterError(
-            f"declared degree {degree} is below the actual degree {P.degree}"
-        )
-    if degree < 0:
-        raise ParameterError("the declared degree must be nonnegative")
-    return _strata(P, degree, (), ())
+    return _strata(P, declared_degree(P, degree, "the polynomial"), (), ())
 
 
 def _strata(

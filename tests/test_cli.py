@@ -5,7 +5,9 @@ renderings are checked for byte determinism across runs and worker
 counts.
 """
 
+import functools
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -159,6 +161,24 @@ def test_etale_strata_matches_golden_bytes(capsys):
     assert strata[1]["quotiented"] == ["u"] and strata[1]["verdict"] == "etale of degree 1"
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["verify", "--d", "3", "--l", "2", "--q", "5"], "verify_d3_l2_q5_json.golden"),
+        (["verify", "--d", "2", "--l", "1", "--q", "5", "--q2", "11"],
+         "verify_growth_d2_l1_q5_q11_json.golden"),
+        (["dims", "--N", "1", "--d", "4", "--k", "1", "--j", "1"], "dims_N1_d4_k1_j1_json.golden"),
+        (["disc-ideal", "--d", "3", "--l", "2", "--i", "1", "--chart", "1"],
+         "disc_ideal_d3_l2_i1_chart1_json.golden"),
+    ],
+)
+def test_report_payloads_match_golden_bytes(argv, golden, capsys):
+    code, out, err = run(argv + ["--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
+    jsonschema.validate(json.loads(out), SCHEMA)
+
+
 # ----- dims ---------------------------------------------------------------------
 
 def test_dims_single_value(capsys):
@@ -259,6 +279,37 @@ def test_oversized_input_is_a_syntax_error(f, capsys):
     lines = err.splitlines()
     assert "exceeds the limit 10000" in lines[0]
     assert lines[1] == "  " + f and lines[2].rstrip().endswith("^")
+
+
+def test_overlong_integer_literal_is_a_syntax_error(capsys):
+    f = "t + 1" + "0" * 4300
+    code, out, err = run(["resultant", f, "t - 1", "--ring", "ZZ"], capsys)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0] == (
+        "error: integer literal of 4301 digits exceeds the limit 4300 (line 1, column 5)"
+    )
+    assert lines[1] == "  " + f and lines[2] == "      ^"
+
+
+def test_value_longer_than_the_int_string_limit_prints(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(["resultant", "3^9999", "t", "--ring", "ZZ"], capsys)
+    assert (code, err) == (0, "")
+    [digits] = [line[len("resultant: "):] for line in out.splitlines()
+                if line.startswith("resultant: ")]
+    # 3^9999 has 4771 digits, more than int() may read back here; compare
+    # the digit count and the residue modulo a Mersenne prime instead
+    p = 2**61 - 1
+    assert len(digits) == 4771
+    assert functools.reduce(lambda acc, c: (10 * acc + int(c)) % p, digits, 0) == pow(3, 9999, p)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_main_runs_on_interpreters_without_the_limit_setter(monkeypatch, capsys):
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, out, err = run(["resultant", "t - 2", "t - 5", "--ring", "ZZ"], capsys)
+    assert (code, err) == (0, "") and "resultant: -3" in out
 
 
 def test_syntax_error_json_envelope(capsys):

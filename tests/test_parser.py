@@ -236,6 +236,17 @@ def test_degree_bound_fails_fast_at_the_operator(src, ring, column, message):
     assert err.caret_diagnostic().splitlines()[-1].index("^") == column + 1
 
 
+def test_integer_literals_are_bounded_in_digits():
+    big = "1" + "0" * 4300
+    with pytest.raises(InputSyntaxError) as info:
+        parse_poly("t - " + big, ZZ, "t")
+    err = info.value
+    assert "literal of 4301 digits" in str(err) and (err.line, err.column) == (1, 5)
+    assert parse_poly(big[:-1], ZZ, "t").coefficient(0).value == 10**4299
+    with pytest.raises(ParameterError):
+        parse_ring(f"Fp({big})")
+
+
 def test_degree_bound_is_inclusive():
     value = parse_poly("t^5000 * t^5000", ZZ, "t")
     assert value.degree == 10000

@@ -168,6 +168,49 @@ def test_strata_partition_and_verdicts_at_field_points(p):
                 assert discriminant(res, s.residual_degree).is_zero()
 
 
+# Families over QQ and ZZ, the last with a declared degree above the actual one.
+REDUCED_FAMILIES = [
+    ("u*v*t^2 + u*t", "QQ[u,v]", None),
+    ("u*t^2 + v*t + 1", "QQ[u,v]", None),
+    ("(u - v)*t^3 + u*t + 1/2*u", "QQ[u,v]", None),
+    ("(a-3)*t^3 + b^2*t + 1", "ZZ[a,b]", None),
+    ("u*t^2 + v*t + 1", "QQ[u,v]", 3),
+]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("src, rt, degree", REDUCED_FAMILIES)
+def test_strata_partition_reduced_base_points(src, rt, degree, p):
+    # every F_p point lies in exactly one stratum, and its verdict agrees
+    # with the stratum's discriminant at the point: nonzero where etale
+    # of degree k, zero where ramified
+    base = parse_ring(rt)
+    field = GF(p)
+    ring = PolynomialRing(field, base.names)
+    strata = main1_strata(parse_poly(src, base, "t"), degree)
+
+    def read(exprs):
+        return [parse_element(x, ring) for x in exprs]
+
+    pieces = [(read(s.inverted), read(s.quotiented), s) for s in strata]
+    for point in itertools.product(range(p), repeat=len(base.names)):
+        at = RingHom(ring, field, {n: field.element(x) for n, x in zip(base.names, point)})
+        matches = [
+            s for inv, quo, s in pieces
+            if all(not at(x).is_zero() for x in inv) and all(at(x).is_zero() for x in quo)
+        ]
+        assert len(matches) == 1, (point, matches)
+        [s] = matches
+        if s.discriminant is None:
+            continue
+        b = at(parse_element(s.discriminant, ring))
+        if s.verdict == "ramified":
+            assert b.is_zero(), (point, s)
+        else:
+            assert s.verdict == f"etale of degree {s.residual_degree}"
+            assert not b.is_zero(), (point, s)
+
+
 def test_stratum_count_is_degree_dependent_not_huge():
     strata = strata_of("a*t^3 + b*t^2 + t + 1", "QQ[a,b]")
     verdicts = [s.verdict for s in strata]
