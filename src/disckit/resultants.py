@@ -16,9 +16,22 @@ t^2 + b*t + c it is 4c - b^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm, prod
 
-from .errors import ParameterError, RingMismatchError
-from .rings import Ring, RingElement, _bareiss_arith
+from .errors import ExactDivisionError, ParameterError, RingMismatchError
+from .parser import MAX_DEGREE
+from .rings import (
+    ZZ,
+    IntegerRing,
+    MultiPoly,
+    PolynomialRing,
+    PrimeField,
+    RationalRing,
+    Ring,
+    RingElement,
+    _bareiss_arith,
+)
 from .unipoly import UniPoly
 
 
@@ -39,7 +52,9 @@ def declared_degree(poly: UniPoly, declared: int | None, which: str) -> int:
 
     The one rule for declared degrees, shared by the resultants,
     discriminants, strata and the command line: the zero polynomial
-    needs one, and it is never negative nor below the actual degree.
+    needs one, and it is never negative, below the actual degree, nor
+    above parser.MAX_DEGREE, the bound on every parsed degree (a
+    declared degree sizes the Sylvester matrix before any entry exists).
     """
     if declared is None:
         if poly.is_zero():
@@ -53,6 +68,10 @@ def declared_degree(poly: UniPoly, declared: int | None, which: str) -> int:
         )
     if declared < 0:
         raise ParameterError(f"the declared degree of {which} must be nonnegative, got {declared}")
+    if declared > MAX_DEGREE:
+        raise ParameterError(
+            f"declared degree {declared} of {which} exceeds the limit {MAX_DEGREE}"
+        )
     return declared
 
 
@@ -87,26 +106,111 @@ def sylvester_matrix(
 
 
 def det_fraction_free(matrix: list[list[RingElement]], ring: Ring) -> RingElement:
-    """Bareiss determinant; every division is exact over an integral domain.
+    """Determinant by elimination on plain values; the matrix is unwrapped once.
 
-    The matrix is unwrapped once and eliminated on raw values: ints,
-    Fractions or residues over a scalar ring, packed-monomial dicts
-    (rings._Packed) over a polynomial ring, at a width that holds every
-    intermediate.  Only the determinant is wrapped again.
+    - ZZ: Bareiss on Python ints; every division is checked to be exact.
+    - QQ: row i is multiplied by s_i, the lcm of its entries'
+      denominators (1 for an all-zero row); the integer determinant of
+      the scaled rows is divided by the product of the s_i.
+    - Fp: Gaussian elimination mod p, one inverse per pivot.
+    - ZZ[vars], Fp[vars]: Bareiss on packed-monomial dicts (rings._Packed)
+      at a width that holds every intermediate.
+    - QQ[vars]: rows scaled as over QQ, by the lcm of every coefficient
+      denominator in the row, then the ZZ[vars] path; each coefficient
+      of the determinant is divided by the product of the scales.
+
+    No Fraction arithmetic runs inside an elimination.  Only the
+    determinant is wrapped again.
     """
-    n = len(matrix)
-    if n == 0:
+    if not matrix:
         return ring.one
-    work = [[ring.coerce(x) for x in row] for row in matrix]
-    arith = _bareiss_arith(ring, work)
-    work = [[arith.pack(x) for x in row] for row in work]
+    rows = [[ring.coerce(x) for x in row] for row in matrix]
+    if isinstance(ring, IntegerRing):
+        return RingElement(ring, _det_int(rows))
+    if isinstance(ring, RationalRing):
+        scales = [lcm(*(x.denominator for x in row)) for row in rows]
+        scaled = [
+            [x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)
+        ]
+        return RingElement(ring, Fraction(_det_int(scaled), prod(scales)))
+    if isinstance(ring, PrimeField):
+        return RingElement(ring, _det_mod(rows, ring.p))
+    if isinstance(ring.base, RationalRing):
+        twin = PolynomialRing(ZZ, ring.names)
+        scales = [lcm(*(c.denominator for x in row for c in x.terms.values())) for row in rows]
+        scaled = [
+            [MultiPoly(twin, {e: c.numerator * (s // c.denominator) for e, c in x.terms.items()})
+             for x in row]
+            for row, s in zip(rows, scales)
+        ]
+        total = prod(scales)
+        det = _det_packed(scaled, twin).terms
+        return RingElement(ring, MultiPoly(ring, {e: Fraction(c, total) for e, c in det.items()}))
+    return RingElement(ring, _det_packed(rows, ring))
+
+
+def _det_int(rows: list[list[int]]) -> int:
+    """Bareiss on ints, in place; a division that leaves a remainder raises."""
+    n = len(rows)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        pivot_row = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        row_k = rows[k]
+        pivot = row_k[k]
+        for i in range(k + 1, n):
+            row_i = rows[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                q, r = divmod(pivot * row_i[j] - head * row_k[j], prev)
+                if r:
+                    raise ExactDivisionError(f"inexact Bareiss division by {prev}")
+                row_i[j] = q
+        prev = pivot
+    return sign * rows[n - 1][n - 1]
+
+
+def _det_mod(rows: list[list[int]], p: int) -> int:
+    """Gaussian elimination mod the prime p, in place."""
+    n = len(rows)
+    det = 1
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            det = -det
+        row_k = rows[k]
+        pivot = row_k[k]
+        det = det * pivot % p
+        inverse = pow(pivot, -1, p)
+        for i in range(k + 1, n):
+            row_i = rows[i]
+            factor = row_i[k] * inverse % p
+            if factor:
+                for j in range(k + 1, n):
+                    row_i[j] = (row_i[j] - factor * row_k[j]) % p
+    return det
+
+
+def _det_packed(rows: list[list[MultiPoly]], ring: PolynomialRing) -> MultiPoly:
+    """Bareiss on packed-monomial dicts over ZZ[vars] or Fp[vars]."""
+    n = len(rows)
+    arith = _bareiss_arith(ring, rows)
+    work = [[arith.pack(x) for x in row] for row in rows]
     mul_sub, exact_div = arith.mul_sub, arith.exact_div
     sign = 1
     prev = None
     for k in range(n - 1):
         pivot_row = next((r for r in range(k, n) if work[r][k]), None)
         if pivot_row is None:
-            return ring.zero
+            return MultiPoly(ring, {})
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], work[k]
             sign = -sign
@@ -120,7 +224,7 @@ def det_fraction_free(matrix: list[list[RingElement]], ring: Ring) -> RingElemen
                 row_i[j] = exact_div(value, prev) if prev is not None and value else value
         prev = pivot
     det = work[n - 1][n - 1]
-    return RingElement(ring, arith.unpack(det if sign > 0 else arith.neg(det)))
+    return arith.unpack(det if sign > 0 else arith.neg(det))
 
 
 def _det_fraction_free_reference(matrix: list[list[RingElement]], ring: Ring) -> RingElement:

@@ -594,8 +594,10 @@ class _Packed:
 
     A packed value is a dict from packed monomials to nonzero base
     coefficients.  Over ZZ the coefficients are plain ints handled
-    inline; over QQ and Fp they go through the base ring's raw
-    operations.
+    inline; this branch runs the determinants over ZZ[vars] and, after
+    the rows are cleared of denominators, over QQ[vars].  Over Fp and
+    QQ the coefficients go through the base ring's raw operations: the
+    determinants over Fp[vars] and exact_div over QQ[vars] and Fp[vars].
     """
 
     def __init__(self, ring: PolynomialRing, bound: int):
@@ -740,38 +742,13 @@ class _Packed:
         return out
 
 
-class _ScalarArith:
-    """The _Packed interface for a scalar ring: raw values pass through."""
-
-    def __init__(self, ring: Ring):
-        self.ring = ring
-
-    def pack(self, x):
-        return x
-
-    def unpack(self, x):
-        return x
-
-    def neg(self, a):
-        return self.ring._neg(a)
-
-    def mul_sub(self, a, b, c, d):
-        ring = self.ring
-        return ring._sub(ring._mul(a, b), ring._mul(c, d))
-
-    def exact_div(self, a, b):
-        return self.ring._exact_div(a, b)
-
-
-def _bareiss_arith(ring: Ring, rows: list[list]):
-    """Raw arithmetic wide enough for a Bareiss elimination of rows over ring.
+def _bareiss_arith(ring: PolynomialRing, rows: list[list[MultiPoly]]) -> _Packed:
+    """Packed arithmetic wide enough for a Bareiss elimination of rows over ring.
 
     Every intermediate of the elimination is a product of two minors,
     so its total degree is at most twice the sum over the rows of the
     largest entry degree in the row; that bound sets the packed width.
     """
-    if not isinstance(ring, PolynomialRing):
-        return _ScalarArith(ring)
     bound = 2 * sum(max((x.total_degree() or 0) for x in row) for row in rows)
     return _Packed(ring, bound)
 

@@ -8,6 +8,7 @@ counts.
 import functools
 import json
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -94,6 +95,23 @@ def test_discriminant_declared_degree(capsys):
     )
     # t as a degenerate quadratic: discriminant of 0*t^2 + t + 0
     assert env["payload"]["degree"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resultant", "t + 1", "t - 1", "--ring", "ZZ", "--deg-f", "100000000"],
+        ["resultant", "t + 1", "t - 1", "--ring", "QQ", "--deg-g", "10001"],
+        ["discriminant", "t + 1", "--ring", "QQ", "--degree", "100000000"],
+        ["etale", "u*t^2 + t", "--ring", "QQ[u]", "--degree", "100000000", "--strata"],
+    ],
+)
+def test_huge_declared_degree_is_a_parameter_error(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "exceeds the limit 10000" in err
 
 
 # ----- disc-ideal ---------------------------------------------------------------

@@ -1,13 +1,17 @@
-"""The packed-monomial kernel against the slow paths it replaced.
+"""The determinant kernels against the slow paths they replaced.
 
-det_fraction_free runs Bareiss on raw values (packed-monomial dicts over
-polynomial rings); it is compared with the RingElement Bareiss kept as
-_det_fraction_free_reference and with the division-free cofactor
-expansion.  MultiPoly.exact_div runs in the same kernel and is checked
-against multiplication, which does not use it.
+det_fraction_free eliminates on plain values: Bareiss on ints over ZZ
+and, after clearing row denominators, over QQ; Gaussian elimination mod
+p over Fp; Bareiss on packed-monomial dicts over polynomial rings, QQ[vars]
+again through cleared rows.  Each is compared with the RingElement
+Bareiss kept as _det_fraction_free_reference, and up to n = 6 with the
+division-free cofactor expansion.  MultiPoly.exact_div runs in the
+packed kernel and is checked against multiplication, which does not use
+it.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,8 +31,30 @@ from disckit import (
 from disckit.resultants import _det_fraction_free_reference
 from conftest import rand_element, rand_unipoly
 
-SCALARS = (ZZ, QQ, GF(7))
-RINGS = SCALARS + tuple(PolynomialRing(base, ("x", "y")) for base in SCALARS)
+BASES = (ZZ, QQ, GF(7))
+SCALARS = BASES + (GF(2), GF(2147483647))
+POLY_RINGS = tuple(PolynomialRing(base, ("x", "y")) for base in BASES)
+RINGS = SCALARS + POLY_RINGS
+
+
+def max_size(ring):
+    """Sizes up to the largest Sylvester matrix of the interactive workload."""
+    return 8 if isinstance(ring, PolynomialRing) else 18
+
+
+def check_det(m, ring):
+    fast = det_fraction_free(m, ring)
+    assert fast == _det_fraction_free_reference(m, ring)
+    if len(m) <= 6:
+        assert fast == det_cofactor(m, ring)
+    return fast
+
+
+def rand_nonzero(rng, ring):
+    while True:
+        x = rand_element(rng, ring, terms=2, max_exp=2)
+        if not x.is_zero():
+            return x
 
 
 def rand_matrix(rng, ring, n):
@@ -48,11 +74,44 @@ def rand_matrix(rng, ring, n):
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_det_matches_both_references(ring):
     rng = random.Random(7001)
-    for n in range(1, 7):
-        for _ in range(10):
-            m = rand_matrix(rng, ring, n)
-            fast = det_fraction_free(m, ring)
-            assert fast == _det_fraction_free_reference(m, ring) == det_cofactor(m, ring)
+    for n in range(1, max_size(ring) + 1):
+        for _ in range(10 if n <= 6 else 3):
+            check_det(rand_matrix(rng, ring, n), ring)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_det_with_a_row_swap_at_every_step(ring):
+    """Row i < n-1 starts at column i+1 and the last row at column 0.
+
+    Every elimination step finds its pivot only in the last row, so the
+    determinant carries the sign of n - 1 swaps.
+    """
+    rng = random.Random(7005)
+    for n in range(2, max_size(ring) + 1):
+        m = [
+            [ring.zero] * (i + 1) + [rand_nonzero(rng, ring)]
+            + [rand_element(rng, ring, terms=2, max_exp=2) for _ in range(n - i - 2)]
+            for i in range(n - 1)
+        ]
+        last = [rand_element(rng, ring, terms=2, max_exp=2) for _ in range(n - 1)]
+        m.append([rand_nonzero(rng, ring)] + last)
+        assert not check_det(m, ring).is_zero()
+
+
+def test_rational_rows_with_coprime_denominators():
+    """Every entry has its own prime denominator, so each row's scale is
+    the product of its row's primes; an all-zero row has scale 1."""
+    n = max_size(QQ)
+    primes = [p for p in range(2, 3000) if all(p % f for f in range(2, int(p**0.5) + 1))]
+    rng = random.Random(7006)
+    m = [
+        [QQ.element(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), primes[i * n + j]))
+         for j in range(n)]
+        for i in range(n)
+    ]
+    assert not check_det(m, QQ).is_zero()
+    for i in (0, n // 2, n - 1):
+        assert check_det(m[:i] + [[QQ.zero] * n] + m[i + 1:], QQ).is_zero()
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
@@ -90,7 +149,7 @@ def test_exponents_at_the_top_of_a_field():
         assert (product * divisor).exact_div(divisor) == product
 
 
-@pytest.mark.parametrize("ring", RINGS[3:], ids=str)
+@pytest.mark.parametrize("ring", POLY_RINGS, ids=str)
 def test_exact_div_inverts_multiplication(ring):
     rng = random.Random(7003)
     hits = 0
@@ -103,7 +162,7 @@ def test_exact_div_inverts_multiplication(ring):
         assert (a * b).exact_div(b) == a
 
 
-@pytest.mark.parametrize("base", SCALARS, ids=str)
+@pytest.mark.parametrize("base", BASES, ids=str)
 def test_exact_div_failures(base):
     ring = PolynomialRing(base, ("u", "v"))
     u, v = ring.variables()

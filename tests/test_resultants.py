@@ -24,6 +24,8 @@ from disckit import (
     sylvester_matrix,
     unipoly_gcd,
 )
+from disckit.parser import MAX_DEGREE
+from disckit.resultants import declared_degree
 from conftest import rand_element, rand_scalar, rand_unipoly
 
 
@@ -88,6 +90,15 @@ def test_declared_degree_below_actual_rejected():
         sylvester_matrix(t**3, t, SylvesterSpec(2, 1))
     with pytest.raises(ParameterError):
         resultant(t, t**2, SylvesterSpec(1, 1))
+
+
+def test_declared_degree_is_bounded():
+    t = T()
+    assert declared_degree(t, MAX_DEGREE, "f") == MAX_DEGREE
+    with pytest.raises(ParameterError, match="exceeds the limit"):
+        declared_degree(t, MAX_DEGREE + 1, "f")
+    with pytest.raises(ParameterError, match="exceeds the limit"):
+        sylvester_matrix(t, t, SylvesterSpec(1, MAX_DEGREE + 1))
 
 
 def test_zero_polynomial_needs_declared_degree():
@@ -288,7 +299,7 @@ def test_specialization_needs_declared_degrees_when_lc_dies():
 
 # ----- bezout certificate ----------------------------------------------------
 
-@pytest.mark.parametrize("ring", (ZZ, GF(7)), ids=str)
+@pytest.mark.parametrize("ring", (ZZ, QQ, GF(7), GF(2147483647)), ids=str)
 def test_bezout_identity_random(ring):
     rng = random.Random(4011)
     for _ in range(25):
