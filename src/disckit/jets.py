@@ -35,10 +35,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import ParameterError
-from .rings import QQ, ZZ, MultiPoly, PolynomialRing, Ring, RingElement, RingHom
+from .errors import ExactDivisionError, ParameterError
+from .rings import QQ, ZZ, MultiPoly, PolynomialRing, Ring, RingHom
 from .resultants import SylvesterSpec, resultant
 from .unipoly import UniPoly
 
@@ -242,8 +241,6 @@ class ChartRelation:
 
 
 def _try_exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly | None:
-    from .errors import ExactDivisionError
-
     try:
         return num.exact_div(den)
     except ExactDivisionError:

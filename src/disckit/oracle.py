@@ -438,10 +438,12 @@ def verify_discriminant_locus(
     leading coefficient): the generators' zeros are solved fiber by
     fiber, the multiple-root forms are enumerated as h^m * g, and each
     point in one set but not the other is re-tested on its own.  q^d
-    must fit the budget and q must be a prime exceeding d.  Only the
-    monic chart (d, 0) is enumerable for now; passing any other chart
-    is an error.
+    must fit the budget (at least 1) and q must be a prime exceeding d.
+    Only the monic chart (d, 0) is enumerable for now; passing any other
+    chart is an error.
     """
+    if budget < 1:
+        raise ParameterError(f"the budget must be at least 1, got {budget}")
     if chart is not None and chart != ChartId(d, 0):
         raise ParameterError(
             f"only the monic chart ({d}, 0) is enumerated, got {chart}"

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputSyntaxError, ParameterError, RingMismatchError
-from .rings import GF, QQ, ZZ, MultiPoly, PolynomialRing, PrimeField, Ring, RingElement
+from .rings import GF, QQ, ZZ, MultiPoly, PolynomialRing, PrimeField, Ring, RingElement, check_name
 from .unipoly import UniPoly
 
 MAX_DEGREE = 10**4
@@ -308,6 +308,7 @@ def parse_poly(src: str, ring: Ring, main_var: str | None = None):
                 "a main variable is required when the ring has no variables"
             )
         return parse_element(src, ring)
+    check_name(main_var)
     scope: dict = {main_var: UniPoly.monomial(ring, main_var, 1)}
     if isinstance(ring, PolynomialRing):
         for name in ring.names:

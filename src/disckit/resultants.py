@@ -22,15 +22,14 @@ from math import lcm, prod
 from .errors import ExactDivisionError, ParameterError, RingMismatchError
 from .parser import MAX_DEGREE
 from .rings import (
-    ZZ,
     IntegerRing,
     MultiPoly,
-    PolynomialRing,
     PrimeField,
     RationalRing,
     Ring,
     RingElement,
-    _bareiss_arith,
+    _Packed,
+    clear_denominators,
 )
 from .unipoly import UniPoly
 
@@ -113,11 +112,11 @@ def det_fraction_free(matrix: list[list[RingElement]], ring: Ring) -> RingElemen
       denominators (1 for an all-zero row); the integer determinant of
       the scaled rows is divided by the product of the s_i.
     - Fp: Gaussian elimination mod p, one inverse per pivot.
-    - ZZ[vars], Fp[vars]: Bareiss on packed-monomial dicts (rings._Packed)
-      at a width that holds every intermediate.
-    - QQ[vars]: rows scaled as over QQ, by the lcm of every coefficient
-      denominator in the row, then the ZZ[vars] path; each coefficient
-      of the determinant is divided by the product of the scales.
+    - ZZ[vars], Fp[vars]: Bareiss on packed-monomial dicts of ints
+      (rings._Packed) at a width that holds every intermediate.
+    - QQ[vars]: each row scaled to ZZ[vars] by rings.clear_denominators,
+      then the ZZ[vars] path; each coefficient of the determinant is
+      divided by the product of the scales.
 
     No Fraction arithmetic runs inside an elimination.  Only the
     determinant is wrapped again.
@@ -136,17 +135,11 @@ def det_fraction_free(matrix: list[list[RingElement]], ring: Ring) -> RingElemen
     if isinstance(ring, PrimeField):
         return RingElement(ring, _det_mod(rows, ring.p))
     if isinstance(ring.base, RationalRing):
-        twin = PolynomialRing(ZZ, ring.names)
-        scales = [lcm(*(c.denominator for x in row for c in x.terms.values())) for row in rows]
-        scaled = [
-            [MultiPoly(twin, {e: c.numerator * (s // c.denominator) for e, c in x.terms.items()})
-             for x in row]
-            for row, s in zip(rows, scales)
-        ]
-        total = prod(scales)
-        det = _det_packed(scaled, twin).terms
+        cleared = [clear_denominators(row) for row in rows]
+        det = _det_packed([row for row, _ in cleared]).terms
+        total = prod(s for _, s in cleared)
         return RingElement(ring, MultiPoly(ring, {e: Fraction(c, total) for e, c in det.items()}))
-    return RingElement(ring, _det_packed(rows, ring))
+    return RingElement(ring, _det_packed(rows))
 
 
 def _det_int(rows: list[list[int]]) -> int:
@@ -199,10 +192,17 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
     return det
 
 
-def _det_packed(rows: list[list[MultiPoly]], ring: PolynomialRing) -> MultiPoly:
-    """Bareiss on packed-monomial dicts over ZZ[vars] or Fp[vars]."""
+def _det_packed(rows: list[list[MultiPoly]]) -> MultiPoly:
+    """Bareiss on packed-monomial dicts over ZZ[vars] or Fp[vars].
+
+    Every intermediate of the elimination is a product of two minors,
+    so its total degree is at most twice the sum over the rows of the
+    largest entry degree in the row; that bound sets the packed width.
+    """
     n = len(rows)
-    arith = _bareiss_arith(ring, rows)
+    ring = rows[0][0].ring
+    bound = 2 * sum(max((x.total_degree() or 0) for x in row) for row in rows)
+    arith = _Packed(ring, bound)
     work = [[arith.pack(x) for x in row] for row in rows]
     mul_sub, exact_div = arith.mul_sub, arith.exact_div
     sign = 1
@@ -223,8 +223,8 @@ def _det_packed(rows: list[list[MultiPoly]], ring: PolynomialRing) -> MultiPoly:
                 value = mul_sub(pivot, row_i[j], head, row_k[j])
                 row_i[j] = exact_div(value, prev) if prev is not None and value else value
         prev = pivot
-    det = work[n - 1][n - 1]
-    return arith.unpack(det if sign > 0 else arith.neg(det))
+    det = arith.unpack(work[n - 1][n - 1])
+    return det if sign > 0 else det._neg()
 
 
 def _det_fraction_free_reference(matrix: list[list[RingElement]], ring: Ring) -> RingElement:

@@ -17,9 +17,9 @@ Everything is immutable and every operation is a pure function, so
 values can be shared freely between threads.
 
 The heavy symbolic work (Bareiss determinants and exact division) runs
-in a private packed-monomial kernel, _Packed, on dicts keyed by one int
-per exponent vector; MultiPoly is converted into it and back at the
-boundary.
+in a private packed-monomial kernel, _Packed, on dicts from one int per
+exponent vector to an int coefficient (a residue over Fp); MultiPoly is
+converted at the boundary, and QQ[vars] is first cleared to ZZ[vars].
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import heapq
 import itertools
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DisckitError,
@@ -42,6 +43,12 @@ from .errors import (
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 _MAX_PRIME = 2**31
+
+
+def check_name(name: str) -> None:
+    """Raise ParameterError unless name can be a variable of a polynomial."""
+    if not _NAME_RE.match(name):
+        raise ParameterError(f"bad variable name {name!r}")
 
 
 def _is_prime(p: int) -> bool:
@@ -325,8 +332,7 @@ class PolynomialRing(Ring):
         if len(set(names)) != len(names):
             raise ParameterError(f"duplicate variable names in {names}")
         for name in names:
-            if not _NAME_RE.match(name):
-                raise ParameterError(f"bad variable name {name!r}")
+            check_name(name)
         self.base = base
         self.names = names
 
@@ -531,9 +537,19 @@ class MultiPoly:
         ExactDivisionError as soon as a leading term fails to divide,
         which over an integral domain happens iff divisor does not
         divide self.
+
+        Over QQ[vars] both operands are scaled by one integer to ZZ[vars]
+        and the divisor is divided by its integer content g.  By Gauss's
+        lemma the now primitive divisor leaves an integer quotient iff it
+        leaves a rational one; that quotient divided by g is the answer.
         """
         if divisor.is_zero():
             raise ExactDivisionError("division by zero polynomial")
+        if isinstance(self.ring.base, RationalRing):
+            (num, den), _ = clear_denominators((self, divisor))
+            g = gcd(*den.terms.values())
+            quotient = num.exact_div(den._new({e: c // g for e, c in den.terms.items()}))
+            return self._new({e: Fraction(c, g) for e, c in quotient.terms.items()})
         bound = max(max(e) for e in itertools.chain(self.terms, divisor.terms))
         kernel = _Packed(self.ring, bound)
         return kernel.unpack(kernel.exact_div(kernel.pack(self), kernel.pack(divisor)))
@@ -579,8 +595,22 @@ class MultiPoly:
     __repr__ = __str__
 
 
+def clear_denominators(polys: Sequence[MultiPoly]) -> tuple[list[MultiPoly], int]:
+    """([s*f for f in polys] in ZZ[vars], s) for polys over QQ[vars].
+
+    s is the lcm of every coefficient denominator (1 if all polys are 0).
+    """
+    s = lcm(*(c.denominator for f in polys for c in f.terms.values()))
+    twin = PolynomialRing(ZZ, polys[0].ring.names)
+    cleared = [
+        MultiPoly(twin, {e: c.numerator * (s // c.denominator) for e, c in f.terms.items()})
+        for f in polys
+    ]
+    return cleared, s
+
+
 class _Packed:
-    """Packed-monomial arithmetic in one polynomial ring at one field width.
+    """Packed-monomial arithmetic in ZZ[vars] or Fp[vars] at one field width.
 
     An exponent vector (e_1, ..., e_k) becomes one int of k fields of
     `width` bits, e_1 in the most significant field.  The top bit of each
@@ -592,16 +622,16 @@ class _Packed:
     field of e | G is at least its guard, so the subtraction borrows
     across no field, and a field keeps its guard iff e_i >= d_i.
 
-    A packed value is a dict from packed monomials to nonzero base
-    coefficients.  Over ZZ the coefficients are plain ints handled
-    inline; this branch runs the determinants over ZZ[vars] and, after
-    the rows are cleared of denominators, over QQ[vars].  Over Fp and
-    QQ the coefficients go through the base ring's raw operations: the
-    determinants over Fp[vars] and exact_div over QQ[vars] and Fp[vars].
+    A packed value is a dict from packed monomials to nonzero ints:
+    integers over ZZ, residues in [0, p) over Fp(p).  QQ[vars] is
+    refused; callers clear its denominators first (clear_denominators).
     """
 
     def __init__(self, ring: PolynomialRing, bound: int):
+        if isinstance(ring.base, RationalRing):
+            raise UnsupportedRingError(f"the packed kernel needs ZZ or Fp coefficients, got {ring}")
         self.ring = ring
+        self.p = ring.base.p if isinstance(ring.base, PrimeField) else None
         self.width = w = bound.bit_length() + 1
         self.cap = (1 << (w - 1)) - 1
         self._mask = (1 << w) - 1
@@ -609,7 +639,6 @@ class _Packed:
         ones = self._key((1,) * len(ring.names))
         self.guard = ones << (w - 1)
         self.caps = ones * self.cap
-        self._zz = isinstance(ring.base, IntegerRing)
 
     def _key(self, exps) -> int:
         key = 0
@@ -630,12 +659,6 @@ class _Packed:
         """The packed vector of the largest exponent of each variable."""
         return self._key(map(max, zip(*map(self._exponents, packed))))
 
-    def neg(self, a: dict) -> dict:
-        if self._zz:
-            return {e: -c for e, c in a.items()}
-        neg = self.ring.base._neg
-        return {e: neg(c) for e, c in a.items()}
-
     def mul_sub(self, a: dict, b: dict, c: dict, d: dict) -> dict:
         """a*b - c*d.
 
@@ -644,31 +667,20 @@ class _Packed:
         into the next field.
         """
         out: dict = {}
-        if self._zz:
-            get = out.get
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    out[e] = get(e, 0) + c1 * c2
-            for e1, c1 in c.items():
-                for e2, c2 in d.items():
-                    e = e1 + e2
-                    out[e] = get(e, 0) - c1 * c2
+        get = out.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        for e1, c1 in c.items():
+            for e2, c2 in d.items():
+                e = e1 + e2
+                out[e] = get(e, 0) - c1 * c2
+        p = self.p
+        if p is None:
             out = {e: v for e, v in out.items() if v}
         else:
-            base = self.ring.base
-            mul, add, sub, neg = base._mul, base._add, base._sub, base._neg
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    p = mul(c1, c2)
-                    out[e] = add(out[e], p) if e in out else p
-            for e1, c1 in c.items():
-                for e2, c2 in d.items():
-                    e = e1 + e2
-                    p = mul(c1, c2)
-                    out[e] = sub(out[e], p) if e in out else neg(p)
-            out = {e: v for e, v in out.items() if not base._is_zero(v)}
+            out = {e: r for e, v in out.items() if (r := v % p)}
         guard = self.guard
         for e in out:
             if e & guard:
@@ -681,7 +693,8 @@ class _Packed:
         Every quotient term is checked against cap - (largest exponent
         of b) field by field, so no remainder term passes the cap; an
         exact quotient always passes, since each of its exponents is
-        that of a minus that of b.
+        that of a minus that of b.  Over Fp a remainder term is reduced
+        mod p only when it comes off the heap, and skipped if it is 0.
         """
         if not b:
             raise ExactDivisionError("division by zero polynomial")
@@ -689,68 +702,48 @@ class _Packed:
         qmax = (self.caps - self._field_max(b)) | guard
         lead = max(b)
         lc = b[lead]
+        p = self.p
+        inverse = None if p is None else pow(lc, -1, p)
         rest = [(e, c) for e, c in b.items() if e != lead]
         rem = dict(a)
         heap = [-e for e in rem]
         heapq.heapify(heap)
         pop, push = heapq.heappop, heapq.heappush
         out = {}
-        zz = self._zz
-        base = self.ring.base
         while heap:
             e = -pop(heap)
             c = rem.pop(e, None)
             if c is None:  # cancelled after it was pushed
                 continue
+            if p is not None:
+                c %= p
+                if not c:
+                    continue
             if ((e | guard) - lead) & guard != guard:
                 raise ExactDivisionError("inexact polynomial division (monomial)")
             d = e - lead
             if (qmax - d) & guard != guard:
                 raise ExactDivisionError("inexact polynomial division (degree)")
-            if zz:
+            if p is None:
                 q, r = divmod(c, lc)
                 if r:
                     raise ExactDivisionError("inexact polynomial division (coefficient)")
-                out[d] = q
-                for be, bc in rest:
-                    k = d + be
-                    v = rem.get(k)
-                    if v is None:
-                        rem[k] = -q * bc
-                        push(heap, -k)
-                    else:
-                        v -= q * bc
-                        if v:
-                            rem[k] = v
-                        else:
-                            del rem[k]
             else:
-                q = base._exact_div(c, lc)
-                out[d] = q
-                for be, bc in rest:
-                    k = d + be
-                    p = base._mul(q, bc)
-                    if k in rem:
-                        v = base._sub(rem[k], p)
-                        if base._is_zero(v):
-                            del rem[k]
-                        else:
-                            rem[k] = v
+                q = c * inverse % p
+            out[d] = q
+            for be, bc in rest:
+                k = d + be
+                v = rem.get(k)
+                if v is None:
+                    rem[k] = -q * bc
+                    push(heap, -k)
+                else:
+                    v -= q * bc
+                    if v:
+                        rem[k] = v
                     else:
-                        rem[k] = base._neg(p)
-                        push(heap, -k)
+                        del rem[k]
         return out
-
-
-def _bareiss_arith(ring: PolynomialRing, rows: list[list[MultiPoly]]) -> _Packed:
-    """Packed arithmetic wide enough for a Bareiss elimination of rows over ring.
-
-    Every intermediate of the elimination is a product of two minors,
-    so its total degree is at most twice the sum over the rows of the
-    largest entry degree in the row; that bound sets the packed width.
-    """
-    bound = 2 * sum(max((x.total_degree() or 0) for x in row) for row in rows)
-    return _Packed(ring, bound)
 
 
 class RingElement:

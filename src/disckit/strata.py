@@ -17,9 +17,10 @@ works on one declared degree:
     rather than guessed at.
 
 Localizations are tracked as lists of inverted elements; unit tests in
-the localized ring are performed by exact-division sweeps, which is
-sound (never claims a non-unit is a unit) and complete for the
-divisor-closed multiplicative sets this recursion produces.
+the localized ring are performed by exact-division sweeps, which are
+sound (never claim a non-unit is a unit) but not complete: after
+inverting u*v the sweep takes -u^3*v only to -u^2 and misses that it
+is a unit, so the empty stratum that quotients it is still emitted.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def is_unit_localized(x: RingElement, inverted: Sequence[RingElement]) -> bool:
     Sweeps exact divisions by the inverted elements until none applies,
     then asks the base ring.  Each successful division strictly shrinks
     the value (in degree, then in leading-coefficient size), so the
-    sweep terminates.
+    sweep terminates.  Sound, not complete: True means x is a unit, but
+    False may miss one (see the module docstring).
     """
     if x.is_zero():
         return False

@@ -114,6 +114,13 @@ def test_huge_declared_degree_is_a_parameter_error(argv, capsys):
     assert "exceeds the limit 10000" in err
 
 
+@pytest.mark.parametrize("var", ["9", "+"])
+def test_bad_main_variable_is_a_parameter_error(var, capsys):
+    code, out, err = run(["resultant", "1", "2", "--ring", "ZZ", "--var", var], capsys)
+    assert (code, out) == (3, "")
+    assert f"bad variable name {var!r}" in err
+
+
 # ----- disc-ideal ---------------------------------------------------------------
 
 def test_disc_ideal_level_one_quadratic(capsys):
@@ -275,6 +282,14 @@ def test_verify_budget_exit_code(capsys):
     )
     assert env["status"] == "error"
     assert any("budget" in d for d in env["diagnostics"])
+
+
+@pytest.mark.parametrize("extra", [[], ["--q2", "7"]])
+def test_verify_budget_below_one_is_a_parameter_error(extra, capsys):
+    argv = ["verify", "--d", "2", "--l", "1", "--q", "5", "--budget", "-1"] + extra
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert "the budget must be at least 1, got -1" in err
 
 
 # ----- error handling and determinism -------------------------------------------

@@ -264,6 +264,18 @@ def test_verify_budget():
     assert rep.ideal_zero_count == 49
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_refused_before_compiling(budget, monkeypatch):
+    def no_compile(*args):
+        raise AssertionError("compiled the generators")
+
+    monkeypatch.setattr(oracle, "_compile_gens", no_compile)
+    with pytest.raises(ParameterError, match="at least 1"):
+        verify_discriminant_locus(2, 1, 5, budget=budget)
+    with pytest.raises(ParameterError, match="at least 1"):
+        dimension_growth_check(2, 1, 5, 7, budget=budget)
+
+
 def test_worker_count_does_not_change_the_report(monkeypatch):
     baseline = verify_discriminant_locus(4, 2, 7)
     monkeypatch.setenv("DISCKIT_THREADS", "3")

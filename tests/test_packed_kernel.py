@@ -2,12 +2,12 @@
 
 det_fraction_free eliminates on plain values: Bareiss on ints over ZZ
 and, after clearing row denominators, over QQ; Gaussian elimination mod
-p over Fp; Bareiss on packed-monomial dicts over polynomial rings, QQ[vars]
-again through cleared rows.  Each is compared with the RingElement
-Bareiss kept as _det_fraction_free_reference, and up to n = 6 with the
-division-free cofactor expansion.  MultiPoly.exact_div runs in the
-packed kernel and is checked against multiplication, which does not use
-it.
+p over Fp; Bareiss on packed-monomial dicts of ints over ZZ[vars] and
+Fp[vars], QQ[vars] again through cleared rows.  Each is compared with
+the RingElement Bareiss kept as _det_fraction_free_reference, and up to
+n = 6 with the division-free cofactor expansion.  MultiPoly.exact_div
+runs in the packed kernel (over QQ[vars] after clearing denominators)
+and is checked against multiplication, which does not use it.
 """
 
 import random
@@ -23,17 +23,19 @@ from disckit import (
     PolynomialRing,
     SylvesterSpec,
     UniPoly,
+    UnsupportedRingError,
     det_cofactor,
     det_fraction_free,
     resultant,
     sylvester_matrix,
 )
 from disckit.resultants import _det_fraction_free_reference
+from disckit.rings import _Packed
 from conftest import rand_element, rand_unipoly
 
 BASES = (ZZ, QQ, GF(7))
 SCALARS = BASES + (GF(2), GF(2147483647))
-POLY_RINGS = tuple(PolynomialRing(base, ("x", "y")) for base in BASES)
+POLY_RINGS = tuple(PolynomialRing(base, ("x", "y")) for base in SCALARS)
 RINGS = SCALARS + POLY_RINGS
 
 
@@ -176,6 +178,57 @@ def test_exact_div_failures(base):
             (u + 1).exact_div(ring.element(2))
     else:
         assert (u + 1).exact_div(ring.element(2)) * 2 == u + 1
+
+
+def test_exact_div_with_remainder_terms_that_cancel_only_mod_p():
+    """The kernel keeps Fp remainder terms unreduced until they leave the heap.
+
+    Dividing (4x + 5y)(x + 3y) by x + 3y over GF(7) leaves -14 at y^2
+    after the second quotient term: 0 mod 7 but not 0 as an integer.
+    Read as a nonzero term it would fail the monomial test (x does not
+    divide y^2) and the exact division would raise.
+    """
+    ring = PolynomialRing(GF(7), ("x", "y"))
+    x, y = ring.variables()
+    divisor, quotient = x + 3 * y, 4 * x + 5 * y
+    assert (quotient * divisor).exact_div(divisor) == quotient
+
+
+def test_rational_exact_div_by_gauss_lemma():
+    """Divisors with integer content or rational coefficients over QQ[vars].
+
+    Both operands are scaled to ZZ[vars] and the divisor is made
+    primitive; the quotient must still be the rational one, and a
+    division that is inexact over QQ must still raise.
+    """
+    ring = PolynomialRing(QQ, ("x", "y"))
+    x, y = ring.variables()
+
+    def q(n, d):
+        return ring.element(Fraction(n, d))
+
+    exact = (
+        (6 * x + 4 * y, q(1, 3) * x + q(1, 2)),
+        (q(1, 2) * x + q(3, 5) * y, q(7, 4) * x - y),
+        (4 * x + 6, q(1, 2)),
+        (q(1, 3) * y**2 - 10, 15 * x**3 * y + q(1, 3)),
+    )
+    for divisor, quotient in exact:
+        assert (quotient * divisor).exact_div(divisor) == quotient
+    inexact = (
+        (2 * x + 4, 4 * x + 6),
+        (x + 1, 2 * x + 4 * y),
+        (x**2 + q(1, 3) * y, q(6, 5) * x + 2),
+        (q(1, 2) * x * y, q(1, 3) * x**2),
+    )
+    for num, den in inexact:
+        with pytest.raises(ExactDivisionError):
+            num.exact_div(den)
+
+
+def test_packed_kernel_refuses_rational_coefficients():
+    with pytest.raises(UnsupportedRingError):
+        _Packed(PolynomialRing(QQ, ("x", "y")), 4)
 
 
 def test_resultants_over_three_variables():
