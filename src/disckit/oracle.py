@@ -36,46 +36,9 @@ from fractions import Fraction
 from .errors import BudgetError, DisckitError, ParameterError, UnsupportedRingError
 from .jets import ChartId, _check_level, discriminant_ideal
 from .rings import GF, PrimeField
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _deriv_mod, _gcd_mod, _mul_mod, _trim
 
 DEFAULT_BUDGET = 10_000_000
-
-
-# ----- plain-list polynomial helpers over F_p -------------------------------
-
-def _trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _deriv_mod(coeffs: list[int], p: int) -> list[int]:
-    return _trim([(k * coeffs[k]) % p for k in range(1, len(coeffs))])
-
-
-def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        r = list(a)
-        while len(r) - 1 >= db and r:
-            shift = len(r) - 1 - db
-            factor = (r[-1] * inv) % p
-            for i, c in enumerate(b):
-                r[shift + i] = (r[shift + i] - factor * c) % p
-            _trim(r)
-        a, b = b, r
-    return a
-
-
-def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([c % p for c in out])
 
 
 def coeffs_mod(P: UniPoly, p: int) -> list[int]:
@@ -86,7 +49,7 @@ def coeffs_mod(P: UniPoly, p: int) -> list[int]:
     ParameterError.
     """
     field = GF(p)  # validates the modulus
-    return _trim([field.coerce(c.value) for c in P.coeffs])
+    return _trim([field.coerce(c) for c in P._raw])
 
 
 def _has_mult_root_ints(coeffs: list[int], m: int, p: int) -> bool:
@@ -121,7 +84,7 @@ def has_root_of_multiplicity(f: UniPoly, m: int) -> bool:
         raise UnsupportedRingError(
             f"the multiplicity oracle works over prime fields, got {ring}"
         )
-    return _has_mult_root_ints([int(c.value) for c in f.coeffs], m, ring.p)
+    return _has_mult_root_ints(f._raw, m, ring.p)
 
 
 # ----- compiled generator evaluation ---------------------------------------
@@ -234,7 +197,7 @@ def _xq_minus_x_mod(g: list[int], q: int) -> list[int]:
                     r[k - n + i] -= c * b
         xq = [c % q for c in r[:n]]
     xq[1] = (xq[1] - 1) % q
-    return xq
+    return _trim(xq)
 
 
 def _roots_mod(polys: list[list[int]], q: int):
@@ -520,9 +483,11 @@ def dimension_growth_check(
 
     A variety of dimension d - l should scale its F_q point count like
     q^(d-l); the check compares count(q2)/count(q1) with (q2/q1)^(d-l)
-    up to the given multiplicative tolerance, using exact integer
-    cross-multiplication so a zero count is handled honestly.
+    up to the given multiplicative tolerance (at least 1), using exact
+    integer cross-multiplication so a zero count is handled honestly.
     """
+    if tolerance < 1:
+        raise ParameterError(f"the tolerance must be at least 1, got {tolerance}")
     if q2 <= q1:
         raise ParameterError(f"the second field must be larger, got q1={q1}, q2={q2}")
     r1 = verify_discriminant_locus(d, l, q1, budget=budget)

@@ -17,7 +17,9 @@ literal may have more than MAX_DIGITS digits, no exponent and no total
 degree (main variable included) may exceed MAX_DEGREE, and a power over
 ZZ or QQ may not predict coefficients longer than _MAX_HEIGHT_BITS bits.
 Degrees are checked from the operands before a product or a power is
-computed, so an oversized input fails at once.
+computed, so an oversized input fails at once.  Expressions are evaluated
+on the raw coefficient lists of the unipoly kernel; parse_poly wraps the
+result in one UniPoly at the end.
 
 Ring descriptors use the syntax ZZ, QQ, Fp(p), optionally followed by
 a variable block: ZZ[b,c], Fp(7)[u0,u1].
@@ -31,37 +33,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputSyntaxError, ParameterError, RingMismatchError
-from .rings import GF, QQ, ZZ, MultiPoly, PolynomialRing, PrimeField, Ring, RingElement, check_name
-from .unipoly import UniPoly
+from .rings import GF, QQ, ZZ, PolynomialRing, PrimeField, Ring, RingElement, check_name
+from .unipoly import UniPoly, _add, _mul, _neg, _pow, _sub, _trim
 
 MAX_DEGREE = 10**4
 MAX_DIGITS = 4300  # CPython's default int-string limit
 _MAX_HEIGHT_BITS = 10**5
 
 
-def _degree(value) -> int:
-    """Total degree of a parsed value, main variable included (0 for zero)."""
-    if isinstance(value, UniPoly):
-        return max((k + _degree(c) for k, c in enumerate(value.coeffs)), default=0)
-    raw = value.value
-    return (raw.total_degree() or 0) if isinstance(raw, MultiPoly) else 0
+def _degree(coeffs: list, ring: Ring) -> int:
+    """Total degree of a parsed raw list, main variable included (0 for zero)."""
+    if isinstance(ring, PolynomialRing):
+        return max((k + (c.total_degree() or 0) for k, c in enumerate(coeffs)), default=0)
+    return max(len(coeffs) - 1, 0)
 
 
-def _height(value) -> int:
+def _height(coeffs: list, ring: Ring) -> int:
     """Bit length of the largest coefficient plus that of the term count.
 
     A power a^n has coefficients of at most n * _height(a) bits, since
     each is bounded by (terms * largest coefficient)^n.  Residues never
     grow, so over a prime field the height is 0.
     """
-    ring = value.coeff_ring if isinstance(value, UniPoly) else value.ring
     if isinstance(getattr(ring, "base", ring), PrimeField):
         return 0
-    if isinstance(value, UniPoly):
-        coeffs = [c.value for c in value.coeffs]
-    else:
-        coeffs = [value.value]
-    if coeffs and isinstance(coeffs[0], MultiPoly):
+    if isinstance(ring, PolynomialRing):
         coeffs = [c for poly in coeffs for c in poly.terms.values()]
     bits = 0
     for c in coeffs:
@@ -150,20 +146,19 @@ def tokenize(src: str) -> list[Token]:
 
 
 class _Parser:
-    """Recursive-descent evaluator; values come from the supplied scope.
+    """Recursive-descent evaluator on the raw coefficient lists of unipoly.
 
-    The scope maps variable names to values, and make_const turns an
-    int or Fraction literal into a value.  Values only need +, -, *
-    and ** with an int exponent, so the same machinery produces either
-    UniPoly or plain RingElement results.
+    Every value is a raw list over ring, ascending in the main variable;
+    without a main variable every value has at most one entry.  The
+    scope maps variable names to values.
     """
 
-    def __init__(self, src: str, scope: dict, make_const):
+    def __init__(self, src: str, ring: Ring, scope: dict):
         self.src = src
         self.tokens = tokenize(src)
         self.pos = 0
+        self.ring = ring
         self.scope = scope
-        self.make_const = make_const
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -207,7 +202,7 @@ class _Parser:
         while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
             op = self.advance()
             rhs = self.term()
-            value = value + rhs if op.kind is TokenKind.PLUS else value - rhs
+            value = (_add if op.kind is TokenKind.PLUS else _sub)(value, rhs, self.ring)
         return value
 
     def term(self):
@@ -215,23 +210,23 @@ class _Parser:
         while self.peek().kind is TokenKind.STAR:
             op = self.advance()
             rhs = self.factor()
-            self.check_degree(_degree(value) + _degree(rhs), op)
-            value = value * rhs
+            self.check_degree(_degree(value, self.ring) + _degree(rhs, self.ring), op)
+            value = _mul(value, rhs, self.ring)
         return value
 
     def factor(self):
         if self.peek().kind is TokenKind.MINUS:
             self.advance()
-            return -self.factor()
+            return _neg(self.factor(), self.ring)
         value = self.atom()
         if self.peek().kind is TokenKind.CARET:
             op = self.advance()
             n = self.exponent()
             if n > 1:
-                self.check_degree(n * _degree(value), op)
-                if n * _height(value) > _MAX_HEIGHT_BITS:
+                self.check_degree(n * _degree(value, self.ring), op)
+                if n * _height(value, self.ring) > _MAX_HEIGHT_BITS:
                     self.fail(f"the power would have coefficients over {_MAX_HEIGHT_BITS} bits", op)
-            value = value**n
+            value = _pow(value, n, self.ring)
         return value
 
     def check_degree(self, degree: int, op: Token):
@@ -288,7 +283,7 @@ class _Parser:
 
     def const(self, literal, tok: Token):
         try:
-            return self.make_const(literal)
+            return _trim([self.ring.coerce(literal)])
         except (RingMismatchError, ParameterError) as exc:
             self.fail(str(exc), tok)
 
@@ -309,27 +304,26 @@ def parse_poly(src: str, ring: Ring, main_var: str | None = None):
             )
         return parse_element(src, ring)
     check_name(main_var)
-    scope: dict = {main_var: UniPoly.monomial(ring, main_var, 1)}
-    if isinstance(ring, PolynomialRing):
-        for name in ring.names:
-            if name == main_var:
-                raise ParameterError(
-                    f"main variable {main_var!r} collides with a coefficient variable"
-                )
-            scope[name] = UniPoly.constant(ring, main_var, ring.variable(name))
-
-    def make_const(literal):
-        return UniPoly.constant(ring, main_var, ring.element(literal))
-
-    return _Parser(src, scope, make_const).parse()
+    if isinstance(ring, PolynomialRing) and main_var in ring.names:
+        raise ParameterError(
+            f"main variable {main_var!r} collides with a coefficient variable"
+        )
+    scope = _ring_scope(ring)
+    scope[main_var] = [ring.coerce(0), ring.coerce(1)]
+    return UniPoly._of(ring, main_var, _Parser(src, ring, scope).parse())
 
 
 def parse_element(src: str, ring: Ring) -> RingElement:
     """Parse src as an element of ring (variables allowed for polynomial rings)."""
-    scope: dict = {}
-    if isinstance(ring, PolynomialRing):
-        scope = {name: ring.variable(name) for name in ring.names}
-    return _Parser(src, scope, ring.element).parse()
+    value = _Parser(src, ring, _ring_scope(ring)).parse()
+    return RingElement(ring, value[0] if value else ring.coerce(0))
+
+
+def _ring_scope(ring: Ring) -> dict:
+    """The variables of a polynomial ring as one-entry raw lists."""
+    if not isinstance(ring, PolynomialRing):
+        return {}
+    return {name: [ring.variable(name).value] for name in ring.names}
 
 
 _RING_RE = re.compile(

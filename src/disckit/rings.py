@@ -13,6 +13,8 @@ Raw element values by ring:
     Fp(p)     int residue in [0, p)
     R[u,...]  MultiPoly (sparse exponent-vector map, no zero terms)
 
+A raw value is falsy exactly when it is zero.
+
 Everything is immutable and every operation is a pure function, so
 values can be shared freely between threads.
 
@@ -459,6 +461,9 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def constant_raw(self):
         """Base coefficient if the polynomial is constant, else None."""

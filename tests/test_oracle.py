@@ -435,6 +435,16 @@ def test_growth_rejects_unordered_fields():
         dimension_growth_check(2, 1, 5, 5)
 
 
+@pytest.mark.parametrize("tolerance", [0, -3])
+def test_tolerance_below_one_is_refused_before_scanning(tolerance, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned a field")
+
+    monkeypatch.setattr(oracle, "verify_discriminant_locus", no_scan)
+    with pytest.raises(ParameterError, match="at least 1"):
+        dimension_growth_check(2, 1, 5, 7, tolerance=tolerance)
+
+
 def test_growth_budget_propagates():
     with pytest.raises(BudgetError):
         dimension_growth_check(3, 1, 5, 11, budget=200)
