@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputSyntaxError, ParameterError, RingMismatchError
 from .rings import GF, QQ, ZZ, PolynomialRing, PrimeField, Ring, RingElement, check_name
@@ -79,8 +79,7 @@ class TokenKind(enum.Enum):
     EOF = "end of input"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int

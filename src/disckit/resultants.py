@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm, prod
 
 from .errors import ExactDivisionError, ParameterError, RingMismatchError
@@ -83,24 +84,24 @@ def sylvester_matrix(
     0, row i shifted right by i columns; the remaining m rows carry G
     the same way.
     """
+    ring = F.coeff_ring
+    return [[RingElement(ring, x) for x in row] for row in _sylvester_rows(F, G, spec)]
+
+
+def _sylvester_rows(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None) -> list[list]:
+    """The rows of sylvester_matrix as raw values, read off the raw coefficient lists."""
     if F.coeff_ring != G.coeff_ring or F.var != G.var:
         raise RingMismatchError("resultant arguments live in different polynomial rings")
     m = declared_degree(F, spec.m if spec else None, "the first polynomial")
     n = declared_degree(G, spec.n if spec else None, "the second polynomial")
-    ring = F.coeff_ring
+    zero = F.coeff_ring.coerce(0)
     size = m + n
-    zero = ring.zero
     rows = []
-    for i in range(n):
-        row = [zero] * size
-        for k in range(m + 1):
-            row[i + k] = F.coefficient(m - k)
-        rows.append(row)
-    for j in range(m):
-        row = [zero] * size
-        for k in range(n + 1):
-            row[j + k] = G.coefficient(n - k)
-        rows.append(row)
+    for poly, deg, count in ((F, m, n), (G, n, m)):
+        raw = poly._raw
+        top = [zero] * (deg + 1 - len(raw)) + raw[::-1]
+        for i in range(count):
+            rows.append([zero] * i + top + [zero] * (size - deg - 1 - i))
     return rows
 
 
@@ -121,9 +122,13 @@ def det_fraction_free(matrix: list[list[RingElement]], ring: Ring) -> RingElemen
     No Fraction arithmetic runs inside an elimination.  Only the
     determinant is wrapped again.
     """
-    if not matrix:
+    return _det_raw([[ring.coerce(x) for x in row] for row in matrix], ring)
+
+
+def _det_raw(rows: list[list], ring: Ring) -> RingElement:
+    """det_fraction_free on raw values of ring; the rows are consumed."""
+    if not rows:
         return ring.one
-    rows = [[ring.coerce(x) for x in row] for row in matrix]
     if isinstance(ring, IntegerRing):
         return RingElement(ring, _det_int(rows))
     if isinstance(ring, RationalRing):
@@ -227,6 +232,50 @@ def _det_packed(rows: list[list[MultiPoly]]) -> MultiPoly:
     return det if sign > 0 else det._neg()
 
 
+def _det_minors(rows: list[list[dict]], arith: _Packed) -> dict:
+    """Division-free Laplace expansion of a determinant of packed ZZ[vars] dicts.
+
+    The minor on rows 0..r and the column set S (a bit mask of r + 1
+    columns) is expanded along row r into entries of that row times the
+    memoised minors of rows 0..r-1 on S minus one column.  Only two
+    levels of minors are alive at a time; an n x n matrix takes about
+    n * 2^(n-1) packed products and no division, so no coefficient grows
+    beyond the minors themselves.
+
+    The packed width is arith's (rings._Packed), over ZZ.  No entry and
+    no minor may set a guard bit: every stored exponent stays at or
+    below the cap, so a monomial product never carries into the next
+    field, and a width chosen too small raises DisckitError.
+    """
+    for row in rows:
+        for x in row:
+            arith.check_width(x)
+    n = len(rows)
+    prev = {0: {0: 1}}
+    for r, row in enumerate(rows):
+        negated = [{e: -c for e, c in x.items()} for x in row]
+        level = {}
+        for cols in combinations(range(n), r + 1):
+            mask = sum(1 << j for j in cols)
+            acc: dict = {}
+            get = acc.get
+            for p, j in enumerate(cols):
+                minor = prev.get(mask ^ (1 << j))
+                entry = row[j] if (r + p) % 2 == 0 else negated[j]
+                if not minor or not entry:
+                    continue
+                for e1, c1 in entry.items():
+                    for e2, c2 in minor.items():
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + c1 * c2
+            acc = {e: c for e, c in acc.items() if c}
+            if acc:
+                arith.check_width(acc)
+                level[mask] = acc
+        prev = level
+    return prev.get((1 << n) - 1, {})
+
+
 def _det_fraction_free_reference(matrix: list[list[RingElement]], ring: Ring) -> RingElement:
     """Bareiss on RingElement wrappers; the reference det_fraction_free is tested against."""
     n = len(matrix)
@@ -280,7 +329,7 @@ def det_cofactor(matrix: list[list[RingElement]], ring: Ring) -> RingElement:
 
 def resultant(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = None) -> RingElement:
     """Raw Sylvester determinant of (F, G) at the declared degrees."""
-    return det_fraction_free(sylvester_matrix(F, G, spec), F.coeff_ring)
+    return _det_raw(_sylvester_rows(F, G, spec), F.coeff_ring)
 
 
 def bezout_certificate(

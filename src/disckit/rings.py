@@ -686,11 +686,15 @@ class _Packed:
             out = {e: v for e, v in out.items() if v}
         else:
             out = {e: r for e, v in out.items() if (r := v % p)}
+        self.check_width(out)
+        return out
+
+    def check_width(self, packed: dict) -> None:
+        """Raise DisckitError if a monomial of packed sets a guard bit."""
         guard = self.guard
-        for e in out:
+        for e in packed:
             if e & guard:
                 raise DisckitError(f"packed exponent overflow at field width {self.width}")
-        return out
 
     def exact_div(self, a: dict, b: dict) -> dict:
         """a / b by leading-term cancellation, the leading terms off a heap.

@@ -364,6 +364,13 @@ def test_parameter_error_exit_code(capsys):
     assert "d - k - N - 1 >= 0" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--format", "json"]])
+def test_disc_ideal_above_the_symbolic_degree_cap(capsys, extra):
+    code, out, err = run(["disc-ideal", "--d", "10", "--l", "1"] + extra, capsys)
+    assert code == 3 and out == ""
+    assert "exceeds the limit 9" in err
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

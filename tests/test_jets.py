@@ -12,11 +12,11 @@ import pytest
 
 from disckit import (
     GF,
+    DisckitError,
     QQ,
     ZZ,
     ChartId,
     ParameterError,
-    PolynomialRing,
     RingHom,
     SylvesterSpec,
     UniPoly,
@@ -30,7 +30,14 @@ from disckit import (
     resultant,
     taylor_map,
 )
-from disckit.jets import _discriminant_ideal_sylvester, _generic_raw_discriminant
+from disckit import jets
+from disckit.jets import (
+    MAX_SYMBOLIC_DEGREE,
+    _discriminant_ideal_sylvester,
+    _generic_raw_discriminant,
+    _generic_raw_discriminant_sylvester,
+)
+from disckit.rings import _Packed
 
 
 def test_chart_id_validation():
@@ -260,10 +267,8 @@ def test_cached_ideal_matches_sylvester_reference_degree6():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_homogeneous_discriminant_matches_direct_sylvester_quotient(d):
-    ring = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(d + 1)))
-    a = UniPoly(ring, "t", ring.variables())
-    raw = resultant(a, a.derivative(), SylvesterSpec(d, d - 1)).value
-    assert homogeneous_classical_discriminant(d) == raw.exact_div(ring.variable(f"y{d}").value)
+    raw = _generic_raw_discriminant_sylvester(d)
+    assert homogeneous_classical_discriminant(d) == raw.exact_div(raw.ring.variable(f"y{d}").value)
 
 
 def test_cached_results_are_fresh_copies():
@@ -280,12 +285,79 @@ def test_cached_results_are_fresh_copies():
 
 
 def test_generic_discriminant_memo_is_bounded_and_lazy():
-    assert 8 <= _generic_raw_discriminant.cache_info().maxsize < 64
+    assert _generic_raw_discriminant.cache_info().maxsize == MAX_SYMBOLIC_DEGREE
     src = Path(__file__).resolve().parent.parent / "src"
     probe = "import disckit, disckit.jets as j; print(j._generic_raw_discriminant.cache_info().currsize)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)]
+)
+def test_bezout_discriminant_matches_sylvester_reference(n):
+    assert _generic_raw_discriminant(n) == _generic_raw_discriminant_sylvester(n)
+
+
+def _integer_sylvester_value(ys):
+    n = len(ys) - 1
+    a = UniPoly(ZZ, "t", ys)
+    return resultant(a, a.derivative(), SylvesterSpec(n, n - 1)).value
+
+
+def _evaluate(poly, ys):
+    return sum(c * math.prod(y**e for y, e in zip(ys, exps)) for exps, c in poly.terms.items())
+
+
+@pytest.mark.parametrize("n, terms", [(8, 5247), (9, 26059)])
+def test_bezout_discriminant_past_the_sylvester_range(n, terms):
+    raw = _generic_raw_discriminant(n)
+    assert raw.ring.names == tuple(f"y{k}" for k in range(n + 1))
+    assert len(raw.terms) == terms
+    for exps in raw.terms:
+        assert sum(exps) == 2 * n - 1
+        assert sum(k * e for k, e in enumerate(exps)) == n * n
+    # the sign: values at integer points against the integer Sylvester determinant
+    rng = random.Random(8000 + n)
+    for _ in range(3):
+        ys = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+        assert _evaluate(raw, ys) == _integer_sylvester_value(ys)
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_bezout_discriminant_too_narrow_width_raises(monkeypatch, bound):
+    # bound 1 is too narrow for the entries, bound 3 only for the minors
+    monkeypatch.setattr(jets, "_Packed", lambda ring, true_bound: _Packed(ring, bound))
+    with pytest.raises(DisckitError, match="overflow"):
+        _generic_raw_discriminant.__wrapped__(6)
+
+
+@pytest.mark.parametrize("key", [1, 4])
+def test_bezout_discriminant_refuses_terms_off_the_gradings(monkeypatch, key):
+    # n = 2: one inner variable y1 in a 3-bit field.  y1 leaves a
+    # remainder in the weight; y1^4 gives e_0 = 3 - 4 < 0.
+    monkeypatch.setattr(jets, "_det_minors", lambda rows, arith: {key: 1})
+    with pytest.raises(DisckitError, match="degree or its weight"):
+        _generic_raw_discriminant.__wrapped__(2)
+
+
+def test_symbolic_degree_cap_runs_no_determinant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a determinant ran above the cap")
+
+    for name in ("_det_minors", "_bezout_matrix", "resultant"):
+        monkeypatch.setattr(jets, name, refuse)
+    n = MAX_SYMBOLIC_DEGREE + 1
+    for call in (
+        lambda: discriminant_ideal(n, 1),
+        lambda: discriminant_ideal(n, 1, ChartId(0, 1)),
+        lambda: homogeneous_classical_discriminant(n),
+        lambda: chart_consistency(n, 1, 0),
+        lambda: _generic_raw_discriminant(n),
+    ):
+        with pytest.raises(ParameterError, match="exceeds the limit 9"):
+            call()
 
 
 def test_chart_consistency_frozen_relations():
