@@ -249,8 +249,6 @@ def _fiber_plan(compiled, d: int):
 def _ideal_zero_points(d: int, q: int, compiled, first_coords):
     """Z: yields the points with u_0 in first_coords where every generator vanishes."""
     levels, last_keys = _fiber_plan(compiled, d)
-    top = max((e for terms in compiled for exps, _ in terms for e in exps), default=0)
-    powers = [[pow(a, e, q) for e in range(top + 1)] for a in range(q)]
     widths = [0] * len(compiled)
     for g, e in last_keys:
         widths[g] = e + 1
@@ -278,10 +276,11 @@ def _ideal_zero_points(d: int, q: int, compiled, first_coords):
 
     vec = [c for terms in compiled for _, c in terms]
     if levels:
+        top = max((e for terms in compiled for exps, _ in terms for e in exps), default=0)
+        powers = [[pow(a, e, q) for e in range(top + 1)] for a in range(q)]
         yield from descend(0, vec, (), first_coords)
     else:  # d = 1: solve for u_0 itself and keep the roots in first_coords
-        wanted = set(first_coords)
-        yield from (point for point in solve(vec, ()) if point[0] in wanted)
+        yield from (point for point in solve(vec, ()) if point[0] in first_coords)
 
 
 def _monic_irreducibles(top: int, q: int) -> list[list[list[int]]]:
@@ -309,7 +308,6 @@ def _multiple_root_points(d: int, m: int, q: int, first_coords) -> set[Point]:
     forms of degree d - m * deg h; only the constant terms of g that
     give u_0 = h(0)^m g(0) in first_coords are enumerated.
     """
-    wanted = set(first_coords)
     points: set[Point] = set()
     for k, irreducibles in enumerate(_monic_irreducibles(d // m, q), start=1):
         r = d - m * k
@@ -318,14 +316,14 @@ def _multiple_root_points(d: int, m: int, q: int, first_coords) -> set[Point]:
             for _ in range(m):
                 hm = _mul_mod(hm, h, q)
             if r == 0:
-                if hm[0] in wanted:
+                if hm[0] in first_coords:
                     points.add(tuple(hm[:-1]))
                 continue
             if hm[0]:
                 inv = pow(hm[0], -1, q)
-                lows = [u0 * inv % q for u0 in wanted]
+                lows = [u0 * inv % q for u0 in first_coords]
             else:
-                lows = range(q) if 0 in wanted else ()
+                lows = range(q) if 0 in first_coords else ()
             for mid in itertools.product(range(q), repeat=r - 1):
                 for g0 in lows:
                     points.add(tuple(_mul_mod(hm, [g0, *mid, 1], q)[:-1]))
@@ -334,6 +332,9 @@ def _multiple_root_points(d: int, m: int, q: int, first_coords) -> set[Point]:
 
 def _scan_chunk(args) -> tuple[int, int, list[Point], list[Point]]:
     """Counts and mismatches for the points whose u_0 is in first_coords.
+
+    first_coords is a range (one chunk of _plan_chunks), so membership
+    tests on it are O(1) and need no set.
 
     Z and M are built independently (see the module docstring).  Z is
     streamed against the set M, so only M and the mismatches are held.
@@ -415,11 +416,10 @@ def verify_discriminant_locus(
     GF(q)
     if q <= d:
         raise ParameterError(f"the field size must exceed the degree, got q={q}, d={d}")
-    total = q**d
-    if total > budget:
-        raise BudgetError(
-            f"enumerating q^d = {q}^{d} = {total} points exceeds the budget {budget}"
-        )
+    # q >= 2, so q^d > budget once d >= budget.bit_length(); below that
+    # q^d has at most 31*d bits and is cheap to compare
+    if d >= budget.bit_length() or q**d > budget:
+        raise BudgetError(f"enumerating q^d = {q}^{d} points exceeds the budget {budget}")
     plan = _plan_chunks(q)
     compiled = _compile_gens(d, l, q)
     chunks = [(d, l, q, compiled, first_coords) for first_coords in plan]

@@ -34,9 +34,8 @@ from typing import NamedTuple
 
 from .errors import InputSyntaxError, ParameterError, RingMismatchError
 from .rings import GF, QQ, ZZ, PolynomialRing, PrimeField, Ring, RingElement, check_name
-from .unipoly import UniPoly, _add, _mul, _neg, _pow, _sub, _trim
+from .unipoly import MAX_DEGREE, UniPoly, _add, _mul, _neg, _pow, _sub, _trim
 
-MAX_DEGREE = 10**4
 MAX_DIGITS = 4300  # CPython's default int-string limit
 _MAX_HEIGHT_BITS = 10**5
 

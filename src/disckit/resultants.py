@@ -21,7 +21,6 @@ from itertools import combinations
 from math import lcm, prod
 
 from .errors import ExactDivisionError, ParameterError, RingMismatchError
-from .parser import MAX_DEGREE
 from .rings import (
     IntegerRing,
     MultiPoly,
@@ -32,7 +31,7 @@ from .rings import (
     _Packed,
     clear_denominators,
 )
-from .unipoly import UniPoly
+from .unipoly import MAX_DEGREE, UniPoly
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ def declared_degree(poly: UniPoly, declared: int | None, which: str) -> int:
     The one rule for declared degrees, shared by the resultants,
     discriminants, strata and the command line: the zero polynomial
     needs one, and it is never negative, below the actual degree, nor
-    above parser.MAX_DEGREE, the bound on every parsed degree (a
+    above unipoly.MAX_DEGREE, the bound on every parsed degree (a
     declared degree sizes the Sylvester matrix before any entry exists).
     """
     if declared is None:
@@ -373,13 +372,15 @@ def classify_discriminant(P: UniPoly, degree: int | None = None) -> tuple[str, R
     """Separability verdict from the discriminant.
 
     Returns (verdict, value) where the verdict is "separable" when the
-    discriminant is a unit, "inseparable" when it is nilpotent, and
+    discriminant is a unit, "inseparable" when it is zero, and
     "neither" otherwise (the base then splits into the locus where the
-    value is inverted and the locus where it vanishes).
+    value is inverted and the locus where it vanishes).  Every supported
+    coefficient ring is an integral domain, so zero is its only
+    nilpotent and the test for "inseparable" is the test for zero.
     """
     value = discriminant(P, degree)
     if value.is_unit():
         return "separable", value
-    if value.is_nilpotent():
+    if value.is_zero():
         return "inseparable", value
     return "neither", value

@@ -13,7 +13,9 @@ Raw element values by ring:
     Fp(p)     int residue in [0, p)
     R[u,...]  MultiPoly (sparse exponent-vector map, no zero terms)
 
-A raw value is falsy exactly when it is zero.
+A raw value is falsy exactly when it is zero, and str() prints it;
+no ring method repeats either.  Every supported ring is an integral
+domain, so zero is also the only nilpotent.
 
 Everything is immutable and every operation is a pure function, so
 values can be shared freely between threads.
@@ -70,8 +72,10 @@ class Ring:
     """Descriptor of a coefficient ring; subclasses implement raw-value ops.
 
     The raw-value protocol (underscore methods) operates on the plain
-    Python values listed in the module docstring.  User code works with
-    RingElement wrappers obtained from element()/zero/one.
+    Python values listed in the module docstring.  The raw value itself
+    answers two questions without its ring: it is falsy exactly when it
+    is zero, and str() prints it.  User code works with RingElement
+    wrappers obtained from element()/zero/one.
     """
 
     def element(self, value) -> "RingElement":
@@ -102,36 +106,45 @@ class Ring:
     def _mul(self, a, b):
         raise NotImplementedError
 
-    def _is_zero(self, a) -> bool:
-        raise NotImplementedError
-
     def _is_one(self, a) -> bool:
         raise NotImplementedError
 
     def _is_unit(self, a) -> bool:
         raise NotImplementedError
 
-    def _is_nilpotent(self, a) -> bool:
-        # every supported ring is an integral domain
-        return self._is_zero(a)
-
     def _exact_div(self, a, b):
         """a / b when b divides a exactly; ExactDivisionError otherwise."""
         raise NotImplementedError
 
-    def _format(self, a) -> str:
-        raise NotImplementedError
+    def _sign_mag(self, a) -> tuple[int, str]:
+        """Split a into (sign, magnitude string) for term printing.
 
-    def _sign_mag(self, a):
-        """Split a into (sign, magnitude string, atomic) for term printing.
-
-        atomic means the magnitude can be juxtaposed with '*' without
-        parentheses.  Residues and multi-term polynomials have sign +1.
+        Residues and multi-term polynomials have sign +1; a multi-term
+        magnitude is parenthesised.
         """
         raise NotImplementedError
 
 
-class IntegerRing(Ring):
+class _NumberRing(Ring):
+    """Arithmetic shared by ZZ and QQ, whose raw values are Python numbers."""
+
+    def _add(self, a, b):
+        return a + b
+
+    def _neg(self, a):
+        return -a
+
+    def _mul(self, a, b):
+        return a * b
+
+    def _is_one(self, a):
+        return a == 1
+
+    def _sign_mag(self, a):
+        return (1 if a >= 0 else -1), str(abs(a))
+
+
+class IntegerRing(_NumberRing):
     def coerce(self, value):
         if isinstance(value, RingElement):
             if value.ring != self:
@@ -145,21 +158,6 @@ class IntegerRing(Ring):
             return value.numerator
         raise RingMismatchError(f"cannot coerce {value!r} into ZZ")
 
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def _is_one(self, a):
-        return a == 1
-
     def _is_unit(self, a):
         return a in (1, -1)
 
@@ -170,12 +168,6 @@ class IntegerRing(Ring):
         if r:
             raise ExactDivisionError(f"{a} is not divisible by {b} in ZZ")
         return q
-
-    def _format(self, a):
-        return str(a)
-
-    def _sign_mag(self, a):
-        return (1 if a >= 0 else -1), str(abs(a)), True
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -189,7 +181,7 @@ class IntegerRing(Ring):
     __repr__ = __str__
 
 
-class RationalRing(Ring):
+class RationalRing(_NumberRing):
     def coerce(self, value):
         if isinstance(value, RingElement):
             if value.ring != self:
@@ -201,21 +193,6 @@ class RationalRing(Ring):
             return Fraction(value)
         raise RingMismatchError(f"cannot coerce {value!r} into QQ")
 
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def _is_one(self, a):
-        return a == 1
-
     def _is_unit(self, a):
         return a != 0
 
@@ -223,12 +200,6 @@ class RationalRing(Ring):
         if b == 0:
             raise ExactDivisionError("division by zero in QQ")
         return a / b
-
-    def _format(self, a):
-        return str(a)
-
-    def _sign_mag(self, a):
-        return (1 if a >= 0 else -1), str(abs(a)), True
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)
@@ -277,9 +248,6 @@ class PrimeField(Ring):
     def _mul(self, a, b):
         return (a * b) % self.p
 
-    def _is_zero(self, a):
-        return a == 0
-
     def _is_one(self, a):
         return a == 1
 
@@ -291,11 +259,8 @@ class PrimeField(Ring):
             raise ExactDivisionError(f"division by zero in {self}")
         return a * pow(b, -1, self.p) % self.p
 
-    def _format(self, a):
-        return str(a)
-
     def _sign_mag(self, a):
-        return 1, str(a), True
+        return 1, str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -364,7 +329,7 @@ class PolynomialRing(Ring):
         return self._const(self.base.coerce(value))
 
     def _const(self, raw_base) -> "MultiPoly":
-        if self.base._is_zero(raw_base):
+        if not raw_base:
             return MultiPoly(self, {})
         zero_exps = (0,) * len(self.names)
         return MultiPoly(self, {zero_exps: raw_base})
@@ -378,34 +343,22 @@ class PolynomialRing(Ring):
     def _mul(self, a, b):
         return a._mul(b)
 
-    def _is_zero(self, a):
-        return not a.terms
-
     def _is_one(self, a):
         c = a.constant_raw()
         return c is not None and self.base._is_one(c)
 
     def _is_unit(self, a):
         c = a.constant_raw()
-        return c is not None and not self.base._is_zero(c) and self.base._is_unit(c)
+        return c is not None and self.base._is_unit(c)
 
     def _exact_div(self, a, b):
         return a.exact_div(b)
 
-    def _format(self, a):
-        return str(a)
-
     def _sign_mag(self, a):
         if len(a.terms) == 1:
             (exps, coeff), = a.terms.items()
-            sign, cmag, _ = self.base._sign_mag(coeff)
-            mono = _monomial_str(self.names, exps)
-            if not mono:
-                return sign, cmag, True
-            if self.base._is_one(coeff) or (sign < 0 and self.base._is_one(self.base._neg(coeff))):
-                return sign, mono, True
-            return sign, f"{cmag}*{mono}", True
-        return 1, f"({a})", False
+            return _signed_term(self.base, coeff, _monomial_str(self.names, exps))
+        return 1, f"({a})"
 
     def __eq__(self, other):
         return (
@@ -435,6 +388,22 @@ def _monomial_str(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
         elif e > 1:
             parts.append(f"{name}^{e}")
     return "*".join(parts)
+
+
+def _signed_term(ring: Ring, coeff, mono: str) -> tuple[int, str]:
+    """(sign, text) of the term coeff*mono; a magnitude of "1" is dropped."""
+    sign, mag = ring._sign_mag(coeff)
+    if not mono:
+        return sign, mag
+    return sign, mono if mag == "1" else f"{mag}*{mono}"
+
+
+def _join_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """Nonempty signed terms, leading term first, printed as a + b - c."""
+    chunks = [f" + {term}" if sign > 0 else f" - {term}" for sign, term in terms]
+    head = chunks[0][3:]
+    chunks[0] = head if chunks[0][1] == "+" else f"-{head}"
+    return "".join(chunks)
 
 
 class MultiPoly:
@@ -507,7 +476,7 @@ class MultiPoly:
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             s = base._add(out.get(exps, 0), coeff) if exps in out else coeff
-            if exps in out and base._is_zero(s):
+            if exps in out and not s:
                 del out[exps]
             else:
                 out[exps] = s
@@ -526,11 +495,11 @@ class MultiPoly:
                 prod = base._mul(c1, c2)
                 if e in out:
                     s = base._add(out[e], prod)
-                    if base._is_zero(s):
+                    if not s:
                         del out[e]
                     else:
                         out[e] = s
-                elif not base._is_zero(prod):
+                elif prod:
                     out[e] = prod
         return self._new(out)
 
@@ -579,23 +548,9 @@ class MultiPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        base = self.ring.base
-        names = self.ring.names
-        chunks = []
-        for exps, coeff in self.sorted_terms():
-            sign, cmag, _ = base._sign_mag(coeff)
-            mono = _monomial_str(names, exps)
-            if not mono:
-                mag = cmag
-            elif base._is_one(coeff) or (sign < 0 and base._is_one(base._neg(coeff))):
-                mag = mono
-            else:
-                mag = f"{cmag}*{mono}"
-            if not chunks:
-                chunks.append(mag if sign > 0 else f"-{mag}")
-            else:
-                chunks.append(f" + {mag}" if sign > 0 else f" - {mag}")
-        return "".join(chunks)
+        base, names = self.ring.base, self.ring.names
+        return _join_terms(_signed_term(base, coeff, _monomial_str(names, exps))
+                           for exps, coeff in self.sorted_terms())
 
     __repr__ = __str__
 
@@ -809,16 +764,13 @@ class RingElement:
         return RingElement(self.ring, self.ring._exact_div(self.value, self._coerce_other(other)))
 
     def is_zero(self) -> bool:
-        return self.ring._is_zero(self.value)
+        return not self.value
 
     def is_one(self) -> bool:
         return self.ring._is_one(self.value)
 
     def is_unit(self) -> bool:
         return self.ring._is_unit(self.value)
-
-    def is_nilpotent(self) -> bool:
-        return self.ring._is_nilpotent(self.value)
 
     def __eq__(self, other):
         if isinstance(other, RingElement):
@@ -832,10 +784,10 @@ class RingElement:
         return hash((self.ring, self.value))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.value)
 
     def __str__(self):
-        return self.ring._format(self.value)
+        return str(self.value)
 
     __repr__ = __str__
 
@@ -908,7 +860,7 @@ class RingHom:
         acc: dict = {}
         for exps, coeff in raw.terms.items():
             c = scalar.coerce(coeff)
-            if scalar._is_zero(c):
+            if not c:
                 continue
             mono = one
             for i, e in enumerate(exps):
@@ -921,7 +873,7 @@ class RingHom:
             for e, v in mono_terms.items():
                 v = scalar._mul(c, v)
                 acc[e] = scalar._add(acc[e], v) if e in acc else v
-        acc = {e: v for e, v in acc.items() if not scalar._is_zero(v)}
+        acc = {e: v for e, v in acc.items() if v}
         if poly_dst:
             return RingElement(dst, MultiPoly(dst, acc))
         return RingElement(dst, acc.get((), scalar.coerce(0)))

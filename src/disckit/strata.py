@@ -87,8 +87,9 @@ def etale_verdict(P: UniPoly, degree: int | None = None) -> tuple[str, RingEleme
 
     Returns (verdict, b) with b the declared-degree discriminant and
     the verdict of classify_discriminant in the language of covers:
-    "etale" (b a unit), "ramified" (b nilpotent), or "mixed" (the base
-    splits along b).
+    "etale" (b a unit), "ramified" (b zero: the coefficient rings are
+    integral domains, so zero is the only nilpotent), or "mixed" (the
+    base splits along b).
     """
     verdict, b = classify_discriminant(P, degree)
     return _ETALE_VERDICTS[verdict], b
@@ -200,7 +201,7 @@ def _split_on_discriminant(
     b = discriminant(P, d)
     if is_unit_localized(b, inv_live):
         return [Stratum(inv_report, quo_report, str(P), d, str(b), f"etale of degree {d}")]
-    if b.is_nilpotent():
+    if b.is_zero():
         return [Stratum(inv_report, quo_report, str(P), d, str(b), "ramified")]
     return [
         Stratum(inv_report + (str(b),), quo_report, str(P), d, str(b),

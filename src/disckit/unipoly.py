@@ -35,6 +35,8 @@ from .rings import (
     Ring,
     RingElement,
     RingHom,
+    _join_terms,
+    _signed_term,
 )
 
 
@@ -70,6 +72,10 @@ class _MinusInfinity:
 
 
 MINUS_INFINITY = _MinusInfinity()
+
+# The bound on every parsed degree and on every declared degree (see
+# parser and resultants.declared_degree).
+MAX_DEGREE = 10**4
 
 
 # ----- the dense kernel on raw coefficient lists ------------------------------
@@ -454,25 +460,12 @@ class UniPoly:
     # printing ---------------------------------------------------------------
 
     def __str__(self):
-        if not self._raw:
-            return "0"
-        ring = self.coeff_ring
-        nonzero = [(k, c) for k, c in enumerate(self._raw) if c]
-        if len(nonzero) == 1 and nonzero[0][0] == 0:
-            return ring._format(nonzero[0][1])
-        chunks = []
-        for k, c in reversed(nonzero):
-            sign, mag, _atomic = ring._sign_mag(c)
-            if k == 0:
-                term = mag
-            else:
-                var_pow = self.var if k == 1 else f"{self.var}^{k}"
-                term = var_pow if mag == "1" else f"{mag}*{var_pow}"
-            if not chunks:
-                chunks.append(term if sign > 0 else f"-{term}")
-            else:
-                chunks.append(f" + {term}" if sign > 0 else f" - {term}")
-        return "".join(chunks)
+        raw = self._raw
+        if len(raw) < 2:
+            return str(raw[0]) if raw else "0"
+        ring, var = self.coeff_ring, self.var
+        monos = ["", var] + [f"{var}^{k}" for k in range(2, len(raw))]
+        return _join_terms([_signed_term(ring, c, m) for c, m in zip(raw, monos) if c][::-1])
 
     __repr__ = __str__
 

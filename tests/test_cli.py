@@ -284,6 +284,15 @@ def test_verify_budget_exit_code(capsys):
     assert any("budget" in d for d in env["diagnostics"])
 
 
+def test_verify_refuses_a_huge_degree_without_building_q_to_the_d(capsys):
+    start = time.perf_counter()
+    code, out, err = run(["verify", "--d", "400000", "--l", "1", "--q", "400009"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert "q^d = 400009^400000 points exceeds the budget" in err
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("extra", [[], ["--q2", "7"]])
 def test_verify_budget_below_one_is_a_parameter_error(extra, capsys):
     argv = ["verify", "--d", "2", "--l", "1", "--q", "5", "--budget", "-1"] + extra

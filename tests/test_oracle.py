@@ -6,6 +6,7 @@ fields, and the fiberwise scan against the per-point reference scan.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -443,6 +444,19 @@ def test_tolerance_below_one_is_refused_before_scanning(tolerance, monkeypatch):
     monkeypatch.setattr(oracle, "verify_discriminant_locus", no_scan)
     with pytest.raises(ParameterError, match="at least 1"):
         dimension_growth_check(2, 1, 5, 7, tolerance=tolerance)
+
+
+def test_verify_at_degree_one_builds_nothing_of_size_q():
+    # at d = 1 no coordinate is substituted, so neither a q x (top+1)
+    # power table nor a set of the first coordinates is needed
+    tracemalloc.start()
+    try:
+        rep = verify_discriminant_locus(1, 1, 1000003)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rep.ideal_zero_count, rep.mult_root_count) == (0, 0)
+    assert peak < 4 * 2**20
 
 
 def test_growth_budget_propagates():

@@ -17,6 +17,7 @@ from disckit import (
     RingElement,
     RingHom,
     RingMismatchError,
+    UniPoly,
     UnsupportedRingError,
 )
 from conftest import SCALAR_RINGS, rand_element, rand_scalar
@@ -140,10 +141,10 @@ def test_units_and_nilpotents():
     assert not (ring.variable("u") + 1).is_unit()
     qring = PolynomialRing(QQ, ("a",))
     assert qring.element(Fraction(2, 3)).is_unit()
-    # integral domains: only zero is nilpotent
+    # integral domains: only zero is nilpotent, so the zero test decides it
     for ring in ALL_RINGS:
-        assert ring.zero.is_nilpotent()
-        assert not ring.one.is_nilpotent()
+        assert ring.zero.is_zero()
+        assert not ring.one.is_zero()
 
 
 def test_prime_field_constructor_validation():
@@ -235,6 +236,39 @@ def test_scalar_printing():
     assert str(QQ.element(Fraction(3, 4))) == "3/4"
     assert str(QQ.element(Fraction(-2, 1))) == "-2"
     assert str(GF(7).element(12)) == "5"
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS + (GF(2),), ids=str)
+def test_raw_value_owns_its_zero_test_and_its_printing(ring):
+    rng = random.Random(1003)
+    samples = [ring.zero, ring.one, -ring.one]
+    samples += [rand_element(rng, ring) for _ in range(8)]
+    if isinstance(ring, PrimeField):
+        samples.append(ring.element(ring.p - 1))
+    scalar = ring.base if isinstance(ring, PolynomialRing) else ring
+    if scalar == QQ:
+        samples += [ring.element(Fraction(-1, 2)), ring.element(Fraction(5, 3))]
+    if isinstance(ring, PolynomialRing):
+        x = ring.variable(ring.names[0])
+        samples += [x**2 - 3 * x + 1, -x + 2, x * (x - 1)]
+    for x in samples:
+        assert (not x.value) == x.is_zero() == (x == ring.zero) == (not x)
+        assert str(x) == str(x.value)
+
+
+def test_one_term_rule_on_polynomial_coefficients():
+    def show(base, coeff):
+        ring = PolynomialRing(base, ("u",))
+        return str(UniPoly(ring, "t", [ring.one, ring.zero, coeff(ring.variable("u"))]))
+
+    assert show(ZZ, lambda u: u) == "u*t^2 + 1"
+    assert show(ZZ, lambda u: -u) == "-u*t^2 + 1"
+    assert show(QQ, lambda u: Fraction(-1, 2) * u) == "-1/2*u*t^2 + 1"
+    assert show(ZZ, lambda u: u**2 - 3) == "(u^2 - 3)*t^2 + 1"
+    assert show(GF(7), lambda u: 6 * u) == "6*u*t^2 + 1"
+    assert show(GF(7), lambda u: -u) == "6*u*t^2 + 1"
+    ring = PolynomialRing(ZZ, ("u",))
+    assert str(UniPoly.constant(ring, "t", ring.variable("u") - 1)) == "u - 1"
 
 
 def test_hom_legality_matrix():
