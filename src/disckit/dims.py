@@ -6,6 +6,9 @@ The two families are the ext groups of exterior powers of the jet
 bundle against the structure sheaf (h_ext_jet) and their Serre duals
 (h_ext_jet_dual); the Koszul-type complex built from them has one rank
 per exterior power, tabulated by complex_table.
+
+A count too large to compute raises ParameterError before it starts: see
+MAX_BINOMIAL_BITS and MAX_TABLE_TERMS.
 """
 
 from __future__ import annotations
@@ -14,6 +17,21 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
+
+# No binomial C(n, k) may predict more bits than this: C(n, k) < n^min(k, n-k),
+# so it has at most min(k, n-k) * n.bit_length() bits.
+MAX_BINOMIAL_BITS = 10**5
+# No complex_table may have more terms than this; it has rank_jet(k, N) + 1.
+MAX_TABLE_TERMS = 10**4
+
+
+def _comb(n: int, k: int) -> int:
+    """math.comb(n, k), refused when its predicted size passes MAX_BINOMIAL_BITS."""
+    bits = min(k, n - k) * n.bit_length()
+    if bits > MAX_BINOMIAL_BITS:
+        raise ParameterError(f"C({n}, {k}) may have {bits} bits, "
+                             f"over the limit {MAX_BINOMIAL_BITS}")
+    return math.comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -41,14 +59,14 @@ def dim_sym(n: int, dimV: int) -> int:
         raise ParameterError(f"the space dimension must be positive, got {dimV}")
     if n < 0:
         return 0
-    return math.comb(n + dimV - 1, dimV - 1)
+    return _comb(n + dimV - 1, dimV - 1)
 
 
 def rank_jet(k: int, N: int) -> int:
     """Rank of the bundle of order-k jets of a line bundle on P^N."""
     if k < 0 or N < 1:
         raise ParameterError(f"rank_jet needs k >= 0 and N >= 1, got k={k}, N={N}")
-    return math.comb(k + N, N)
+    return _comb(k + N, N)
 
 
 def rank_table(d: int, k: int) -> dict[str, int]:
@@ -89,7 +107,7 @@ def h_ext_jet(N: int, d: int, k: int, j: int, i: int) -> int:
     r = _check_common(N, d, k, j, i)
     if i > 0:
         return 0
-    return dim_sym(j * (d - k), N + 1) * math.comb(r, j)
+    return dim_sym(j * (d - k), N + 1) * _comb(r, j)
 
 
 def h_ext_jet_dual(N: int, d: int, k: int, j: int, i: int) -> int:
@@ -104,7 +122,7 @@ def h_ext_jet_dual(N: int, d: int, k: int, j: int, i: int) -> int:
     n = j * (d - k) - N - 1
     if n < 0:
         return 0
-    return dim_sym(n, N + 1) * math.comb(r, j)
+    return dim_sym(n, N + 1) * _comb(r, j)
 
 
 def _check_stable_range(N: int, d: int, k: int) -> int:
@@ -134,5 +152,8 @@ def complex_term_rank(N: int, d: int, k: int, j: int) -> ComplexTerm:
 def complex_table(N: int, d: int, k: int) -> tuple[ComplexTerm, ...]:
     """Every term of the dual resolution complex, j = 0 through the rank."""
     r = _check_stable_range(N, d, k)
+    if r + 1 > MAX_TABLE_TERMS:
+        raise ParameterError(f"the table would have {r + 1} terms, "
+                             f"over the limit {MAX_TABLE_TERMS}")
     head = ComplexTerm(twist=0, module_dim=1)
     return (head,) + tuple(complex_term_rank(N, d, k, j) for j in range(1, r + 1))

@@ -124,33 +124,18 @@ def taylor_map(d: int, l: int, chart: ChartId) -> tuple[UniPoly, ...]:
     return tuple(components)
 
 
-def _flatten(poly: UniPoly, flat: PolynomialRing) -> MultiPoly:
-    src = poly.coeff_ring
-    positions = [flat.names.index(name) for name in src.names]
-    main_pos = flat.names.index(poly.var)
-    width = len(flat.names)
-    terms: dict = {}
-    for k, c in enumerate(poly.coeffs):
-        if c.is_zero():
-            continue
-        for exps, coeff in c.value.terms.items():
-            e = [0] * width
-            for idx, x in zip(positions, exps):
-                e[idx] = x
-            e[main_pos] += k
-            terms[tuple(e)] = coeff
-    return MultiPoly(flat, terms)
-
-
 def incidence_ideal(d: int, l: int, chart: ChartId) -> IdealGens:
     """Generators (f, f', ..., f^(l)) in the flat ring ZZ[u..., t]."""
     _check_jet_order(d, l, chart)
     f = generic_section(d, chart, ZZ)
     flat = PolynomialRing(ZZ, f.coeff_ring.names + (f.var,))
+    include = RingHom(f.coeff_ring, flat)
+    t = flat.variable(f.var)
     gens = []
     deriv = f
     for _ in range(l + 1):
-        gens.append(_flatten(deriv, flat))
+        gen = sum((include(c) * t**k for k, c in enumerate(deriv.coeffs)), flat.zero)
+        gens.append(gen.value)
         deriv = deriv.derivative()
     return IdealGens(flat, tuple(gens))
 

@@ -7,8 +7,9 @@ Grammar accepted by the polynomial parser (whitespace is free):
     factor := '-' factor | atom ('^' exponent)?
     atom   := nat | nat '/' nat | var | '(' expr ')'
 
-Exponents are nonnegative integer literals; a chain like x^2^3 folds
-right-associatively to x^8.  Implicit multiplication (2t, 3(x+1)) is a
+A nat is a run of the ASCII digits 0-9 (not '²', '٣' or any other Unicode
+digit).  Exponents are nonnegative integer literals; a chain like x^2^3
+folds right-associatively to x^8.  Implicit multiplication (2t, 3(x+1)) is a
 syntax error, as is '/' applied to anything but two integer literals.
 All syntax errors carry a 1-based line and column.
 
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputSyntaxError, ParameterError, RingMismatchError
-from .rings import GF, QQ, ZZ, PolynomialRing, PrimeField, Ring, RingElement, check_name
+from .rings import GF, QQ, ZZ, PolynomialRing, Ring, RingElement, check_name
 from .unipoly import MAX_DEGREE, UniPoly, _add, _mul, _neg, _pow, _sub, _trim
 
 MAX_DIGITS = 4300  # CPython's default int-string limit
@@ -52,9 +53,9 @@ def _height(coeffs: list, ring: Ring) -> int:
 
     A power a^n has coefficients of at most n * _height(a) bits, since
     each is bounded by (terms * largest coefficient)^n.  Residues never
-    grow, so over a prime field the height is 0.
+    grow, so over a prime field (a nonzero modulus) the height is 0.
     """
-    if isinstance(getattr(ring, "base", ring), PrimeField):
+    if getattr(ring, "base", ring).modulus:
         return 0
     if isinstance(ring, PolynomialRing):
         coeffs = [c for poly in coeffs for c in poly.terms.values()]
@@ -117,9 +118,9 @@ def tokenize(src: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             if j - i > MAX_DIGITS:
                 raise InputSyntaxError(

@@ -18,16 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 
 from .errors import ExactDivisionError, ParameterError, RingMismatchError
 from .rings import (
-    IntegerRing,
     MultiPoly,
-    PrimeField,
     RationalRing,
     Ring,
     RingElement,
+    _clear_fractions,
     _Packed,
     clear_denominators,
 )
@@ -128,16 +127,13 @@ def _det_raw(rows: list[list], ring: Ring) -> RingElement:
     """det_fraction_free on raw values of ring; the rows are consumed."""
     if not rows:
         return ring.one
-    if isinstance(ring, IntegerRing):
-        return RingElement(ring, _det_int(rows))
+    p = ring.modulus
+    if p is not None:
+        return RingElement(ring, _det_mod(rows, p) if p else _det_int(rows))
     if isinstance(ring, RationalRing):
-        scales = [lcm(*(x.denominator for x in row)) for row in rows]
-        scaled = [
-            [x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)
-        ]
-        return RingElement(ring, Fraction(_det_int(scaled), prod(scales)))
-    if isinstance(ring, PrimeField):
-        return RingElement(ring, _det_mod(rows, ring.p))
+        scaled = [_clear_fractions(row) for row in rows]
+        det = _det_int([row for row, _ in scaled])
+        return RingElement(ring, Fraction(det, prod(s for _, s in scaled)))
     if isinstance(ring.base, RationalRing):
         cleared = [clear_denominators(row) for row in rows]
         det = _det_packed([row for row, _ in cleared]).terms

@@ -17,6 +17,10 @@ A raw value is falsy exactly when it is zero, and str() prints it;
 no ring method repeats either.  Every supported ring is an integral
 domain, so zero is also the only nilpotent.
 
+Ring.modulus names the rings with a plain-int path (0 on ZZ, p on Fp(p),
+None otherwise), and every int kernel dispatches on it; QQ reaches the ZZ
+path through _clear_fractions.
+
 Everything is immutable and every operation is a pure function, so
 values can be shared freely between threads.
 
@@ -75,8 +79,12 @@ class Ring:
     Python values listed in the module docstring.  The raw value itself
     answers two questions without its ring: it is falsy exactly when it
     is zero, and str() prints it.  User code works with RingElement
-    wrappers obtained from element()/zero/one.
+    wrappers obtained from element()/zero/one.  modulus is 0 when raw
+    values are plain ints (ZZ), p when they are residues mod the prime p
+    (Fp(p)), and None when they are not ints.
     """
+
+    modulus: int | None = None
 
     def element(self, value) -> "RingElement":
         return RingElement(self, self.coerce(value))
@@ -145,6 +153,8 @@ class _NumberRing(Ring):
 
 
 class IntegerRing(_NumberRing):
+    modulus = 0
+
     def coerce(self, value):
         if isinstance(value, RingElement):
             if value.ring != self:
@@ -221,7 +231,7 @@ class PrimeField(Ring):
             raise ParameterError(f"prime {p} exceeds the supported bound 2^31")
         if not _is_prime(p):
             raise ParameterError(f"{p} is not prime")
-        self.p = p
+        self.p = self.modulus = p
 
     def coerce(self, value):
         if isinstance(value, RingElement):
@@ -555,18 +565,21 @@ class MultiPoly:
     __repr__ = __str__
 
 
+def _clear_fractions(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """([s*x for x in values] as ints, s), s the lcm of the denominators (1 for none)."""
+    s = lcm(*(x.denominator for x in values))
+    return [x.numerator * (s // x.denominator) for x in values], s
+
+
 def clear_denominators(polys: Sequence[MultiPoly]) -> tuple[list[MultiPoly], int]:
     """([s*f for f in polys] in ZZ[vars], s) for polys over QQ[vars].
 
     s is the lcm of every coefficient denominator (1 if all polys are 0).
     """
-    s = lcm(*(c.denominator for f in polys for c in f.terms.values()))
+    ints, s = _clear_fractions([c for f in polys for c in f.terms.values()])
     twin = PolynomialRing(ZZ, polys[0].ring.names)
-    cleared = [
-        MultiPoly(twin, {e: c.numerator * (s // c.denominator) for e, c in f.terms.items()})
-        for f in polys
-    ]
-    return cleared, s
+    ints = iter(ints)  # zip stops at the end of f.terms before it takes from ints
+    return [MultiPoly(twin, dict(zip(f.terms, ints))) for f in polys], s
 
 
 class _Packed:
@@ -583,15 +596,16 @@ class _Packed:
     across no field, and a field keeps its guard iff e_i >= d_i.
 
     A packed value is a dict from packed monomials to nonzero ints:
-    integers over ZZ, residues in [0, p) over Fp(p).  QQ[vars] is
+    integers over ZZ, residues in [0, p) over Fp(p).  p is the base
+    ring's modulus, 0 over ZZ.  QQ[vars], whose modulus is None, is
     refused; callers clear its denominators first (clear_denominators).
     """
 
     def __init__(self, ring: PolynomialRing, bound: int):
-        if isinstance(ring.base, RationalRing):
+        if ring.base.modulus is None:
             raise UnsupportedRingError(f"the packed kernel needs ZZ or Fp coefficients, got {ring}")
         self.ring = ring
-        self.p = ring.base.p if isinstance(ring.base, PrimeField) else None
+        self.p = ring.base.modulus
         self.width = w = bound.bit_length() + 1
         self.cap = (1 << (w - 1)) - 1
         self._mask = (1 << w) - 1
@@ -637,7 +651,7 @@ class _Packed:
                 e = e1 + e2
                 out[e] = get(e, 0) - c1 * c2
         p = self.p
-        if p is None:
+        if not p:
             out = {e: v for e, v in out.items() if v}
         else:
             out = {e: r for e, v in out.items() if (r := v % p)}
@@ -667,7 +681,7 @@ class _Packed:
         lead = max(b)
         lc = b[lead]
         p = self.p
-        inverse = None if p is None else pow(lc, -1, p)
+        inverse = None if not p else pow(lc, -1, p)
         rest = [(e, c) for e, c in b.items() if e != lead]
         rem = dict(a)
         heap = [-e for e in rem]
@@ -679,7 +693,7 @@ class _Packed:
             c = rem.pop(e, None)
             if c is None:  # cancelled after it was pushed
                 continue
-            if p is not None:
+            if p:
                 c %= p
                 if not c:
                     continue
@@ -688,7 +702,7 @@ class _Packed:
             d = e - lead
             if (qmax - d) & guard != guard:
                 raise ExactDivisionError("inexact polynomial division (degree)")
-            if p is None:
+            if not p:
                 q, r = divmod(c, lc)
                 if r:
                     raise ExactDivisionError("inexact polynomial division (coefficient)")

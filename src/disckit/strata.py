@@ -114,34 +114,25 @@ def _eliminable(a: RingElement):
     """A substitution killing a, if a is linear in some variable.
 
     Looks for a = c*v + r with c a unit of the base ring and r free of
-    v; returns (v, image of v) with image = -r/c in the ring without
-    v, or None when no variable qualifies.
+    v; returns (v, smaller, image of v) with image = -r/c in smaller,
+    the ring without v (the scalar base when v was the last variable),
+    or None when no variable qualifies.
     """
     ring = a.ring
     if not isinstance(ring, PolynomialRing):
         return None
     poly: MultiPoly = a.value
     base = ring.base
-    for idx, name in enumerate(ring.names):
+    for name in ring.names:
         if poly.degree_in(name) != 1:
             continue
         c = poly.coefficient_of(name, 1).constant_raw()
         if c is None or not base._is_unit(c):
             continue
-        rest = poly.coefficient_of(name, 0)
-        remaining = ring.names[:idx] + ring.names[idx + 1:]
-        if remaining:
-            smaller: object = PolynomialRing(base, remaining)
-            terms = {}
-            for exps, coeff in rest.terms.items():
-                cut = exps[:idx] + exps[idx + 1:]
-                terms[cut] = base._exact_div(base._neg(coeff), c)
-            image = smaller.element(MultiPoly(smaller, terms))
-        else:
-            smaller = base
-            const = rest.constant_raw()
-            image = smaller.element(base._exact_div(base._neg(const), c))
-        return name, smaller, image
+        remaining = tuple(n for n in ring.names if n != name)
+        smaller = PolynomialRing(base, remaining) if remaining else base
+        r = RingHom(ring, smaller, {name: smaller.zero})(a)
+        return name, smaller, r * base._exact_div(base.coerce(-1), c)
     return None
 
 

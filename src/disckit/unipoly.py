@@ -18,7 +18,6 @@ Karatsuba), and the product is unpacked.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -28,13 +27,13 @@ from .errors import (
     UnsupportedRingError,
 )
 from .rings import (
-    IntegerRing,
     PolynomialRing,
     PrimeField,
     RationalRing,
     Ring,
     RingElement,
     RingHom,
+    _clear_fractions,
     _join_terms,
     _signed_term,
 )
@@ -86,25 +85,19 @@ MAX_DEGREE = 10**4
 # kernel function mutates its arguments.
 #
 # Over ZZ and Fp(p) the entries are plain ints and the functions ending in
-# _mod take a modulus p: the prime over Fp(p), where entries are residues
-# in [0, p) and each output coefficient is reduced once, or 0 over ZZ,
-# where nothing is reduced.  Over QQ, products clear denominators and run
-# on the ZZ path; otherwise, over QQ and polynomial rings, the ring's raw
-# operations are used.  Every supported ring is an integral domain, so a
-# product of trimmed lists is trimmed.
+# _mod take the ring's modulus p (see rings): the prime over Fp(p), where
+# entries are residues in [0, p) and each output coefficient is reduced
+# once, or 0 over ZZ, where nothing is reduced.  Over QQ, products clear
+# denominators and run on the ZZ path; otherwise, over QQ and polynomial
+# rings, whose modulus is None, the ring's raw operations are used.  Every
+# supported ring is an integral domain, so a product of trimmed lists is
+# trimmed.
 
 # Products whose shorter operand has at least this many coefficients go
 # through Kronecker substitution, shorter ones through the schoolbook loop:
 # the crossover of the two on random ZZ and Fp(2^31 - 1) operands (timings
 # in CHANGES.md).
 _KRONECKER_MIN = 16
-
-
-def _modulus(ring: Ring):
-    """p over Fp(p), 0 over ZZ, None over the rings without an int path."""
-    if isinstance(ring, PrimeField):
-        return ring.p
-    return 0 if isinstance(ring, IntegerRing) else None
 
 
 def _trim(coeffs: list) -> list:
@@ -184,7 +177,7 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
 def _add(a: list, b: list, ring: Ring) -> list:
     if len(a) < len(b):
         a, b = b, a
-    p = _modulus(ring)
+    p = ring.modulus
     if p is None:
         add = ring._add
         head = [add(x, y) for x, y in zip(a, b)]
@@ -196,7 +189,7 @@ def _add(a: list, b: list, ring: Ring) -> list:
 
 
 def _neg(a: list, ring: Ring) -> list:
-    p = _modulus(ring)
+    p = ring.modulus
     if p is None:
         return [ring._neg(x) for x in a]
     return [p - x if x else 0 for x in a] if p else [-x for x in a]
@@ -208,19 +201,16 @@ def _sub(a: list, b: list, ring: Ring) -> list:
 
 def _mul(a: list, b: list, ring: Ring) -> list:
     """Product on the int path over ZZ and Fp, through ZZ over QQ, else schoolbook."""
-    p = _modulus(ring)
+    p = ring.modulus
     if p is not None:
         return _mul_mod(a, b, p)
     if not a or not b:
         return []
     if isinstance(ring, RationalRing):
         # a*b = (s*a)(t*b)/(s*t) for s, t the lcms of the denominators
-        s = lcm(*(x.denominator for x in a))
-        t = lcm(*(x.denominator for x in b))
+        (a, s), (b, t) = _clear_fractions(a), _clear_fractions(b)
         st = s * t
-        ints = _mul_mod([x.numerator * (s // x.denominator) for x in a],
-                        [x.numerator * (t // x.denominator) for x in b], 0)
-        return [Fraction(c, st) for c in ints]
+        return [Fraction(c, st) for c in _mul_mod(a, b, 0)]
     add, mul = ring._add, ring._mul
     out = [ring.coerce(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -244,7 +234,7 @@ def _pow(a: list, n: int, ring: Ring) -> list:
 
 
 def _deriv(a: list, ring: Ring) -> list:
-    p = _modulus(ring)
+    p = ring.modulus
     if p is not None:
         return _deriv_mod(a, p)
     mul, coerce = ring._mul, ring.coerce

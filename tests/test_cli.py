@@ -7,6 +7,7 @@ counts.
 
 import functools
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -15,6 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from disckit import dims
 from disckit.cli import _format_parser, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -242,6 +244,33 @@ def test_dims_needs_j_or_table(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--N", "30", "--d", "100", "--k", "30", "--table"],  # C(60, 30) + 1 terms
+    ["--N", "20", "--d", "100", "--k", "20", "--j", "68923264410"],  # C(r, r/2), r = C(40, 20)
+    ["--N", "1000000", "--d", "10000000", "--k", "1000000", "--j", "1"],  # C(2*10^6, 10^6)
+], ids=["table", "exterior-power", "rank"])
+def test_dims_refuses_oversized_counts_before_computing(argv, monkeypatch, capsys):
+    # Unbounded, each of these runs for hours: the table term by term, the
+    # binomials to billions of bits.  Both steps fail at once here instead.
+    def no_term(*args):
+        raise AssertionError("a table term was computed")
+
+    comb = math.comb
+
+    def small_comb(n, k):
+        if min(k, n - k) * n.bit_length() > 10 * dims.MAX_BINOMIAL_BITS:
+            raise AssertionError(f"C({n}, {k}) was computed")
+        return comb(n, k)
+
+    monkeypatch.setattr(dims, "complex_term_rank", no_term)
+    monkeypatch.setattr(math, "comb", small_comb)
+    start = time.perf_counter()
+    code, out, err = run(["dims", *argv], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "over the limit" in err
+
+
 # ----- verify -------------------------------------------------------------------
 
 def test_verify_json(capsys):
@@ -352,6 +381,29 @@ def test_main_runs_on_interpreters_without_the_limit_setter(monkeypatch, capsys)
     monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
     code, out, err = run(["resultant", "t - 2", "t - 5", "--ring", "ZZ"], capsys)
     assert (code, err) == (0, "") and "resultant: -3" in out
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("template", ["t^{}", "{}*t + 1"], ids=["exponent", "literal"])
+@pytest.mark.parametrize("ch", ["²", "①", "٣", "３"],
+                         ids=["superscript-two", "circled-one", "arabic-three", "fullwidth-three"])
+def test_non_ascii_digits_are_syntax_errors(ch, template, fmt, capsys):
+    f = template.format(ch)
+    code, out, err = run(["resultant", f, "t - 1", "--ring", "ZZ", "--format", fmt], capsys)
+    assert (code, out) == (2, "")
+    if fmt == "json":
+        envelope = json.loads(err)
+        jsonschema.validate(envelope, SCHEMA)
+        lines = envelope["diagnostics"]
+    else:
+        lines = err.splitlines()
+    assert "Traceback" not in err
+    column = f.index(ch) + 1
+    assert lines == [
+        f"error: unexpected character {ch!r} (line 1, column {column})",
+        "  " + f,
+        " " * (column + 1) + "^",
+    ]
 
 
 def test_syntax_error_json_envelope(capsys):

@@ -140,6 +140,48 @@ def test_incidence_ideal_shape():
     assert [g.degree_in("t") for g in gens.gens] == [3, 2, 1]
 
 
+# (d, pinned coefficient, patch) -> (ring, generators f, f', ..., f^(d)),
+# taken from the incidence ideal built term by term.
+INCIDENCE_GENERATORS = {
+    (1, 0, 0): ("ZZ[u1,t]", ["u1*t + 1", "u1"]),
+    (1, 0, 1): ("ZZ[u1,s]", ["u1 + s", "1"]),
+    (1, 1, 0): ("ZZ[u0,t]", ["u0 + t", "1"]),
+    (1, 1, 1): ("ZZ[u0,s]", ["u0*s + 1", "u0"]),
+    (2, 0, 0): ("ZZ[u1,u2,t]", ["u2*t^2 + u1*t + 1", "2*u2*t + u1", "2*u2"]),
+    (2, 0, 1): ("ZZ[u1,u2,s]", ["u1*s + s^2 + u2", "u1 + 2*s", "2"]),
+    (2, 1, 0): ("ZZ[u0,u2,t]", ["u2*t^2 + u0 + t", "2*u2*t + 1", "2*u2"]),
+    (2, 1, 1): ("ZZ[u0,u2,s]", ["u0*s^2 + u2 + s", "2*u0*s + 1", "2*u0"]),
+    (2, 2, 0): ("ZZ[u0,u1,t]", ["u1*t + t^2 + u0", "u1 + 2*t", "2"]),
+    (2, 2, 1): ("ZZ[u0,u1,s]", ["u0*s^2 + u1*s + 1", "2*u0*s + u1", "2*u0"]),
+    (3, 0, 0): ("ZZ[u1,u2,u3,t]",
+                ["u3*t^3 + u2*t^2 + u1*t + 1", "3*u3*t^2 + 2*u2*t + u1", "6*u3*t + 2*u2", "6*u3"]),
+    (3, 0, 1): ("ZZ[u1,u2,u3,s]",
+                ["u1*s^2 + s^3 + u2*s + u3", "2*u1*s + 3*s^2 + u2", "2*u1 + 6*s", "6"]),
+    (3, 1, 0): ("ZZ[u0,u2,u3,t]",
+                ["u3*t^3 + u2*t^2 + u0 + t", "3*u3*t^2 + 2*u2*t + 1", "6*u3*t + 2*u2", "6*u3"]),
+    (3, 1, 1): ("ZZ[u0,u2,u3,s]",
+                ["u0*s^3 + u2*s + s^2 + u3", "3*u0*s^2 + u2 + 2*s", "6*u0*s + 2", "6*u0"]),
+    (3, 2, 0): ("ZZ[u0,u1,u3,t]",
+                ["u3*t^3 + u1*t + t^2 + u0", "3*u3*t^2 + u1 + 2*t", "6*u3*t + 2", "6*u3"]),
+    (3, 2, 1): ("ZZ[u0,u1,u3,s]",
+                ["u0*s^3 + u1*s^2 + u3 + s", "3*u0*s^2 + 2*u1*s + 1", "6*u0*s + 2*u1", "6*u0"]),
+    (3, 3, 0): ("ZZ[u0,u1,u2,t]",
+                ["u2*t^2 + t^3 + u1*t + u0", "2*u2*t + 3*t^2 + u1", "2*u2 + 6*t", "6"]),
+    (3, 3, 1): ("ZZ[u0,u1,u2,s]",
+                ["u0*s^3 + u1*s^2 + u2*s + 1", "3*u0*s^2 + 2*u1*s + u2", "6*u0*s + 2*u1", "6*u0"]),
+}
+
+
+@pytest.mark.parametrize("d, i, patch", sorted(INCIDENCE_GENERATORS))
+def test_incidence_ideal_generators_on_every_chart(d, i, patch):
+    ring, gens = INCIDENCE_GENERATORS[(d, i, patch)]
+    for l in range(d + 1):
+        ideal = incidence_ideal(d, l, ChartId(i, patch))
+        assert str(ideal.ring) == ring
+        assert [str(g) for g in ideal.gens] == gens[: l + 1]
+        assert all(g.ring == ideal.ring for g in ideal.gens)
+
+
 def test_incidence_ideal_vanishes_at_multiple_root():
     gens = incidence_ideal(2, 1, ChartId(2, 0))
     flat = gens.ring

@@ -20,6 +20,7 @@ from disckit import (
     UniPoly,
     UnsupportedRingError,
 )
+from disckit.rings import _clear_fractions
 from conftest import SCALAR_RINGS, rand_element, rand_scalar
 
 ALL_RINGS = SCALAR_RINGS + (
@@ -352,6 +353,20 @@ def test_hom_specializes_to_scalars():
     assert hom(p) == ZZ.element(14)
     reduce7 = RingHom(src, PolynomialRing(GF(7), ("u",)))
     assert reduce7(src.element(10) * src.variable("u")) == PolynomialRing(GF(7), ("u",)).variable("u") * 3
+
+
+def test_modulus_names_the_int_path():
+    assert ZZ.modulus == 0
+    assert QQ.modulus is None
+    assert GF(7).modulus == 7 and PrimeField(11).modulus == 11
+    for base in (ZZ, QQ, GF(7)):
+        assert PolynomialRing(base, ("u",)).modulus is None
+
+
+def test_clear_fractions_scales_by_the_lcm_of_the_denominators():
+    assert _clear_fractions([Fraction(1, 2), Fraction(-2, 3), Fraction(0)]) == ([3, -4, 0], 6)
+    assert _clear_fractions([Fraction(5)]) == ([5], 1)
+    assert _clear_fractions([]) == ([], 1)
 
 
 def test_mod_p_semantics_wrap():

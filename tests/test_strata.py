@@ -25,6 +25,7 @@ from disckit import (
     parse_ring,
     standard_etale_check,
 )
+from disckit.strata import _eliminable
 
 
 def strata_of(src: str, ring_text: str, degree=None):
@@ -261,6 +262,43 @@ def test_standard_etale_check_implies_etale_verdict():
             if standard_etale_check(f):
                 assert etale_verdict(f)[0] == "etale"
                 assert classify_discriminant(f)[0] == "separable"
+
+
+# ----- elimination by substitution --------------------------------------------
+
+# (base, variables, a, (v, ring without v, image -r/c of v) or None), taken
+# from the elimination that built the image term by term.
+ELIMINATIONS = [
+    ("ZZ", "u", "u + 3", ("u", "ZZ", "-3")),
+    ("ZZ", "u", "-u + 3", ("u", "ZZ", "3")),
+    ("ZZ", "u,v", "u + 2*v - 5", ("u", "ZZ[v]", "-2*v + 5")),
+    ("ZZ", "u,v", "-u + v^2 - 4*v + 1", ("u", "ZZ[v]", "v^2 - 4*v + 1")),
+    ("ZZ", "u,v", "u^2 - v + 1", ("v", "ZZ[u]", "u^2 + 1")),
+    ("ZZ", "u,v", "u*v + v + 1", None),
+    ("QQ", "u", "1/2*u + 3", ("u", "QQ", "-6")),
+    ("QQ", "u", "-3*u + 1/2", ("u", "QQ", "1/6")),
+    ("QQ", "u,v", "1/2*u - 2/3*v + 1", ("u", "QQ[v]", "4/3*v - 2")),
+    ("QQ", "u,v", "u^2 - 3*v + 1/5", ("v", "QQ[u]", "1/3*u^2 + 1/15")),
+    ("Fp(7)", "u", "3*u + 2", ("u", "Fp(7)", "4")),
+    ("Fp(7)", "u,v", "3*u + 5*v + 1", ("u", "Fp(7)[v]", "3*v + 2")),
+    ("Fp(7)", "u,v", "v^2 + 3*u + 4", ("u", "Fp(7)[v]", "2*v^2 + 1")),
+    ("Fp(7)", "u,v", "u^2 + 3*v", ("v", "Fp(7)[u]", "2*u^2")),
+]
+
+
+@pytest.mark.parametrize("base, names, src, expected", ELIMINATIONS)
+def test_eliminable_image_of_linear_forms(base, names, src, expected):
+    ring = parse_ring(f"{base}[{names}]")
+    step = _eliminable(parse_element(src, ring))
+    if expected is None:
+        assert step is None
+        return
+    name, smaller, image = step
+    assert (name, str(smaller), str(image)) == expected
+    assert image.ring == smaller
+    # the substitution kills a
+    hom = RingHom(ring, smaller, {name: image})
+    assert hom(parse_element(src, ring)).is_zero()
 
 
 # ----- localized unit test ----------------------------------------------------
