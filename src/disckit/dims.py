@@ -8,7 +8,7 @@ bundle against the structure sheaf (h_ext_jet) and their Serre duals
 per exterior power, tabulated by complex_table.
 
 A count too large to compute raises ParameterError before it starts: see
-MAX_BINOMIAL_BITS and MAX_TABLE_TERMS.
+MAX_BINOMIAL_BITS, MAX_TABLE_TERMS and MAX_TABLE_BITS.
 """
 
 from __future__ import annotations
@@ -21,13 +21,22 @@ from .errors import ParameterError
 # No binomial C(n, k) may predict more bits than this: C(n, k) < n^min(k, n-k),
 # so it has at most min(k, n-k) * n.bit_length() bits.
 MAX_BINOMIAL_BITS = 10**5
+# No complex_table may predict more bits than this, summed over its terms by the
+# same bound.  N = 1, d = 1601, k = 1599 predicts 7.1 * 10^6 bits, has 5.6 * 10^5
+# digits and takes about 0.15 s (2-core host, CPython 3.11).
+MAX_TABLE_BITS = 10**7
 # No complex_table may have more terms than this; it has rank_jet(k, N) + 1.
 MAX_TABLE_TERMS = 10**4
 
 
+def _comb_bits(n: int, k: int) -> int:
+    """The bound on the bit length of C(n, k) that MAX_BINOMIAL_BITS limits."""
+    return min(k, n - k) * n.bit_length()
+
+
 def _comb(n: int, k: int) -> int:
     """math.comb(n, k), refused when its predicted size passes MAX_BINOMIAL_BITS."""
-    bits = min(k, n - k) * n.bit_length()
+    bits = _comb_bits(n, k)
     if bits > MAX_BINOMIAL_BITS:
         raise ParameterError(f"C({n}, {k}) may have {bits} bits, "
                              f"over the limit {MAX_BINOMIAL_BITS}")
@@ -155,5 +164,11 @@ def complex_table(N: int, d: int, k: int) -> tuple[ComplexTerm, ...]:
     if r + 1 > MAX_TABLE_TERMS:
         raise ParameterError(f"the table would have {r + 1} terms, "
                              f"over the limit {MAX_TABLE_TERMS}")
+    # term j is C(n + N, N) * C(r, j) with n = j(d-k) - N - 1, or 0 for n < 0
+    bits = sum(_comb_bits(n + N, N) + _comb_bits(r, j)
+               for j in range(1, r + 1) if (n := j * (d - k) - N - 1) >= 0)
+    if bits > MAX_TABLE_BITS:
+        raise ParameterError(f"the table's {r + 1} terms may have {bits} bits in all, "
+                             f"over the limit {MAX_TABLE_BITS}")
     head = ComplexTerm(twist=0, module_dim=1)
     return (head,) + tuple(complex_term_rank(N, d, k, j) for j in range(1, r + 1))

@@ -26,6 +26,9 @@ first use and kept in a least-recently-used memo of MAX_SYMBOLIC_DEGREE
 = 9 entries (room for R_1..R_9; nothing is computed at import).  P_j on
 any chart is the image of R_{d-j} under y_m -> coefficient m of f^(j),
 which on every chart is a constant or an integer multiple of one u_k.
+So each term of R_{d-j} maps to exactly one term, and the map runs on
+the monomial path of RingHom: packed exponent keys are added and
+coefficient powers multiplied, with no polynomial product.
 
 R_n is not taken from its (2n-1) x (2n-1) Sylvester matrix but from
 the graded Bezout matrix (Gelfand, Kapranov and Zelevinsky,

@@ -8,7 +8,9 @@ Grammar accepted by the polynomial parser (whitespace is free):
     atom   := nat | nat '/' nat | var | '(' expr ')'
 
 A nat is a run of the ASCII digits 0-9 (not '²', '٣' or any other Unicode
-digit).  Exponents are nonnegative integer literals; a chain like x^2^3
+digit), and a var is an ASCII name [A-Za-z_][A-Za-z0-9_]* (rings.NAME_PATTERN,
+the rule of every variable name), so 'é' or the '²' of 't²' is an unexpected
+character.  Exponents are nonnegative integer literals; a chain like x^2^3
 folds right-associatively to x^8.  Implicit multiplication (2t, 3(x+1)) is a
 syntax error, as is '/' applied to anything but two integer literals.
 All syntax errors carry a 1-based line and column.
@@ -34,7 +36,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputSyntaxError, ParameterError, RingMismatchError
-from .rings import GF, QQ, ZZ, PolynomialRing, Ring, RingElement, check_name
+from .rings import GF, NAME_PATTERN, QQ, ZZ, PolynomialRing, Ring, RingElement, check_name
 from .unipoly import MAX_DEGREE, UniPoly, _add, _mul, _neg, _pow, _sub, _trim
 
 MAX_DIGITS = 4300  # CPython's default int-string limit
@@ -96,6 +98,8 @@ _SINGLE = {
     ")": TokenKind.RPAREN,
 }
 
+_IDENT_RE = re.compile(NAME_PATTERN)
+
 
 def tokenize(src: str) -> list[Token]:
     tokens = []
@@ -131,10 +135,9 @@ def tokenize(src: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
+        ident = _IDENT_RE.match(src, i)
+        if ident:
+            j = ident.end()
             tokens.append(Token(TokenKind.IDENT, src[i:j], line, col))
             col += j - i
             i = j

@@ -28,6 +28,8 @@ The heavy symbolic work (Bareiss determinants and exact division) runs
 in a private packed-monomial kernel, _Packed, on dicts from one int per
 exponent vector to an int coefficient (a residue over Fp); MultiPoly is
 converted at the boundary, and QQ[vars] is first cleared to ZZ[vars].
+RingHom maps whose variable images are single terms run on the same
+exponent layout (_Layout), one output term per input term.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from .errors import (
     UnsupportedRingError,
 )
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"  # ASCII only: the parser reads names by it too
+_NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 _MAX_PRIME = 2**31
 
@@ -582,18 +585,49 @@ def clear_denominators(polys: Sequence[MultiPoly]) -> tuple[list[MultiPoly], int
     return [MultiPoly(twin, dict(zip(f.terms, ints))) for f in polys], s
 
 
-class _Packed:
+class _Layout:
+    """Exponent vectors packed into ints of k fields of `width` bits.
+
+    (e_1, ..., e_k) becomes one int, e_1 in the most significant field,
+    and the width is chosen so that no exponent up to `bound` sets the
+    top bit of its field.  Then multiplying monomials is one int
+    addition and int order is the lexicographic monomial order.
+    """
+
+    def __init__(self, nvars: int, bound: int):
+        self.width = w = bound.bit_length() + 1
+        self._nvars = nvars
+        self._mask = (1 << w) - 1
+        self._shifts = range(w * (nvars - 1), -1, -w)
+
+    def _key(self, exps) -> int:
+        key = 0
+        for x in exps:
+            key = (key << self.width) | x
+        return key
+
+    def _exponents(self, key: int) -> tuple[int, ...]:
+        return tuple([(key >> s) & self._mask for s in self._shifts])
+
+    def _unpack_terms(self, packed: dict) -> dict:
+        """{exponent vector: c} for the items of packed."""
+        if self.width == 8:  # one field per byte: one C call per key
+            n = self._nvars
+            return {tuple(key.to_bytes(n, "big")): c for key, c in packed.items()}
+        exponents = self._exponents
+        return {exponents(key): c for key, c in packed.items()}
+
+
+class _Packed(_Layout):
     """Packed-monomial arithmetic in ZZ[vars] or Fp[vars] at one field width.
 
-    An exponent vector (e_1, ..., e_k) becomes one int of k fields of
-    `width` bits, e_1 in the most significant field.  The top bit of each
-    field is a guard bit that no exponent up to `cap` = 2^(width-1) - 1
-    reaches, and the width is chosen so that no exponent met by the
-    caller's computation exceeds the cap.  Then multiplying monomials is
-    one int addition, int order is the lexicographic monomial order, and
-    d divides e iff ((e | G) - d) & G == G for the guard mask G: every
-    field of e | G is at least its guard, so the subtraction borrows
-    across no field, and a field keeps its guard iff e_i >= d_i.
+    Monomials are keys of _Layout.  The top bit of each field is a guard
+    bit that no exponent up to `cap` = 2^(width-1) - 1 reaches, and the
+    width is chosen so that no exponent met by the caller's computation
+    exceeds the cap.  Then d divides e iff ((e | G) - d) & G == G for the
+    guard mask G: every field of e | G is at least its guard, so the
+    subtraction borrows across no field, and a field keeps its guard iff
+    e_i >= d_i.
 
     A packed value is a dict from packed monomials to nonzero ints:
     integers over ZZ, residues in [0, p) over Fp(p).  p is the base
@@ -604,30 +638,19 @@ class _Packed:
     def __init__(self, ring: PolynomialRing, bound: int):
         if ring.base.modulus is None:
             raise UnsupportedRingError(f"the packed kernel needs ZZ or Fp coefficients, got {ring}")
+        super().__init__(len(ring.names), bound)
         self.ring = ring
         self.p = ring.base.modulus
-        self.width = w = bound.bit_length() + 1
-        self.cap = (1 << (w - 1)) - 1
-        self._mask = (1 << w) - 1
-        self._shifts = range(w * (len(ring.names) - 1), -1, -w)
+        self.cap = (1 << (self.width - 1)) - 1
         ones = self._key((1,) * len(ring.names))
-        self.guard = ones << (w - 1)
+        self.guard = ones << (self.width - 1)
         self.caps = ones * self.cap
-
-    def _key(self, exps) -> int:
-        key = 0
-        for x in exps:
-            key = (key << self.width) | x
-        return key
-
-    def _exponents(self, key: int) -> tuple[int, ...]:
-        return tuple((key >> s) & self._mask for s in self._shifts)
 
     def pack(self, poly: MultiPoly) -> dict:
         return {self._key(exps): c for exps, c in poly.terms.items()}
 
     def unpack(self, packed: dict) -> MultiPoly:
-        return MultiPoly(self.ring, {self._exponents(key): c for key, c in packed.items()})
+        return MultiPoly(self.ring, self._unpack_terms(packed))
 
     def _field_max(self, packed: dict) -> int:
         """The packed vector of the largest exponent of each variable."""
@@ -814,6 +837,18 @@ class RingHom:
     same Fp.  For a polynomial domain each variable needs an image in
     the codomain; omitted variables default to the same-named codomain
     variable when one exists.
+
+    Monomial path: when the codomain is a polynomial ring and every
+    variable image y_m -> c_m * x^(a_m) is a single term or zero (a
+    relabelling, an inclusion, a specialisation to constants, the jet
+    maps of jets.discriminant_ideal), each term c * prod y_m^(e_m) of
+    the argument has the single term c * prod c_m^(e_m) * x^(sum e_m a_m)
+    as image, or none when it meets a zero image.  __init__ detects this
+    once, and _map_monomial then adds packed exponent keys (sum e_m *
+    key(a_m) in _Layout, the key layout of _Packed) and multiplies cached
+    coefficient powers, with no polynomial product.  Every other map runs
+    _map_general, which multiplies out cached powers of the images and
+    is the reference the monomial path is tested against.
     """
 
     def __init__(self, domain: Ring, codomain: Ring, images: Mapping[str, object] | None = None):
@@ -835,6 +870,12 @@ class RingHom:
             raise ParameterError("variable images supplied for a scalar domain")
         self._scalar_domain = domain.base if isinstance(domain, PolynomialRing) else domain
         self._check_scalar_map()
+        # (exponents, coefficient) of each variable image, None for a zero image
+        self._monomials = None
+        if self._images and isinstance(codomain, PolynomialRing):
+            values = [self._images[name].value for name in domain.names]
+            if all(len(v.terms) <= 1 for v in values):
+                self._monomials = [next(iter(v.terms.items()), None) for v in values]
 
     def _check_scalar_map(self):
         src, dst = self._scalar_domain, self.codomain
@@ -851,12 +892,7 @@ class RingHom:
         return self.codomain.element(raw)
 
     def __call__(self, x) -> RingElement:
-        """Image of x, accumulated term by term into one raw dict.
-
-        Each power of a variable image is computed once per call and
-        reused by every term that needs it, so the cost is linear in the
-        number of terms of x times the size of their images.
-        """
+        """Image of x, by the monomial path when it applies (see the class docstring)."""
         if isinstance(x, RingElement):
             if x.ring != self.domain:
                 raise RingMismatchError(f"element of {x.ring} fed to a map from {self.domain}")
@@ -865,6 +901,70 @@ class RingHom:
             raw = self.domain.coerce(x)
         if not isinstance(self.domain, PolynomialRing):
             return self._map_scalar(raw)
+        if self._monomials is not None:
+            return self._map_monomial(raw)
+        return self._map_general(raw)
+
+    def _map_monomial(self, raw: MultiPoly) -> RingElement:
+        """Image of raw, each term sent to one packed term; every image is one term or zero.
+
+        The field width covers sum_m (largest e_m in raw) * (largest
+        exponent of image m), the most any output exponent can reach.
+        Over Fp the coefficients are reduced once per output term.
+        """
+        dst = self.codomain
+        terms = raw.terms
+        if not terms:
+            return RingElement(dst, MultiPoly(dst, {}))
+        monomials = self._monomials
+        highest = list(map(max, zip(*terms)))
+        bound = sum(e * max(m[0]) for e, m in zip(highest, monomials) if m)
+        layout = _Layout(len(dst.names), max(bound, 127))  # byte-wide fields unpack fastest
+        p = dst.base.modulus
+        # tables[m][e] = (packed exponents, coefficient) of image m to the power e
+        tables = []
+        for top, m in zip(highest, monomials):
+            if m is None:
+                tables.append(None)
+                continue
+            step, c = layout._key(m[0]), m[1]
+            row = [None, (step, c)]  # row[0] is never read: a zero exponent is skipped
+            for _ in range(top - 1):
+                key, v = row[-1]
+                row.append((key + step, v * c % p if p else v * c))
+            tables.append(row)
+        scalar = dst.base
+        items = terms.items()
+        if self._scalar_domain != scalar:
+            items = [(exps, scalar.coerce(c)) for exps, c in items]
+        acc: dict = {}
+        for exps, c in items:
+            key = 0
+            for row, e in zip(tables, exps):
+                if e:
+                    if row is None:
+                        break
+                    k, v = row[e]
+                    key += k
+                    c *= v
+            else:
+                if key in acc:
+                    acc[key] += c
+                else:
+                    acc[key] = c
+        if p:
+            acc = {k: r for k, v in acc.items() if (r := v % p)}
+        else:
+            acc = {k: v for k, v in acc.items() if v}
+        return RingElement(dst, MultiPoly(dst, layout._unpack_terms(acc)))
+
+    def _map_general(self, raw: MultiPoly) -> RingElement:
+        """Image of raw, accumulated term by term into one raw dict.
+
+        Each power of a variable image is computed once per call and
+        reused by every term that needs it, so the cost is linear in the
+        number of terms of raw times the size of their images.
+        """
         dst = self.codomain
         poly_dst = isinstance(dst, PolynomialRing)
         scalar = dst.base if poly_dst else dst

@@ -248,10 +248,12 @@ def test_dims_needs_j_or_table(capsys):
     ["--N", "30", "--d", "100", "--k", "30", "--table"],  # C(60, 30) + 1 terms
     ["--N", "20", "--d", "100", "--k", "20", "--j", "68923264410"],  # C(r, r/2), r = C(40, 20)
     ["--N", "1000000", "--d", "10000000", "--k", "1000000", "--j", "1"],  # C(2*10^6, 10^6)
-], ids=["table", "exterior-power", "rank"])
+    ["--N", "1", "--d", "10000", "--k", "9998", "--table"],  # 9999 terms of up to 10^4 bits
+], ids=["table", "exterior-power", "rank", "table-total"])
 def test_dims_refuses_oversized_counts_before_computing(argv, monkeypatch, capsys):
-    # Unbounded, each of these runs for hours: the table term by term, the
-    # binomials to billions of bits.  Both steps fail at once here instead.
+    # Unbounded, the first three run for hours: the table term by term, the
+    # binomials to billions of bits; the last for about 17 s, printing 21.8 MB.
+    # Every step fails at once here instead.
     def no_term(*args):
         raise AssertionError("a table term was computed")
 
@@ -388,7 +390,19 @@ def test_main_runs_on_interpreters_without_the_limit_setter(monkeypatch, capsys)
 @pytest.mark.parametrize("ch", ["²", "①", "٣", "３"],
                          ids=["superscript-two", "circled-one", "arabic-three", "fullwidth-three"])
 def test_non_ascii_digits_are_syntax_errors(ch, template, fmt, capsys):
-    f = template.format(ch)
+    assert_unexpected_character(template.format(ch), ch, fmt, capsys)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("f,ch", [("t²", "²"), ("é + t", "é"), ("t*ü1 + 1", "ü"), ("t_ä", "ä")],
+                         ids=["superscript-after-name", "leading-letter", "letter-in-product",
+                              "letter-after-underscore"])
+def test_non_ascii_letters_are_syntax_errors(f, ch, fmt, capsys):
+    assert_unexpected_character(f, ch, fmt, capsys)
+
+
+def assert_unexpected_character(f, ch, fmt, capsys):
+    """f as the first operand of resultant fails with exit 2 and a caret under ch."""
     code, out, err = run(["resultant", f, "t - 1", "--ring", "ZZ", "--format", fmt], capsys)
     assert (code, out) == (2, "")
     if fmt == "json":

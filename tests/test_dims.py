@@ -15,6 +15,7 @@ from disckit import (
     h_ext_jet_dual,
     rank_jet,
 )
+from disckit import dims
 
 
 def test_dim_sym_values():
@@ -139,6 +140,17 @@ def test_complex_table_consistent_with_term_rank():
         table = complex_table(N, d, k)
         for j in range(1, len(table)):
             assert table[j] == complex_term_rank(N, d, k, j)
+
+
+def test_table_bit_limit_sits_between_small_tables_and_runaway_ones():
+    # the cells of the benchmark's interactive dims requests, with room to spare
+    for N in (1, 2, 3):
+        for k in (1, 2, 3):
+            for extra in range(10):
+                complex_table(N, k + N + 1 + extra, k)
+    assert len(complex_table(1, 1601, 1599)) == 1601  # predicts 7.1 * 10^6 bits
+    with pytest.raises(ParameterError, match=f"over the limit {dims.MAX_TABLE_BITS}"):
+        complex_table(1, 3000, 2998)  # predicts 2.7 * 10^7 bits
 
 
 def test_dim_report_is_a_plain_record():

@@ -1,0 +1,253 @@
+"""The monomial path of RingHom against the general loop it bypasses.
+
+When every variable image is a single term or zero, RingHom sends each
+term to one term (RingHom._map_monomial); otherwise it multiplies out
+powers of the images (RingHom._map_general), which stays as the
+reference.  These tests compare the two on the jet maps of every chart,
+on the chart relabelling, on zero and factorial images and over ZZ, QQ
+and Fp, and pin which callers take which path.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from disckit import (
+    GF,
+    QQ,
+    ZZ,
+    ChartId,
+    ParameterError,
+    PolynomialRing,
+    RingHom,
+    UniPoly,
+    UnsupportedRingError,
+    chart_consistency,
+    discriminant_ideal,
+    generic_section,
+    incidence_ideal,
+    main1_strata,
+)
+from disckit import strata
+from disckit.jets import _generic_raw_discriminant
+from disckit.rings import _Layout
+
+from conftest import rand_element, rand_scalar
+
+
+def both_paths(hom, x):
+    """(monomial image, general image) of x, after checking hom took the monomial path."""
+    assert hom._monomials is not None
+    raw = hom.domain.coerce(x)
+    return hom._map_monomial(raw), hom._map_general(raw)
+
+
+def charts(d):
+    return [ChartId(i, patch) for i in range(d + 1) for patch in (0, 1)]
+
+
+def jet_maps(d, chart):
+    """(R_{d-j}, the map y_m -> coefficient m of f^(j)) for j = 0..d-1, as discriminant_ideal builds them."""
+    f = generic_section(d, chart, ZZ)
+    deriv = f
+    for j in range(d):
+        generic = _generic_raw_discriminant(d - j)
+        images = {f"y{m}": deriv.coefficient(m) for m in range(d - j + 1)}
+        yield generic, RingHom(generic.ring, f.coeff_ring, images)
+        deriv = deriv.derivative()
+
+
+def check_jet_maps(d, chart):
+    gens = discriminant_ideal(d, d, chart).gens
+    for j, (generic, hom) in enumerate(jet_maps(d, chart)):
+        fast, slow = both_paths(hom, generic)
+        assert fast == slow, (d, chart, j)
+        assert fast.value == gens[j]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_jet_maps_agree_on_every_chart_and_level(d):
+    for chart in charts(d):
+        check_jet_maps(d, chart)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "d,i,patch", [(8, 0, 0), (8, 3, 1), (8, 8, 0), (9, 2, 0), (9, 5, 1), (9, 9, 1)]
+)
+def test_jet_maps_agree_on_sampled_charts_of_degree_8_and_9(d, i, patch):
+    check_jet_maps(d, ChartId(i, patch))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_relabel_maps_agree(d):
+    """The map u_k -> u_{d-k} of chart_consistency, on every generator of every pinning."""
+    for i in range(d + 1):
+        mirrored = discriminant_ideal(d, d, ChartId(d - i, 0))
+        target = discriminant_ideal(d, 1, ChartId(i, 1)).ring
+        relabel = RingHom(
+            mirrored.ring,
+            target,
+            {f"u{k}": target.variable(f"u{d - k}") for k in range(d + 1) if k != d - i},
+        )
+        for g in mirrored.gens:
+            fast, slow = both_paths(relabel, g)
+            assert fast == slow
+
+
+def test_zero_images_drop_their_terms():
+    src = PolynomialRing(ZZ, ("u", "v", "w"))
+    u, v, w = src.variables()
+    x = 3 * u**2 * v - u * w + 5 * v**3 - w**2 + 7 * v + 1
+    dst = PolynomialRing(ZZ, ("v", "w"))
+    hom = RingHom(src, dst, {"u": 0})
+    fast, slow = both_paths(hom, x)
+    assert fast == slow
+    assert str(fast) == "5*v^3 - w^2 + 7*v + 1"
+    fast, slow = both_paths(RingHom(src, dst, {"u": 0, "v": 0, "w": 0}), x)
+    assert fast == slow == dst.one
+    fast, slow = both_paths(RingHom(src, dst, {"u": 0, "v": 0, "w": 0}), x - 1)
+    assert fast == slow == dst.zero
+
+
+def test_images_that_vanish_in_fp():
+    src = PolynomialRing(ZZ, ("u", "v"))
+    u, v = src.variables()
+    dst = PolynomialRing(GF(7), ("u", "v"))
+    x = u**3 * v + 2 * u * v**2 + 14 * v**4 + 3 * v + 4
+    # 7 and 7*u coerce to zero in Fp(7); 14*v^4 has a coefficient that does too
+    for images in ({"u": 7}, {"u": dst.variable("u") * 7}):
+        hom = RingHom(src, dst, images)
+        assert hom._images["u"].is_zero()
+        fast, slow = both_paths(hom, x)
+        assert fast == slow
+        assert str(fast) == "3*v + 4"
+    fast, slow = both_paths(RingHom(src, dst), x)
+    assert fast == slow
+    assert str(fast) == "u^3*v + 2*u*v^2 + 3*v + 4"
+    # a sum that cancels only mod 7
+    fast, slow = both_paths(RingHom(src, dst, {"u": dst.variable("v")}), 3 * u * v + 4 * v**2)
+    assert fast == slow == dst.zero
+
+
+def test_factorial_coefficients():
+    src = PolynomialRing(ZZ, tuple(f"y{m}" for m in range(6)))
+    dst = PolynomialRing(ZZ, ("a", "b", "c"))
+    a, b, c = dst.variables()
+    images = {"y0": 1, "y1": 2 * a, "y2": math.factorial(5) * b, "y3": -math.factorial(7) * c,
+              "y4": math.factorial(9), "y5": math.factorial(4) * a}
+    hom = RingHom(src, dst, images)
+    rng = random.Random(1201)
+    for _ in range(20):
+        x = rand_element(rng, src, terms=8, max_exp=6)
+        fast, slow = both_paths(hom, x)
+        assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "src_base,dst_base",
+    [(ZZ, ZZ), (QQ, QQ), (GF(7), GF(7)), (ZZ, QQ), (ZZ, GF(7)), (QQ, GF(11)), (ZZ, GF(2))],
+    ids=str,
+)
+def test_random_monomial_images(src_base, dst_base):
+    rng = random.Random(1202)
+    src = PolynomialRing(src_base, ("u", "v", "w"))
+    dst = PolynomialRing(dst_base, ("a", "b"))
+    for _ in range(30):
+        images = {}
+        for name in src.names:
+            term = dst.element(rand_scalar(rng, dst_base).value)
+            for var in dst.variables():
+                term = term * var ** rng.randint(0, 3)
+            images[name] = term
+        hom = RingHom(src, dst, images)
+        for _ in range(5):
+            x = rand_element(rng, src, terms=6, max_exp=5)
+            fast, slow = both_paths(hom, x)
+            assert fast == slow
+
+
+def test_wide_exponents_leave_the_byte_layout():
+    """An output exponent over 127 needs fields wider than a byte."""
+    src = PolynomialRing(ZZ, ("u", "v"))
+    dst = PolynomialRing(ZZ, ("a", "b"))
+    a, b = dst.variables()
+    u, v = src.variables()
+    hom = RingHom(src, dst, {"u": a**50 * b, "v": 2 * a})
+    x = u**3 * v**9 + u**2 - v**200
+    fast, slow = both_paths(hom, x)
+    assert fast == slow
+    assert fast.value.degree_in("a") == 200
+
+
+@pytest.mark.parametrize("nvars,bound", [(1, 0), (3, 5), (10, 17), (4, 64), (4, 127), (3, 128), (2, 1000)])
+def test_layout_round_trip(nvars, bound):
+    """Both unpackings, byte-wide (width 8) or not, invert _key."""
+    rng = random.Random(nvars * 1000 + bound)
+    layout = _Layout(nvars, bound)
+    vectors = {tuple(rng.randint(0, bound) for _ in range(nvars)) for _ in range(50)}
+    packed = {layout._key(exps): i for i, exps in enumerate(sorted(vectors))}
+    assert layout._unpack_terms(packed) == {exps: i for i, exps in enumerate(sorted(vectors))}
+    assert all(layout._key(layout._exponents(key)) == key for key in packed)
+
+
+def test_non_invertible_denominator_still_raises():
+    src = PolynomialRing(QQ, ("u",))
+    dst = PolynomialRing(GF(7), ("u",))
+    hom = RingHom(src, dst)
+    assert hom._monomials is not None
+    x = src.variable("u") * Fraction(1, 7) + 1
+    with pytest.raises(ParameterError):
+        hom(x)
+    with pytest.raises(ParameterError):
+        hom._map_general(x.value)
+    with pytest.raises(ParameterError):
+        RingHom(src, dst, {"u": Fraction(3, 14)})
+    with pytest.raises(UnsupportedRingError):
+        RingHom(src, PolynomialRing(ZZ, ("u",)))
+
+
+def test_the_memoised_generic_discriminant_is_not_changed():
+    generic = _generic_raw_discriminant(6)
+    before = dict(generic.terms)
+    gens = discriminant_ideal(6, 6, ChartId(2, 1)).gens
+    assert generic.terms == before
+    assert all(g.terms is not generic.terms for g in gens)
+    assert _generic_raw_discriminant(6) is generic
+
+
+@pytest.fixture
+def no_general_loop(monkeypatch):
+    def fail(self, raw):
+        raise AssertionError("the general loop was called")
+
+    monkeypatch.setattr(RingHom, "_map_general", fail)
+
+
+def test_jet_and_chart_maps_take_the_monomial_path(no_general_loop):
+    assert len(discriminant_ideal(5, 5, ChartId(2, 1)).gens) == 5
+    assert len(chart_consistency(4, 4, 1)) == 4
+    assert len(incidence_ideal(4, 2, ChartId(0, 1)).gens) == 3
+    ring = PolynomialRing(QQ, ("u", "v"))
+    u, v = ring.variables()
+    name, smaller, image = strata._eliminable(u + 3 * v**2 - v)
+    assert (name, str(smaller), str(image)) == ("u", "QQ[v]", "-3*v^2 + v")
+
+
+def test_strata_substitution_of_a_sum_takes_the_general_loop(monkeypatch):
+    calls = []
+    general = RingHom._map_general
+
+    def record(self, raw):
+        calls.append(raw)
+        return general(self, raw)
+
+    monkeypatch.setattr(RingHom, "_map_general", record)
+    ring = PolynomialRing(QQ, ("u", "v"))
+    u, v = ring.variables()
+    # the leading coefficient u + v + 1 is eliminated by u -> -v - 1, a two-term image
+    P = UniPoly(ring, "t", [ring.one, u * v, u + v + 1])
+    assert main1_strata(P)
+    assert calls
