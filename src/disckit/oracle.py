@@ -7,8 +7,12 @@ independently of each other:
 
 * Z, the zero set of the generators, fiber by fiber: fix every
   coefficient but the last, specialise the generators to univariate
-  polynomials in u_{d-1}, and read the zeros off the roots in F_q of
-  their gcd, found as gcd(G, x^q - x).
+  polynomials in u_{d-1}, and evaluate them at every x in F_q at once.
+  The values of up to 64 consecutive x sit in the lanes of one packed
+  int: a multiply-add per coefficient sums a generator in every lane,
+  and two masks and an add test all lanes for divisibility by q
+  (Lemire's test, see _Lanes).  A generator that is a nonzero constant
+  mod q leaves Z empty, and nothing is scanned.
 * M, the forms with a root of multiplicity >= m in the algebraic
   closure, enumerated directly as the products h^m * g with h monic
   irreducible; over the perfect field F_q these are exactly those forms.
@@ -16,9 +20,9 @@ independently of each other:
 Every point of the symmetric difference of Z and M is tested again with
 the per-point predicates (evaluating the generators, and a gcd chain of
 derivatives that knows nothing about resultants); a disagreement raises
-DisckitError.  The work is about q^(d-1) fibers rather than q^d points.
-Mismatch points are returned in sorted order, split by direction, so a
-failure is reproducible and attributable.
+DisckitError.  Z costs q^d lane evaluations in about q^d/64 block steps,
+spread over q^(d-1) fibers.  Mismatch points are returned in sorted
+order, split by direction, so a failure is reproducible and attributable.
 
 Set DISCKIT_THREADS=n to spread the scan over n worker processes
 (capped at the CPU count and at q); chunks are merged in coefficient
@@ -172,58 +176,69 @@ def _scan_chunk_brute(args) -> tuple[int, int, list[Point], list[Point]]:
     return ideal_zero_count, mult_root_count, sound_miss, complete_miss
 
 
-def _xq_minus_x_mod(g: list[int], q: int) -> list[int]:
-    """x^q - x reduced mod g (deg g >= 2) by square-and-multiply.
+_BLOCK = 64
 
-    Products are accumulated as plain integers and reduced once, by the
-    monic multiple of g, at each step.
+
+class _Lanes:
+    """Packed evaluation over F_q of polynomials of degree <= top at many x.
+
+    A block holds up to _BLOCK values x_i of x, each in a lane of S bits of
+    one int.  With coefficients and powers below q, a polynomial's value
+    at x_i is below 2^W, W the bit length of (top+1)(q-1)^2, and is summed
+    exactly in its lane.  Its zero test mod q is Lemire, Kaser and Kurz's
+    divisibility test (Faster Remainder by Direct Computation, 2019): with
+    N = 2W and c = ceil(2^N/q), q divides v < 2^W iff (v*c mod 2^N) < c.
+    A block keeps the columns c * sum_i (x_i^e mod q) 2^(S i), so a
+    polynomial's lanes hold v_i*c < 2^(N+W); adding 2^N - c to each lane's
+    low N bits sets its bit N exactly when v_i is not divisible by q, and
+    S = N + W + 1 keeps every lane from carrying into the next.
     """
-    inv = pow(g[-1], -1, q)
-    n = len(g) - 1
-    low = [c * inv % q for c in g[:-1]]
-    xq = [1]
-    for bit in bin(q)[2:]:
-        r = [0] * (2 * len(xq) - 1)
-        for i, a in enumerate(xq):
-            if a:
-                for j, b in enumerate(xq):
-                    r[i + j] += a * b
-        if bit == "1":
-            r.insert(0, 0)
-        for k in range(len(r) - 1, n - 1, -1):
-            c = r[k] % q
-            if c:
-                for i, b in enumerate(low):
-                    r[k - n + i] -= c * b
-        xq = [c % q for c in r[:n]]
-    xq[1] = (xq[1] - 1) % q
-    return _trim(xq)
 
+    def __init__(self, q: int, top: int):
+        self.width = ((top + 1) * (q - 1) ** 2).bit_length()
+        self.n = 2 * self.width
+        self.stride = self.n + self.width + 1
+        self.c = -(-(1 << self.n) // q)
+        self.q = q
+        self.top = top
 
-def _roots_mod(polys: list[list[int]], q: int):
-    """Common roots in F_q of plain coefficient lists, or None if all are 0."""
-    g: list[int] = []
-    for f in polys:
-        g = _gcd_mod(g, f, q)
-        if len(g) == 1:
-            return ()
-    if not g:
-        return None
-    if len(g) > 2:
-        # gcd(g, x^q - x) is the product of the distinct linear factors of g
-        g = _gcd_mod(g, _xq_minus_x_mod(g, q), q)
-    if len(g) == 1:
-        return ()
-    if len(g) == 2:
-        return ((-g[0] * pow(g[1], -1, q)) % q,)
-    roots = []
-    for x in range(q):
-        acc = 0
-        for c in reversed(g):
-            acc = (acc * x + c) % q
-        if acc == 0:
-            roots.append(x)
-    return tuple(roots)
+    def block(self, xs: range, table: list[list[int]]):
+        """(xs, columns, low, add, high) for lanes holding table[e][i] in column e."""
+        shifts = [self.stride * i for i in range(len(xs))]
+        columns = [self.c * sum(v << s for v, s in zip(row, shifts)) for row in table]
+        ones = sum(1 << s for s in shifts)
+        full = 1 << self.n
+        return xs, columns, (full - 1) * ones, (full - self.c) * ones, full * ones
+
+    def blocks(self, xs: range):
+        """The blocks of the columns x^e, e <= top, over consecutive parts of xs."""
+        q = self.q
+        for start in range(0, len(xs), _BLOCK):
+            part = xs[start:start + _BLOCK]
+            yield self.block(part, [[pow(x, e, q) for x in part] for e in range(self.top + 1)])
+
+    def zeros(self, polys: list[tuple[list[int], list[int]]], block) -> list[int]:
+        """The x of the block where every polynomial vanishes mod q.
+
+        Each polynomial is a pair (exponents, coefficients) of equal lengths.
+        """
+        xs, columns, low, add, high = block
+        flags = 0
+        for exps, coeffs in polys:
+            value = 0
+            for e, c in zip(exps, coeffs):
+                if c:
+                    value += c * columns[e]
+            flags |= ((value & low) + add) & high
+            if flags == high:
+                return []
+        zero = high ^ flags
+        out = []
+        while zero:
+            bit = zero & -zero
+            out.append(xs[bit.bit_length() // self.stride])
+            zero ^= bit
+        return out
 
 
 def _fiber_plan(compiled, d: int):
@@ -247,18 +262,27 @@ def _fiber_plan(compiled, d: int):
 
 
 def _ideal_zero_points(d: int, q: int, compiled, first_coords):
-    """Z: yields the points with u_0 in first_coords where every generator vanishes."""
-    levels, last_keys = _fiber_plan(compiled, d)
-    widths = [0] * len(compiled)
-    for g, e in last_keys:
-        widths[g] = e + 1
+    """Z: yields the points with u_0 in first_coords where every generator vanishes.
 
-    def solve(vec: list[int], prefix: Point):
-        polys = [[0] * w for w in widths]
-        for c, (g, e) in zip(vec, last_keys):
-            polys[g][e] = c
-        roots = _roots_mod([_trim(f) for f in polys], q)
-        return (prefix + (r,) for r in (range(q) if roots is None else roots))
+    Each fiber's generators, specialised to polynomials in u_{d-1}, are
+    evaluated at every value of u_{d-1} at once on packed lanes (see
+    _Lanes).  At d >= 2 the blocks over range(q) are built once per call;
+    at d = 1 they are built one at a time over first_coords.
+    """
+    if any(len(terms) == 1 and not any(terms[0][0]) for terms in compiled):
+        return  # a nonzero constant generator vanishes nowhere
+    levels, last_keys = _fiber_plan(compiled, d)
+    lanes = _Lanes(q, max((e for _, e in last_keys), default=0))
+    # last_keys are sorted by generator, so each generator's keys are one slice
+    slices, start = [], 0
+    for _, group in itertools.groupby(last_keys, key=lambda key: key[0]):
+        exps = [e for _, e in group]
+        slices.append((exps, start, start + len(exps)))
+        start += len(exps)
+
+    def solve(vec: list[int], prefix: Point, blocks):
+        polys = [(exps, vec[lo:hi]) for exps, lo, hi in slices]
+        return (prefix + (x,) for block in blocks for x in lanes.zeros(polys, block))
 
     def descend(k: int, vec: list[int], prefix: Point, coords):
         size, moves = levels[k]
@@ -272,15 +296,16 @@ def _ideal_zero_points(d: int, q: int, compiled, first_coords):
             if k + 1 < len(levels):
                 yield from descend(k + 1, sub, prefix + (a,), range(q))
             else:
-                yield from solve(sub, prefix + (a,))
+                yield from solve(sub, prefix + (a,), blocks)
 
     vec = [c for terms in compiled for _, c in terms]
     if levels:
         top = max((e for terms in compiled for exps, _ in terms for e in exps), default=0)
         powers = [[pow(a, e, q) for e in range(top + 1)] for a in range(q)]
+        blocks = list(lanes.blocks(range(q)))
         yield from descend(0, vec, (), first_coords)
-    else:  # d = 1: solve for u_0 itself and keep the roots in first_coords
-        yield from (point for point in solve(vec, ()) if point[0] in first_coords)
+    else:  # d = 1: solve for u_0 itself over first_coords
+        yield from solve(vec, (), lanes.blocks(first_coords))
 
 
 def _monic_irreducibles(top: int, q: int) -> list[list[list[int]]]:
@@ -306,7 +331,9 @@ def _multiple_root_points(d: int, m: int, q: int, first_coords) -> set[Point]:
 
     h runs over monic irreducibles with m * deg h <= d and g over monic
     forms of degree d - m * deg h; only the constant terms of g that
-    give u_0 = h(0)^m g(0) in first_coords are enumerated.
+    give u_0 = h(0)^m g(0) in first_coords are enumerated.  The product
+    is linear in g, so h^m * [0, *mid, 1] is formed once per mid and
+    g(0) * h^m is added to its first m * deg h + 1 coordinates.
     """
     points: set[Point] = set()
     for k, irreducibles in enumerate(_monic_irreducibles(d // m, q), start=1):
@@ -324,9 +351,12 @@ def _multiple_root_points(d: int, m: int, q: int, first_coords) -> set[Point]:
                 lows = [u0 * inv % q for u0 in first_coords]
             else:
                 lows = range(q) if 0 in first_coords else ()
+            offsets = [[g0 * c for c in hm] for g0 in lows]
             for mid in itertools.product(range(q), repeat=r - 1):
-                for g0 in lows:
-                    points.add(tuple(_mul_mod(hm, [g0, *mid, 1], q)[:-1]))
+                base = _mul_mod(hm, [0, *mid, 1], q)
+                tail = tuple(base[len(hm):d])
+                for offset in offsets:
+                    points.add(tuple([(a + b) % q for a, b in zip(base, offset)]) + tail)
     return points
 
 
@@ -389,6 +419,21 @@ def _plan_chunks(q: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _check_scan(d: int, l: int, q: int, budget: int) -> None:
+    """Refuse a scan of F_q before any work: budget >= 1, a valid level,
+    q a prime exceeding d, and q^d within the budget."""
+    if budget < 1:
+        raise ParameterError(f"the budget must be at least 1, got {budget}")
+    _check_level(d, l)
+    GF(q)
+    if q <= d:
+        raise ParameterError(f"the field size must exceed the degree, got q={q}, d={d}")
+    # q >= 2, so q^d > budget once d >= budget.bit_length(); below that
+    # q^d has at most 31*d bits and is cheap to compare
+    if d >= budget.bit_length() or q**d > budget:
+        raise BudgetError(f"enumerating q^d = {q}^{d} points exceeds the budget {budget}")
+
+
 def verify_discriminant_locus(
     d: int,
     l: int,
@@ -406,20 +451,11 @@ def verify_discriminant_locus(
     Only the monic chart (d, 0) is enumerable for now; passing any other
     chart is an error.
     """
-    if budget < 1:
-        raise ParameterError(f"the budget must be at least 1, got {budget}")
     if chart is not None and chart != ChartId(d, 0):
         raise ParameterError(
             f"only the monic chart ({d}, 0) is enumerated, got {chart}"
         )
-    _check_level(d, l)
-    GF(q)
-    if q <= d:
-        raise ParameterError(f"the field size must exceed the degree, got q={q}, d={d}")
-    # q >= 2, so q^d > budget once d >= budget.bit_length(); below that
-    # q^d has at most 31*d bits and is cheap to compare
-    if d >= budget.bit_length() or q**d > budget:
-        raise BudgetError(f"enumerating q^d = {q}^{d} points exceeds the budget {budget}")
+    _check_scan(d, l, q, budget)
     plan = _plan_chunks(q)
     compiled = _compile_gens(d, l, q)
     chunks = [(d, l, q, compiled, first_coords) for first_coords in plan]
@@ -485,11 +521,15 @@ def dimension_growth_check(
     q^(d-l); the check compares count(q2)/count(q1) with (q2/q1)^(d-l)
     up to the given multiplicative tolerance (at least 1), using exact
     integer cross-multiplication so a zero count is handled honestly.
+    Both fields pass the checks of verify_discriminant_locus before
+    either is scanned.
     """
     if tolerance < 1:
         raise ParameterError(f"the tolerance must be at least 1, got {tolerance}")
     if q2 <= q1:
         raise ParameterError(f"the second field must be larger, got q1={q1}, q2={q2}")
+    for q in (q1, q2):
+        _check_scan(d, l, q, budget)
     r1 = verify_discriminant_locus(d, l, q1, budget=budget)
     r2 = verify_discriminant_locus(d, l, q2, budget=budget)
     c1, c2 = r1.ideal_zero_count, r2.ideal_zero_count

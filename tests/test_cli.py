@@ -16,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from disckit import dims
+from disckit import dims, oracle
 from disckit.cli import _format_parser, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -330,6 +330,25 @@ def test_verify_budget_below_one_is_a_parameter_error(extra, capsys):
     code, out, err = run(argv, capsys)
     assert (code, out) == (3, "")
     assert "the budget must be at least 1, got -1" in err
+
+
+@pytest.mark.parametrize(
+    "fields,code,message",
+    [
+        (["--d", "3", "--q", "5", "--q2", "7", "--budget", "200"], 4,
+         "q^d = 7^3 points exceeds the budget 200"),
+        (["--d", "2", "--q", "3", "--q2", "4"], 3, "4 is not prime"),
+    ],
+)
+def test_verify_growth_checks_both_fields_before_scanning(fields, code, message,
+                                                          monkeypatch, capsys):
+    def no_scan(args):
+        raise AssertionError("scanned a field")
+
+    monkeypatch.setattr(oracle, "_scan_chunk", no_scan)
+    env = run_json(["verify", "--l", "1"] + fields, capsys, expect_code=code)
+    assert env["status"] == "error"
+    assert any(message in d for d in env["diagnostics"])
 
 
 # ----- error handling and determinism -------------------------------------------

@@ -2,10 +2,12 @@
 
 The multiplicity test is checked against trial division by linear
 factors, the locus comparison against hand-verified counts over small
-fields, and the fiberwise scan against the per-point reference scan.
+fields, the fiberwise scan against the per-point reference scan, and
+the packed divisibility test of its lanes against remainders.
 """
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -334,12 +336,16 @@ def test_reference_grid_covers_the_edge_cases():
     assert oracle._scan_chunk((4, 2, 13, oracle._compile_gens(4, 2, 13), range(13)))[3]
 
 
+# fields larger than one block of lanes: several blocks, a partial last one
+MULTI_BLOCK_GRID = [(2, l, q) for q in (67, 131) for l in (1, 2)]
+
+
 @pytest.mark.parametrize(
     "d,l,q",
     [
         pytest.param(d, l, q, marks=pytest.mark.slow) if (d, q) == (5, 11) else (d, l, q)
         for d, l, q in REFERENCE_GRID
-    ],
+    ] + MULTI_BLOCK_GRID,
 )
 def test_fiberwise_scan_matches_the_brute_force(d, l, q):
     compiled = oracle._compile_gens(d, l, q)
@@ -352,17 +358,93 @@ def test_fiberwise_scan_matches_the_brute_force(d, l, q):
     assert oracle._scan_chunk((d, l, q, compiled, range(q))) == whole
 
 
-@pytest.mark.parametrize("d,l,q", [(3, 1, 7), (4, 2, 7)])
-def test_fiberwise_scan_matches_the_brute_force_on_perturbed_generators(d, l, q):
-    compiled = oracle._compile_gens(d, l, q)
+def _bump_one_coefficient(compiled, q):
     exps, c = compiled[0][1]
     bent = [list(terms) for terms in compiled]
     bent[0][1] = (exps, (c + 1) % q)
+    return bent
+
+
+def _every_coefficient_top(compiled, q):
+    # coefficients of q - 1 push the lane values towards their bound 2^W
+    return [[(exps, q - 1) for exps, _ in terms] for terms in compiled]
+
+
+@pytest.mark.parametrize(
+    "d,l,q,bend",
+    [
+        pytest.param(3, 1, 7, _bump_one_coefficient, id="3-1-7"),
+        pytest.param(4, 2, 7, _bump_one_coefficient, id="4-2-7"),
+        pytest.param(2, 1, 131, _every_coefficient_top, id="2-1-131-top"),
+    ],
+)
+def test_fiberwise_scan_matches_the_brute_force_on_perturbed_generators(d, l, q, bend):
+    bent = bend(oracle._compile_gens(d, l, q), q)
     for chunk in [range(q)] + _halves(q):
         fast = oracle._scan_chunk((d, l, q, bent, chunk))
         assert fast == oracle._scan_chunk_brute((d, l, q, bent, chunk))
     _zeros, _multiple, sound, complete = oracle._scan_chunk((d, l, q, bent, range(q)))
     assert sound and complete  # both mismatch directions occur
+
+
+def test_degree_one_lanes_follow_first_coords():
+    # (q - 1)(1 + u + u^2 + u^3) vanishes at the fourth roots of unity but 1;
+    # 193 = 3*64 + 1, so chunks cut blocks of lanes anywhere
+    q = 193
+    compiled = [[((e,), q - 1) for e in range(4)]]
+    for chunk in [range(q), range(70, 150), range(64, 65)] + _halves(q):
+        fast = oracle._scan_chunk((1, 1, q, compiled, chunk))
+        assert fast == oracle._scan_chunk_brute((1, 1, q, compiled, chunk))
+    assert oracle._scan_chunk((1, 1, q, compiled, range(q)))[0] == 3
+
+
+def _lane_zeros(lanes, values):
+    """The values that the packed test finds divisible, one value per lane."""
+    out = []
+    for start in range(0, len(values), oracle._BLOCK):
+        part = values[start:start + oracle._BLOCK]
+        out += lanes.zeros([([0], [1])], lanes.block(part, [list(part)]))
+    return out
+
+
+@pytest.mark.parametrize("top", [0, 3])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_packed_divisibility_matches_the_remainder(q, top):
+    lanes = oracle._Lanes(q, top)
+    assert 2**lanes.width > (top + 1) * (q - 1) ** 2
+    values = range(2**lanes.width)
+    assert _lane_zeros(lanes, values) == [v for v in values if v % q == 0]
+
+
+def test_packed_divisibility_next_to_the_lane_bound():
+    q = 3163
+    lanes = oracle._Lanes(q, 4)
+    bound = 2**lanes.width
+    below = range(bound - 3 * oracle._BLOCK - 5, bound)
+    assert _lane_zeros(lanes, below) == [v for v in below if v % q == 0]
+    multiples = range((bound - 1) // q * q - 150 * q, bound, q)
+    assert _lane_zeros(lanes, multiples) == list(multiples)
+    shifted = range(multiples.start + 1, bound, q)
+    assert _lane_zeros(lanes, shifted) == []
+
+
+@pytest.mark.parametrize(
+    "d,l,q,extra",
+    [
+        (3, 3, 5, []),
+        (1, 1, 1000003, []),
+        (3, 1, 7, [[((0, 0, 0), 3)]]),  # the constant 3 joins real generators
+    ],
+)
+def test_a_nonzero_constant_generator_builds_no_block(d, l, q, extra, monkeypatch):
+    compiled = oracle._compile_gens(d, l, q) + extra
+
+    def no_block(*args):
+        raise AssertionError("built a block of lanes")
+
+    monkeypatch.setattr(oracle._Lanes, "block", no_block)
+    zeros, _multiple, _sound, complete = oracle._scan_chunk((d, l, q, compiled, range(q)))
+    assert (zeros, complete) == (0, [])
 
 
 def test_fiberwise_disagreement_with_the_per_point_test_raises(monkeypatch):
@@ -462,3 +544,23 @@ def test_verify_at_degree_one_builds_nothing_of_size_q():
 def test_growth_budget_propagates():
     with pytest.raises(BudgetError):
         dimension_growth_check(3, 1, 5, 11, budget=200)
+
+
+@pytest.mark.parametrize(
+    "q1,q2,budget,error,message",
+    [
+        (5, 7, 200, BudgetError, "7^3 points exceeds the budget 200"),
+        (5, 7, 100, BudgetError, "5^3 points exceeds the budget 100"),
+        (5, 9, 10**4, ParameterError, "9 is not prime"),
+        (5, 6, 10**4, ParameterError, "6 is not prime"),
+    ],
+)
+def test_growth_checks_both_fields_before_scanning_either(
+    q1, q2, budget, error, message, monkeypatch
+):
+    def no_scan(args):
+        raise AssertionError("scanned a field")
+
+    monkeypatch.setattr(oracle, "_scan_chunk", no_scan)
+    with pytest.raises(error, match=re.escape(message)):
+        dimension_growth_check(3, 1, q1, q2, budget=budget)
