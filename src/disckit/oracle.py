@@ -6,13 +6,15 @@ field F_q that claim is finitely checkable.  Two point sets are built
 independently of each other:
 
 * Z, the zero set of the generators, fiber by fiber: fix every
-  coefficient but the last, specialise the generators to univariate
-  polynomials in u_{d-1}, and evaluate them at every x in F_q at once.
-  The values of up to 64 consecutive x sit in the lanes of one packed
-  int: a multiply-add per coefficient sums a generator in every lane,
-  and two masks and an add test all lanes for divisibility by q
-  (Lemire's test, see _Lanes).  A generator that is a nonzero constant
-  mod q leaves Z empty, and nothing is scanned.
+  coefficient but the last two, specialise the generators to
+  polynomials in u_{d-2} and u_{d-1}, and evaluate them at every point
+  of the grid F_q x F_q at once.  The values at the q^2 points sit in
+  the lanes of one packed int, in row-major order: a multiply-add per
+  monomial sums a generator in every lane, and two masks and an add
+  test all lanes for divisibility by q (Lemire's test, see _Lanes).
+  Below degree 3, or when q^2 exceeds _LANES (4096), only u_{d-1}
+  shares the lanes, in blocks of up to 4096 values.  A generator that
+  is a nonzero constant mod q leaves Z empty, and nothing is scanned.
 * M, the forms with a root of multiplicity >= m in the algebraic
   closure, enumerated directly as the products h^m * g with h monic
   irreducible; over the perfect field F_q these are exactly those forms.
@@ -20,12 +22,14 @@ independently of each other:
 Every point of the symmetric difference of Z and M is tested again with
 the per-point predicates (evaluating the generators, and a gcd chain of
 derivatives that knows nothing about resultants); a disagreement raises
-DisckitError.  Z costs q^d lane evaluations in about q^d/64 block steps,
-spread over q^(d-1) fibers.  Mismatch points are returned in sorted
-order, split by direction, so a failure is reproducible and attributable.
+DisckitError.  Z costs q^d lane evaluations spread over q^(d-2) fibers
+of one block step each on the grid (q^(d-1) fibers otherwise).
+Mismatch points are returned in sorted order, split by direction, so a
+failure is reproducible and attributable.
 
 Set DISCKIT_THREADS=n to spread the scan over n worker processes
-(capped at the CPU count and at q); chunks are merged in coefficient
+(capped at the CPU count, at q and by the predicted work, so a scan too
+small to repay a pool starts none); chunks are merged in coefficient
 order, so reports are byte-identical whatever the worker count.
 """
 
@@ -176,84 +180,118 @@ def _scan_chunk_brute(args) -> tuple[int, int, list[Point], list[Point]]:
     return ideal_zero_count, mult_root_count, sound_miss, complete_miss
 
 
-_BLOCK = 64
+_LANES = 4096
 
 
 class _Lanes:
-    """Packed evaluation over F_q of polynomials of degree <= top at many x.
+    """Packed evaluation over F_q of sums of monomials at many points at once.
 
-    A block holds up to _BLOCK values x_i of x, each in a lane of S bits of
-    one int.  With coefficients and powers below q, a polynomial's value
-    at x_i is below 2^W, W the bit length of (top+1)(q-1)^2, and is summed
-    exactly in its lane.  Its zero test mod q is Lemire, Kaser and Kurz's
-    divisibility test (Faster Remainder by Direct Computation, 2019): with
-    N = 2W and c = ceil(2^N/q), q divides v < 2^W iff (v*c mod 2^N) < c.
-    A block keeps the columns c * sum_i (x_i^e mod q) 2^(S i), so a
-    polynomial's lanes hold v_i*c < 2^(N+W); adding 2^N - c to each lane's
-    low N bits sets its bit N exactly when v_i is not divisible by q, and
-    S = N + W + 1 keeps every lane from carrying into the next.
+    A block holds up to _LANES points of a grid, each in a lane of S bits of
+    one int, and per monomial a column c * sum_i (its value at point i, mod
+    q) 2^(S i).  With coefficients below q, a sum of at most T monomials (T
+    = terms) is below 2^W at every point, W the bit length of T(q-1)^2, and
+    is summed exactly in its lane.  Its zero test mod q is Lemire, Kaser and
+    Kurz's divisibility test (Faster Remainder by Direct Computation, 2019):
+    with N = 2W and c = ceil(2^N/q), q divides v < 2^W iff (v*c mod 2^N) < c.
+    A sum's lanes hold v_i*c < 2^(N+W); adding 2^N - c to each lane's low N
+    bits sets its bit N exactly when v_i is not divisible by q.  S is
+    N + W + 1 rounded up to whole bytes, so no lane carries into the next
+    and each lane's bit N sits in a byte of its own: the zero lanes are read
+    off one slice of the bytes of the flags.
     """
 
-    def __init__(self, q: int, top: int):
-        self.width = ((top + 1) * (q - 1) ** 2).bit_length()
+    def __init__(self, q: int, terms: int):
+        self.width = (terms * (q - 1) ** 2).bit_length()
         self.n = 2 * self.width
-        self.stride = self.n + self.width + 1
+        self.size = (self.n + self.width + 8) // 8  # S / 8, the bytes of a lane
+        self.mark = bytes([1 << self.n % 8])  # the byte of a lane whose bit N is set
         self.c = -(-(1 << self.n) // q)
         self.q = q
-        self.top = top
 
-    def block(self, xs: range, table: list[list[int]]):
-        """(xs, columns, low, add, high) for lanes holding table[e][i] in column e."""
-        shifts = [self.stride * i for i in range(len(xs))]
-        columns = [self.c * sum(v << s for v, s in zip(row, shifts)) for row in table]
-        ones = sum(1 << s for s in shifts)
+    def _spread(self, values: list[int]) -> int:
+        """sum_i values[i] 2^(S i), for values below 2^S."""
+        size = self.size
+        if max(values) < 256:  # one byte each, placed by one slice assignment
+            lanes = bytearray(size * len(values))
+            lanes[::size] = bytes(values)
+            return int.from_bytes(lanes, "little")
+        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+    def block(self, points: range, table):
+        """(points, columns, low, add, high) for lanes holding table[m][i] in column m."""
+        columns = [self.c * self._spread(row) for row in table]
+        ones = self._spread([1] * len(points))
         full = 1 << self.n
-        return xs, columns, (full - 1) * ones, (full - self.c) * ones, full * ones
+        return points, columns, (full - 1) * ones, (full - self.c) * ones, full * ones
 
-    def blocks(self, xs: range):
-        """The blocks of the columns x^e, e <= top, over consecutive parts of xs."""
+    def blocks(self, first: range, k: int, monomials: list[tuple[int, ...]]):
+        """The blocks of the monomials in k variables over first x F_q^(k-1).
+
+        Lane n holds the point whose k base-q digits are n (n itself at
+        k = 1), so first (of step 1) and F_q^(k-1) are in row-major order.
+        A block is a run of at most _LANES lanes of whole rows; its column
+        m holds monomials[m], built one at a time.
+        """
         q = self.q
-        for start in range(0, len(xs), _BLOCK):
-            part = xs[start:start + _BLOCK]
-            yield self.block(part, [[pow(x, e, q) for x in part] for e in range(self.top + 1)])
+        inner = q ** (k - 1)
+        rows = _LANES // inner
+        for start in range(0, len(first), rows):
+            axes = [first[start:start + rows]] + [range(q)] * (k - 1)
+            table = (self._monomial(axes, exps) for exps in monomials)
+            yield self.block(range(axes[0].start * inner, axes[0].stop * inner), table)
+
+    def _monomial(self, axes: list[range], exps: tuple[int, ...]) -> list[int]:
+        """The values mod q of prod x_t^exps[t] over the grid of the axes, row-major."""
+        q = self.q
+        values = [1]
+        for axis, e in zip(axes, exps):
+            powers = [pow(x, e, q) for x in axis]
+            values = [v * p % q for v in values for p in powers]
+        return values
 
     def zeros(self, polys: list[tuple[list[int], list[int]]], block) -> list[int]:
-        """The x of the block where every polynomial vanishes mod q.
+        """The points n of the block where every polynomial vanishes mod q.
 
-        Each polynomial is a pair (exponents, coefficients) of equal lengths.
+        Each polynomial is a pair (column indices, coefficients) of equal
+        lengths.
         """
-        xs, columns, low, add, high = block
+        points, columns, low, add, high = block
         flags = 0
-        for exps, coeffs in polys:
+        for cols, coeffs in polys:
             value = 0
-            for e, c in zip(exps, coeffs):
+            for m, c in zip(cols, coeffs):
                 if c:
-                    value += c * columns[e]
+                    value += c * columns[m]
             flags |= ((value & low) + add) & high
             if flags == high:
                 return []
-        zero = high ^ flags
+        return self.marked(high ^ flags, points)
+
+    def marked(self, flags: int, points: range) -> list[int]:
+        """points[i] for every lane i whose bit N, its only possible bit, is set in flags."""
+        size = self.size
+        marks = flags.to_bytes(size * len(points), "little")[self.n // 8::size]
         out = []
-        while zero:
-            bit = zero & -zero
-            out.append(xs[bit.bit_length() // self.stride])
-            zero ^= bit
+        i = marks.find(self.mark)
+        while i >= 0:
+            out.append(points[i])
+            i = marks.find(self.mark, i + 1)
         return out
 
 
-def _fiber_plan(compiled, d: int):
+def _fiber_plan(compiled, depth: int):
     """Maps that specialise the generators one coordinate at a time.
 
     The generators are flattened into one coefficient vector over keys
-    (generator, e_0, ..., e_{d-1}).  The map of level k sends each key
-    to its exponent of u_k and to the index of the key with that
-    exponent dropped, so substituting u_k = a is one pass of
-    multiply-adds.  Returns the maps of u_0..u_{d-2} and the final keys
-    (generator, e_{d-1}).
+    (generator, e_0, ..., e_{d-1}).  The map of level j sends each key
+    to its exponent of u_j and to the index of the key with that
+    exponent dropped, so substituting u_j = a is one pass of
+    multiply-adds.  Returns the maps of u_0..u_{depth-1} and the final
+    keys (generator, e_depth, ..., e_{d-1}).
     """
     keys = [(g,) + exps for g, terms in enumerate(compiled) for exps, _ in terms]
     levels = []
-    for _ in range(d - 1):
+    for _ in range(depth):
         shorter = sorted({key[:1] + key[2:] for key in keys})
         index = {key: j for j, key in enumerate(shorter)}
         levels.append((len(shorter), [(key[1], index[key[:1] + key[2:]]) for key in keys]))
@@ -261,51 +299,65 @@ def _fiber_plan(compiled, d: int):
     return levels, keys
 
 
+def _fibers(levels, powers, q: int, vec: list[int], prefix: Point, coords):
+    """Yields (fiber, coefficients) below prefix, vec specialised at prefix.
+
+    Each level of _fiber_plan substitutes one more coordinate, the first
+    over coords and the others over range(q).  Not a closure: a recursive
+    one is a reference cycle that keeps the caller's lanes until gc runs.
+    """
+    size, moves = levels[len(prefix)]
+    for a in coords:
+        pw = powers[a]
+        out = [0] * size
+        for c, (e, j) in zip(vec, moves):
+            if c:
+                out[j] += c * pw[e]
+        sub = [c % q for c in out]
+        if len(prefix) + 1 < len(levels):
+            yield from _fibers(levels, powers, q, sub, prefix + (a,), range(q))
+        else:
+            yield prefix + (a,), sub
+
+
 def _ideal_zero_points(d: int, q: int, compiled, first_coords):
     """Z: yields the points with u_0 in first_coords where every generator vanishes.
 
-    Each fiber's generators, specialised to polynomials in u_{d-1}, are
-    evaluated at every value of u_{d-1} at once on packed lanes (see
-    _Lanes).  At d >= 2 the blocks over range(q) are built once per call;
-    at d = 1 they are built one at a time over first_coords.
+    The last k coordinates share the lanes: k = 2 when d >= 3 and the grid
+    F_q^2 fits one block of _LANES lanes, else k = 1.  Each fiber over
+    u_0..u_{d-k-1} specialises the generators to polynomials in the last k
+    coordinates and evaluates them at every point of F_q^k at once on
+    packed lanes (see _Lanes).  At d >= 2 the blocks are built once per
+    call; at d = 1 they are built one at a time over first_coords.
     """
     if any(len(terms) == 1 and not any(terms[0][0]) for terms in compiled):
         return  # a nonzero constant generator vanishes nowhere
-    levels, last_keys = _fiber_plan(compiled, d)
-    lanes = _Lanes(q, max((e for _, e in last_keys), default=0))
+    k = 2 if d >= 3 and q * q <= _LANES else 1
+    levels, last_keys = _fiber_plan(compiled, d - k)
+    monomials = sorted({key[1:] for key in last_keys})
+    column = {exps: m for m, exps in enumerate(monomials)}
     # last_keys are sorted by generator, so each generator's keys are one slice
     slices, start = [], 0
     for _, group in itertools.groupby(last_keys, key=lambda key: key[0]):
-        exps = [e for _, e in group]
-        slices.append((exps, start, start + len(exps)))
-        start += len(exps)
+        cols = [column[key[1:]] for key in group]
+        slices.append((cols, start, start + len(cols)))
+        start += len(cols)
+    lanes = _Lanes(q, max((len(cols) for cols, _, _ in slices), default=0))
 
     def solve(vec: list[int], prefix: Point, blocks):
-        polys = [(exps, vec[lo:hi]) for exps, lo, hi in slices]
-        return (prefix + (x,) for block in blocks for x in lanes.zeros(polys, block))
-
-    def descend(k: int, vec: list[int], prefix: Point, coords):
-        size, moves = levels[k]
-        for a in coords:
-            pw = powers[a]
-            out = [0] * size
-            for c, (e, j) in zip(vec, moves):
-                if c:
-                    out[j] += c * pw[e]
-            sub = [c % q for c in out]
-            if k + 1 < len(levels):
-                yield from descend(k + 1, sub, prefix + (a,), range(q))
-            else:
-                yield from solve(sub, prefix + (a,), blocks)
+        polys = [(cols, vec[lo:hi]) for cols, lo, hi in slices]
+        return (prefix + (divmod(n, q) if k == 2 else (n,))
+                for block in blocks for n in lanes.zeros(polys, block))
 
     vec = [c for terms in compiled for _, c in terms]
     if levels:
         top = max((e for terms in compiled for exps, _ in terms for e in exps), default=0)
         powers = [[pow(a, e, q) for e in range(top + 1)] for a in range(q)]
-        blocks = list(lanes.blocks(range(q)))
-        yield from descend(0, vec, (), first_coords)
+        blocks = list(lanes.blocks(range(q), k, monomials))
+        for prefix, sub in _fibers(levels, powers, q, vec, (), first_coords):
+            yield from solve(sub, prefix, blocks)
     else:  # d = 1: solve for u_0 itself over first_coords
-        yield from solve(vec, (), lanes.blocks(first_coords))
+        yield from solve(vec, (), lanes.blocks(first_coords, k, monomials))
 
 
 def _monic_irreducibles(top: int, q: int) -> list[list[list[int]]]:
@@ -407,14 +459,22 @@ def _thread_count() -> int:
     return n
 
 
-def _plan_chunks(q: int) -> list[range]:
+# The least predicted work per worker process, counted as q^d points times
+# the generators' terms.  On 2 CPUs two workers lost to one up to 1.75e6
+# (18 ms alone, 33 ms on two) and won from 4.5e6 on (75 -> 56 ms).
+_POOL_WORK = 2_000_000
+
+
+def _plan_chunks(q: int, threads: int, work: int) -> list[range]:
     """Split the first coordinate range(q) into one contiguous chunk per worker.
 
-    The worker count is DISCKIT_THREADS capped by q and by the CPU
-    count, so no setting asks for more processes than the machine has
-    cores.  Chunk sizes differ by at most one.  Starts no process.
+    The worker count is threads capped by q, by the CPU count and by the
+    predicted work (one worker per _POOL_WORK), so no setting asks for
+    more processes than the machine has cores, and a scan too small to
+    repay a pool gets one chunk.  Chunk sizes differ by at most one.
+    Starts no process.
     """
-    workers = min(_thread_count(), q, os.cpu_count() or 1)
+    workers = min(threads, q, os.cpu_count() or 1, max(1, work // _POOL_WORK))
     bounds = [q * k // workers for k in range(workers + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -456,8 +516,9 @@ def verify_discriminant_locus(
             f"only the monic chart ({d}, 0) is enumerated, got {chart}"
         )
     _check_scan(d, l, q, budget)
-    plan = _plan_chunks(q)
+    threads = _thread_count()
     compiled = _compile_gens(d, l, q)
+    plan = _plan_chunks(q, threads, q**d * sum(map(len, compiled)))
     chunks = [(d, l, q, compiled, first_coords) for first_coords in plan]
     if len(chunks) == 1:
         results = [_scan_chunk(chunks[0])]

@@ -511,10 +511,22 @@ def test_worker_count_does_not_change_bytes(capsys, monkeypatch):
     argv = ["verify", "--d", "3", "--l", "2", "--q", "7", "--format", "json"]
     code, base, _ = run(argv, capsys)
     assert code == 0
+    # this scan is too small to repay a pool, so let it start one anyway
+    monkeypatch.setattr(oracle, "_POOL_WORK", 1)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    pools = []
+    real_pool = oracle.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setenv("DISCKIT_THREADS", "4")
     code, threaded, _ = run(argv, capsys)
     assert code == 0
     assert threaded == base
+    assert pools == [4]
 
 
 def test_plain_rendering_of_nested_payload(capsys):

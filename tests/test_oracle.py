@@ -281,25 +281,59 @@ def test_budget_below_one_is_refused_before_compiling(budget, monkeypatch):
 
 def test_worker_count_does_not_change_the_report(monkeypatch):
     baseline = verify_discriminant_locus(4, 2, 7)
+    # the scan is far too small to repay a pool: let every worker count start one
+    monkeypatch.setattr(oracle, "_POOL_WORK", 1)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    pools = []
+    real_pool = oracle.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setenv("DISCKIT_THREADS", "3")
     assert verify_discriminant_locus(4, 2, 7) == baseline
     monkeypatch.setenv("DISCKIT_THREADS", "16")
     assert verify_discriminant_locus(4, 2, 7) == baseline
+    assert pools == [3, 4]
+
+
+def test_small_scans_start_no_pool(monkeypatch):
+    cases = [(4, 2, 7), (3, 1, 47), (5, 1, 7)]
+    baseline = [verify_discriminant_locus(*case) for case in cases]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a process pool")
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("DISCKIT_THREADS", "4")
+    assert [verify_discriminant_locus(*case) for case in cases] == baseline
 
 
 def test_chunk_plan_is_capped_at_the_cpu_count(monkeypatch):
+    big = 10**6 * oracle._POOL_WORK
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("DISCKIT_THREADS", "100000")
-    plan = oracle._plan_chunks(101)
+    plan = oracle._plan_chunks(101, 100000, big)
     assert len(plan) == 4
     assert [x for chunk in plan for x in chunk] == list(range(101))
     assert max(map(len, plan)) - min(map(len, plan)) <= 1
-    assert len(oracle._plan_chunks(3)) == 3  # q caps it too
+    assert len(oracle._plan_chunks(3, 100000, big)) == 3  # q caps it too
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
-    assert oracle._plan_chunks(101) == [range(101)]
+    assert oracle._plan_chunks(101, 100000, big) == [range(101)]
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("DISCKIT_THREADS", "1")
-    assert oracle._plan_chunks(101) == [range(101)]
+    assert oracle._plan_chunks(101, 1, big) == [range(101)]
+
+
+def test_chunk_plan_is_capped_by_the_predicted_work(monkeypatch):
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
+    work = oracle._POOL_WORK
+    assert oracle._plan_chunks(101, 8, work - 1) == [range(101)]
+    assert oracle._plan_chunks(101, 8, 0) == [range(101)]
+    assert len(oracle._plan_chunks(101, 8, 3 * work)) == 3
+    assert len(oracle._plan_chunks(101, 8, 3 * work - 1)) == 2
+    assert len(oracle._plan_chunks(101, 2, 3 * work)) == 2
 
 
 def test_worker_count_validation(monkeypatch):
@@ -336,7 +370,7 @@ def test_reference_grid_covers_the_edge_cases():
     assert oracle._scan_chunk((4, 2, 13, oracle._compile_gens(4, 2, 13), range(13)))[3]
 
 
-# fields larger than one block of lanes: several blocks, a partial last one
+# fields larger than one block of 64 lanes: several blocks, a partial last one
 MULTI_BLOCK_GRID = [(2, l, q) for q in (67, 131) for l in (1, 2)]
 
 
@@ -347,7 +381,9 @@ MULTI_BLOCK_GRID = [(2, l, q) for q in (67, 131) for l in (1, 2)]
         for d, l, q in REFERENCE_GRID
     ] + MULTI_BLOCK_GRID,
 )
-def test_fiberwise_scan_matches_the_brute_force(d, l, q):
+def test_fiberwise_scan_matches_the_brute_force(d, l, q, monkeypatch):
+    if (d, l, q) in MULTI_BLOCK_GRID:
+        monkeypatch.setattr(oracle, "_LANES", 64)
     compiled = oracle._compile_gens(d, l, q)
     brute = [oracle._scan_chunk_brute((d, l, q, compiled, c)) for c in _halves(q)]
     for chunk, want in zip(_halves(q), brute):
@@ -376,6 +412,11 @@ def _every_coefficient_top(compiled, q):
         pytest.param(3, 1, 7, _bump_one_coefficient, id="3-1-7"),
         pytest.param(4, 2, 7, _bump_one_coefficient, id="4-2-7"),
         pytest.param(2, 1, 131, _every_coefficient_top, id="2-1-131-top"),
+        # on the grid a generator sums more monomials than u_{d-1} has powers
+        pytest.param(3, 1, 13, _every_coefficient_top, id="3-1-13-top"),
+        pytest.param(4, 2, 7, _every_coefficient_top, id="4-2-7-top"),
+        pytest.param(3, 1, 47, _every_coefficient_top, id="3-1-47-top",
+                     marks=pytest.mark.slow),
     ],
 )
 def test_fiberwise_scan_matches_the_brute_force_on_perturbed_generators(d, l, q, bend):
@@ -387,9 +428,10 @@ def test_fiberwise_scan_matches_the_brute_force_on_perturbed_generators(d, l, q,
     assert sound and complete  # both mismatch directions occur
 
 
-def test_degree_one_lanes_follow_first_coords():
+def test_degree_one_lanes_follow_first_coords(monkeypatch):
     # (q - 1)(1 + u + u^2 + u^3) vanishes at the fourth roots of unity but 1;
-    # 193 = 3*64 + 1, so chunks cut blocks of lanes anywhere
+    # with blocks of 64 lanes, 193 = 3*64 + 1, so chunks cut blocks anywhere
+    monkeypatch.setattr(oracle, "_LANES", 64)
     q = 193
     compiled = [[((e,), q - 1) for e in range(4)]]
     for chunk in [range(q), range(70, 150), range(64, 65)] + _halves(q):
@@ -401,31 +443,132 @@ def test_degree_one_lanes_follow_first_coords():
 def _lane_zeros(lanes, values):
     """The values that the packed test finds divisible, one value per lane."""
     out = []
-    for start in range(0, len(values), oracle._BLOCK):
-        part = values[start:start + oracle._BLOCK]
-        out += lanes.zeros([([0], [1])], lanes.block(part, [list(part)]))
+    for start in range(0, len(values), oracle._LANES):
+        part = values[start:start + oracle._LANES]
+        block = lanes.block(range(len(part)), [list(part)])
+        out += [part[i] for i in lanes.zeros([([0], [1])], block)]
     return out
 
 
-@pytest.mark.parametrize("top", [0, 3])
+# (top, terms): terms = top + 1 powers of one variable, or on the grid
+# (top + 1)^2 > top + 1 monomials in two
+@pytest.mark.parametrize("top,terms", [(0, 1), (3, 4), (2, 9)], ids=["0", "3", "2-grid"])
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
-def test_packed_divisibility_matches_the_remainder(q, top):
-    lanes = oracle._Lanes(q, top)
-    assert 2**lanes.width > (top + 1) * (q - 1) ** 2
+def test_packed_divisibility_matches_the_remainder(q, top, terms):
+    lanes = oracle._Lanes(q, terms)
+    assert 2**lanes.width > terms * (q - 1) ** 2
     values = range(2**lanes.width)
     assert _lane_zeros(lanes, values) == [v for v in values if v % q == 0]
 
 
 def test_packed_divisibility_next_to_the_lane_bound():
     q = 3163
-    lanes = oracle._Lanes(q, 4)
-    bound = 2**lanes.width
-    below = range(bound - 3 * oracle._BLOCK - 5, bound)
-    assert _lane_zeros(lanes, below) == [v for v in below if v % q == 0]
-    multiples = range((bound - 1) // q * q - 150 * q, bound, q)
-    assert _lane_zeros(lanes, multiples) == list(multiples)
-    shifted = range(multiples.start + 1, bound, q)
-    assert _lane_zeros(lanes, shifted) == []
+    for terms in (5, 25):  # five powers of one variable, or 5 x 5 monomials
+        lanes = oracle._Lanes(q, terms)
+        bound = 2**lanes.width
+        assert bound > terms * (q - 1) ** 2
+        below = range(bound - 200, bound)
+        assert _lane_zeros(lanes, below) == [v for v in below if v % q == 0]
+        multiples = range((bound - 1) // q * q - 150 * q, bound, q)
+        assert _lane_zeros(lanes, multiples) == list(multiples)
+        shifted = range(multiples.start + 1, bound, q)
+        assert _lane_zeros(lanes, shifted) == []
+
+
+def test_grid_lane_width_counts_monomials_not_powers(monkeypatch):
+    # nine monomials u_1^i u_2^j (i, j <= 2), so a lane sums up to nine
+    # products where u_2 alone has three powers
+    q = 7
+    compiled = [[((0, i, j), q - 1) for i in range(3) for j in range(3)], [((1, 0, 0), 1)]]
+    made = []
+    real = oracle._Lanes.__init__
+
+    def recording(self, q, terms):
+        made.append(self)
+        real(self, q, terms)
+
+    monkeypatch.setattr(oracle._Lanes, "__init__", recording)
+    for chunk in [range(q)] + _halves(q):
+        fast = oracle._scan_chunk((3, 1, q, compiled, chunk))
+        assert fast == oracle._scan_chunk_brute((3, 1, q, compiled, chunk))
+    largest = max(
+        (q - 1) * sum(pow(a, i, q) * pow(x, j, q) % q for i in range(3) for j in range(3))
+        for a in range(q) for x in range(q)
+    )
+    assert largest >= 2 ** (3 * (q - 1) ** 2).bit_length()  # past a width from powers
+    assert all(largest < 2**lanes.width for lanes in made)
+
+
+def _marked_by_bits(lanes, flags, points):
+    """The reference zero read: one lane per set bit, lowest first."""
+    out = []
+    while flags:
+        bit = flags & -flags
+        out.append(points[bit.bit_length() // (8 * lanes.size)])
+        flags ^= bit
+    return out
+
+
+@pytest.mark.parametrize("q,terms", [(2, 1), (7, 9), (47, 5), (47, 25), (3163, 5)])
+def test_zero_lanes_are_read_off_their_own_bytes(q, terms):
+    lanes = oracle._Lanes(q, terms)
+    assert lanes.size * 8 >= lanes.n + lanes.width + 1
+    rng = random.Random(q * terms)
+    for count in (1, 7, 64, 2209):
+        points = range(1000, 1000 + count)
+        *_, high = lanes.block(points, [])
+        # every lane's bit N is alone in its own byte, the i-th from byte N // 8 on
+        raw = high.to_bytes(lanes.size * count, "little")
+        hit = [j for j, byte in enumerate(raw) if byte]
+        assert hit == [lanes.size * i + lanes.n // 8 for i in range(count)]
+        assert {raw[j] for j in hit} == {lanes.mark[0]}
+        masks = [0, high] + [
+            sum(1 << (8 * lanes.size * i + lanes.n) for i in range(count) if rng.random() < p)
+            for p in (0.01, 0.5, 0.99)
+        ]
+        for flags in masks:
+            assert flags & high == flags
+            assert lanes.marked(flags, points) == _marked_by_bits(lanes, flags, points)
+        assert lanes.marked(0, points) == []
+        assert lanes.marked(high, points) == list(points)
+
+
+# (_LANES, d, l, q, k, blocks): q^2 just within or just past a lowered lane
+# cap, and rows of u_{d-1} alone that span several blocks
+LANE_CAP_CASES = [
+    (25, 3, 1, 5, 2, 1),  # the 5 x 5 grid fills the 25 lanes exactly
+    (24, 3, 1, 5, 1, 1),  # 25 > 24: u_2 alone, one block of 5 lanes
+    (49, 4, 2, 7, 2, 1),
+    (48, 4, 2, 7, 1, 1),
+    (50, 3, 2, 7, 2, 1),
+    (5, 3, 1, 11, 1, 3),  # rows of 11 lanes cut into blocks of 5, 5 and 1
+    (4, 4, 2, 7, 1, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "cap,d,l,q,k,blocks", LANE_CAP_CASES, ids=["-".join(map(str, c[:4])) for c in LANE_CAP_CASES]
+)
+def test_grid_and_row_lanes_match_the_brute_force(cap, d, l, q, k, blocks, monkeypatch):
+    monkeypatch.setattr(oracle, "_LANES", cap)
+    built = []
+    real = oracle._Lanes.blocks
+
+    def recording(self, first, k, monomials):
+        for block in real(self, first, k, monomials):
+            built.append((k, len(block[0])))
+            yield block
+
+    monkeypatch.setattr(oracle._Lanes, "blocks", recording)
+    compiled = oracle._compile_gens(d, l, q)
+    for chunk in [range(q)] + _halves(q):
+        built.clear()
+        fast = oracle._scan_chunk((d, l, q, compiled, chunk))
+        assert fast == oracle._scan_chunk_brute((d, l, q, compiled, chunk))
+        assert {kind for kind, _ in built} == {k}
+        assert len(built) == blocks
+        assert sum(lanes for _, lanes in built) == q**k
+        assert max(lanes for _, lanes in built) <= cap
 
 
 @pytest.mark.parametrize(
