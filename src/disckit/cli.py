@@ -177,7 +177,7 @@ def cmd_etale(args) -> CommandResult:
         "verdict": verdict,
     }
     if args.strata:
-        payload["strata"] = _payload(main1_strata(p, degree))
+        payload["strata"] = _payload(main1_strata(p, degree, b))
     return CommandResult("ok", payload)
 
 

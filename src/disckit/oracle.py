@@ -35,6 +35,7 @@ order, so reports are byte-identical whatever the worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -320,20 +321,26 @@ def _fibers(levels, powers, q: int, vec: list[int], prefix: Point, coords):
             yield prefix + (a,), sub
 
 
-def _ideal_zero_points(d: int, q: int, compiled, first_coords):
+def _lane_dims(d: int, q: int) -> int:
+    """k, the number of last coordinates that share the lanes in _ideal_zero_points."""
+    return 2 if d >= 3 and q * q <= _LANES else 1
+
+
+def _ideal_zero_points(d: int, q: int, compiled, first_coords, plan):
     """Z: yields the points with u_0 in first_coords where every generator vanishes.
 
     The last k coordinates share the lanes: k = 2 when d >= 3 and the grid
-    F_q^2 fits one block of _LANES lanes, else k = 1.  Each fiber over
-    u_0..u_{d-k-1} specialises the generators to polynomials in the last k
-    coordinates and evaluates them at every point of F_q^k at once on
-    packed lanes (see _Lanes).  At d >= 2 the blocks are built once per
-    call; at d = 1 they are built one at a time over first_coords.
+    F_q^2 fits one block of _LANES lanes, else k = 1 (_lane_dims).  plan is
+    _fiber_plan(compiled, d - k).  Each fiber over u_0..u_{d-k-1}
+    specialises the generators to polynomials in the last k coordinates
+    and evaluates them at every point of F_q^k at once on packed lanes
+    (see _Lanes).  At d >= 2 the blocks are built once per call; at d = 1
+    they are built one at a time over first_coords.
     """
     if any(len(terms) == 1 and not any(terms[0][0]) for terms in compiled):
         return  # a nonzero constant generator vanishes nowhere
-    k = 2 if d >= 3 and q * q <= _LANES else 1
-    levels, last_keys = _fiber_plan(compiled, d - k)
+    k = _lane_dims(d, q)
+    levels, last_keys = plan
     monomials = sorted({key[1:] for key in last_keys})
     column = {exps: m for m, exps in enumerate(monomials)}
     # last_keys are sorted by generator, so each generator's keys are one slice
@@ -378,19 +385,20 @@ def _monic_irreducibles(top: int, q: int) -> list[list[list[int]]]:
     return by_degree
 
 
-def _multiple_root_points(d: int, m: int, q: int, first_coords) -> set[Point]:
+def _multiple_root_points(d: int, m: int, q: int, first_coords, irreducibles) -> set[Point]:
     """M: the points with u_0 in first_coords of the forms h^m * g.
 
-    h runs over monic irreducibles with m * deg h <= d and g over monic
-    forms of degree d - m * deg h; only the constant terms of g that
-    give u_0 = h(0)^m g(0) in first_coords are enumerated.  The product
+    h runs over irreducibles, the monic irreducibles with m * deg h <= d
+    (_monic_irreducibles(d // m, q)), and g over monic forms of degree
+    d - m * deg h; only the constant terms of g that give
+    u_0 = h(0)^m g(0) in first_coords are enumerated.  The product
     is linear in g, so h^m * [0, *mid, 1] is formed once per mid and
     g(0) * h^m is added to its first m * deg h + 1 coordinates.
     """
     points: set[Point] = set()
-    for k, irreducibles in enumerate(_monic_irreducibles(d // m, q), start=1):
+    for k, of_degree in enumerate(irreducibles, start=1):
         r = d - m * k
-        for h in irreducibles:
+        for h in of_degree:
             hm = [1]
             for _ in range(m):
                 hm = _mul_mod(hm, h, q)
@@ -412,11 +420,17 @@ def _multiple_root_points(d: int, m: int, q: int, first_coords) -> set[Point]:
     return points
 
 
-def _scan_chunk(args) -> tuple[int, int, list[Point], list[Point]]:
+def _scan_tables(d: int, l: int, q: int, compiled):
+    """What every chunk of one scan shares: the fiber plan of Z and the irreducibles of M."""
+    return _fiber_plan(compiled, d - _lane_dims(d, q)), _monic_irreducibles(d // (l + 1), q)
+
+
+def _scan_chunk(args, tables=None) -> tuple[int, int, list[Point], list[Point]]:
     """Counts and mismatches for the points whose u_0 is in first_coords.
 
     first_coords is a range (one chunk of _plan_chunks), so membership
-    tests on it are O(1) and need no set.
+    tests on it are O(1) and need no set.  tables is _scan_tables of the
+    scan, built here when not given.
 
     Z and M are built independently (see the module docstring).  Z is
     streamed against the set M, so only M and the mismatches are held.
@@ -424,11 +438,12 @@ def _scan_chunk(args) -> tuple[int, int, list[Point], list[Point]]:
     per-point predicates, and a disagreement raises DisckitError.
     """
     d, l, q, compiled, first_coords = args
-    multiple = _multiple_root_points(d, l + 1, q, first_coords)
+    plan, irreducibles = tables or _scan_tables(d, l, q, compiled)
+    multiple = _multiple_root_points(d, l + 1, q, first_coords, irreducibles)
     mult_root_count = len(multiple)
     ideal_zero_count = 0
     complete_miss: list[Point] = []
-    for point in _ideal_zero_points(d, q, compiled, first_coords):
+    for point in _ideal_zero_points(d, q, compiled, first_coords, plan):
         ideal_zero_count += 1
         if point in multiple:
             multiple.remove(point)
@@ -523,8 +538,9 @@ def verify_discriminant_locus(
     if len(chunks) == 1:
         results = [_scan_chunk(chunks[0])]
     else:
+        scan = functools.partial(_scan_chunk, tables=_scan_tables(d, l, q, compiled))
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_scan_chunk, chunks))
+            results = list(pool.map(scan, chunks))
     ideal_zero_count = sum(r[0] for r in results)
     mult_root_count = sum(r[1] for r in results)
     sound_miss: list[Point] = []

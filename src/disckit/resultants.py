@@ -116,6 +116,8 @@ def det_fraction_free(matrix: list[list[RingElement]], ring: Ring) -> RingElemen
     - QQ[vars]: each row scaled to ZZ[vars] by rings.clear_denominators,
       then the ZZ[vars] path; each coefficient of the determinant is
       divided by the product of the scales.
+    - A matrix of constants over a polynomial ring takes the path of
+      its base ring, and its determinant is wrapped as a constant.
 
     No Fraction arithmetic runs inside an elimination.  Only the
     determinant is wrapped again.
@@ -127,19 +129,37 @@ def _det_raw(rows: list[list], ring: Ring) -> RingElement:
     """det_fraction_free on raw values of ring; the rows are consumed."""
     if not rows:
         return ring.one
-    p = ring.modulus
-    if p is not None:
-        return RingElement(ring, _det_mod(rows, p) if p else _det_int(rows))
-    if isinstance(ring, RationalRing):
-        scaled = [_clear_fractions(row) for row in rows]
-        det = _det_int([row for row, _ in scaled])
-        return RingElement(ring, Fraction(det, prod(s for _, s in scaled)))
+    if ring.modulus is not None or isinstance(ring, RationalRing):
+        return RingElement(ring, _det_scalar(rows, ring))
+    constants = _constant_rows(rows)
+    if constants is not None:
+        return RingElement(ring, ring._const(_det_scalar(constants, ring.base)))
     if isinstance(ring.base, RationalRing):
         cleared = [clear_denominators(row) for row in rows]
         det = _det_packed([row for row, _ in cleared]).terms
         total = prod(s for _, s in cleared)
         return RingElement(ring, MultiPoly(ring, {e: Fraction(c, total) for e, c in det.items()}))
     return RingElement(ring, _det_packed(rows))
+
+
+def _det_scalar(rows: list[list], ring: Ring):
+    """The raw determinant over ZZ, QQ or Fp; the rows are consumed."""
+    p = ring.modulus
+    if p is not None:
+        return _det_mod(rows, p) if p else _det_int(rows)
+    scaled = [_clear_fractions(row) for row in rows]
+    return Fraction(_det_int([row for row, _ in scaled]), prod(s for _, s in scaled))
+
+
+def _constant_rows(rows: list[list[MultiPoly]]) -> list[list] | None:
+    """The base values of the rows when every entry is a constant, else None."""
+    out = []
+    for row in rows:
+        values = [x.constant_raw() for x in row]
+        if None in values:
+            return None
+        out.append(values)
+    return out
 
 
 def _det_int(rows: list[list[int]]) -> int:
@@ -304,9 +324,20 @@ def _det_fraction_free_reference(matrix: list[list[RingElement]], ring: Ring) ->
     return det if sign > 0 else -det
 
 
+# The largest matrix det_cofactor expands: an n x n expansion takes n! products.
+MAX_COFACTOR_SIZE = 8
+
+
 def det_cofactor(matrix: list[list[RingElement]], ring: Ring) -> RingElement:
-    """Division-free cofactor expansion; exponential, for cross-checks only."""
+    """Division-free cofactor expansion; exponential, for cross-checks only.
+
+    A matrix of more than MAX_COFACTOR_SIZE rows raises ParameterError.
+    """
     n = len(matrix)
+    if n > MAX_COFACTOR_SIZE:
+        raise ParameterError(
+            f"cofactor expansion of a {n} x {n} matrix exceeds the limit {MAX_COFACTOR_SIZE}"
+        )
     if n == 0:
         return ring.one
     if n == 1:

@@ -25,11 +25,12 @@ is a unit, so the empty stratum that quotients it is still emitted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ExactDivisionError
-from .rings import MultiPoly, PolynomialRing, RingElement, RingHom
+from .rings import MultiPoly, PolynomialRing, Ring, RingElement, RingHom
 from .resultants import classify_discriminant, declared_degree, discriminant
 from .unipoly import UniPoly
 
@@ -116,33 +117,50 @@ def _eliminable(a: RingElement):
     Looks for a = c*v + r with c a unit of the base ring and r free of
     v; returns (v, smaller, image of v) with image = -r/c in smaller,
     the ring without v (the scalar base when v was the last variable),
-    or None when no variable qualifies.
+    or None when no variable qualifies.  The image is built term by
+    term: each term of r, its slot of v dropped, times -1/c.
     """
     ring = a.ring
     if not isinstance(ring, PolynomialRing):
         return None
     poly: MultiPoly = a.value
     base = ring.base
-    for name in ring.names:
+    for i, name in enumerate(ring.names):
         if poly.degree_in(name) != 1:
             continue
         c = poly.coefficient_of(name, 1).constant_raw()
         if c is None or not base._is_unit(c):
             continue
-        remaining = tuple(n for n in ring.names if n != name)
-        smaller = PolynomialRing(base, remaining) if remaining else base
-        r = RingHom(ring, smaller, {name: smaller.zero})(a)
-        return name, smaller, r * base._exact_div(base.coerce(-1), c)
+        scale = base._exact_div(base.coerce(-1), c)
+        image = {e[:i] + e[i + 1:]: base._mul(x, scale)
+                 for e, x in poly.terms.items() if not e[i]}
+        smaller = _without(ring, name)
+        if smaller is base:
+            return name, base, RingElement(base, image.get((), base.coerce(0)))
+        return name, smaller, RingElement(smaller, MultiPoly(smaller, image))
     return None
 
 
-def main1_strata(P: UniPoly, degree: int | None = None) -> list[Stratum]:
+@functools.lru_cache(maxsize=64)
+def _without(ring: PolynomialRing, name: str) -> Ring:
+    """ring without the variable name: the scalar base when name was the last one."""
+    remaining = tuple(n for n in ring.names if n != name)
+    return PolynomialRing(ring.base, remaining) if remaining else ring.base
+
+
+def main1_strata(
+    P: UniPoly, degree: int | None = None, b: RingElement | None = None
+) -> list[Stratum]:
     """Full etale/ramified stratification of the base of P.
 
     The declared degree follows resultants.declared_degree: it defaults
     to the actual degree and must be given for the zero polynomial.
+    A caller that already holds b = discriminant(P, degree) may pass it;
+    it is used only when the declared degree is the actual one, since a
+    padded top level works at the actual degree.
     """
-    return _strata(P, declared_degree(P, degree, "the polynomial"), (), ())
+    d = declared_degree(P, degree, "the polynomial")
+    return _strata(P, d, (), (), b if d == P.degree else None)
 
 
 def _strata(
@@ -150,6 +168,7 @@ def _strata(
     d: int,
     inv_report: tuple[str, ...],
     quo_report: tuple[str, ...],
+    b: RingElement | None = None,
 ) -> list[Stratum]:
     # No inversion survives a descent: descents happen on the closed
     # complement of every previously inverted element, so the live
@@ -174,9 +193,9 @@ def _strata(
 
     a = P.coefficient(d)
     if a.is_unit():
-        return _split_on_discriminant(P, d, inv_report, quo_report, ())
+        return _split_on_discriminant(P, d, inv_report, quo_report, (), b)
     out = _split_on_discriminant(
-        P, d, inv_report + (str(a),), quo_report, (a,)
+        P, d, inv_report + (str(a),), quo_report, (a,), b
     )
     out.extend(_descend(P, d, a, inv_report, quo_report))
     return out
@@ -188,16 +207,19 @@ def _split_on_discriminant(
     inv_report: tuple[str, ...],
     quo_report: tuple[str, ...],
     inv_live: tuple[RingElement, ...],
+    b: RingElement | None,
 ) -> list[Stratum]:
-    b = discriminant(P, d)
+    """The strata of P at degree d; b is discriminant(P, d) when the caller has it."""
+    if b is None:
+        b = discriminant(P, d)
+    poly, disc = str(P), str(b)
     if is_unit_localized(b, inv_live):
-        return [Stratum(inv_report, quo_report, str(P), d, str(b), f"etale of degree {d}")]
+        return [Stratum(inv_report, quo_report, poly, d, disc, f"etale of degree {d}")]
     if b.is_zero():
-        return [Stratum(inv_report, quo_report, str(P), d, str(b), "ramified")]
+        return [Stratum(inv_report, quo_report, poly, d, disc, "ramified")]
     return [
-        Stratum(inv_report + (str(b),), quo_report, str(P), d, str(b),
-                f"etale of degree {d}"),
-        Stratum(inv_report, quo_report + (str(b),), str(P), d, str(b), "ramified"),
+        Stratum(inv_report + (disc,), quo_report, poly, d, disc, f"etale of degree {d}"),
+        Stratum(inv_report, quo_report + (disc,), poly, d, disc, "ramified"),
     ]
 
 

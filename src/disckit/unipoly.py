@@ -87,8 +87,9 @@ MAX_DEGREE = 10**4
 # Over ZZ and Fp(p) the entries are plain ints and the functions ending in
 # _mod take the ring's modulus p (see rings): the prime over Fp(p), where
 # entries are residues in [0, p) and each output coefficient is reduced
-# once, or 0 over ZZ, where nothing is reduced.  Over QQ, products clear
-# denominators and run on the ZZ path; otherwise, over QQ and polynomial
+# once, or 0 over ZZ, where nothing is reduced.  A product with a one-term
+# operand scales the other operand in every ring.  Over QQ, other products
+# clear denominators and run on the ZZ path; otherwise, over QQ and polynomial
 # rings, whose modulus is None, the ring's raw operations are used.  Every
 # supported ring is an integral domain, so a product of trimmed lists is
 # trimmed.
@@ -199,8 +200,22 @@ def _sub(a: list, b: list, ring: Ring) -> list:
     return _add(a, _neg(b, ring), ring)
 
 
+def _scale(a: list, c, ring: Ring) -> list:
+    """c*a for a nonzero raw c; over an integral domain the product stays trimmed."""
+    p = ring.modulus
+    if p is None:
+        mul = ring._mul
+        return [mul(c, x) if x else x for x in a]
+    return [c * x % p for x in a] if p else [c * x for x in a]
+
+
 def _mul(a: list, b: list, ring: Ring) -> list:
-    """Product on the int path over ZZ and Fp, through ZZ over QQ, else schoolbook."""
+    """Product: a one-term operand scales the other; else the int path over ZZ
+    and Fp, through ZZ over QQ, or schoolbook."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        return _scale(b, a[0], ring)
     p = ring.modulus
     if p is not None:
         return _mul_mod(a, b, p)
@@ -222,7 +237,12 @@ def _mul(a: list, b: list, ring: Ring) -> list:
 
 
 def _pow(a: list, n: int, ring: Ring) -> list:
-    """a^n by square-and-multiply; a^0 = 1, also for a = 0."""
+    """a^n by square-and-multiply; a^0 = 1, also for a = 0.
+
+    A monomial c*t^k is raised as the shift t^(k*n) of c^n.
+    """
+    if len(a) > 1 and not any(a[:-1]):
+        return [ring.coerce(0)] * ((len(a) - 1) * n) + _pow(a[-1:], n, ring)
     result = None
     while n:
         if n & 1:

@@ -16,8 +16,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from disckit import dims, oracle
+from disckit import cli, dims, oracle, resultants, strata
 from disckit.cli import _format_parser, build_parser, main
+from disckit.resultants import discriminant
+from disckit.strata import main1_strata
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -186,6 +188,58 @@ def test_etale_strata_matches_golden_bytes(capsys):
     assert len(strata) == 2
     assert strata[0]["inverted"] == ["u"] and strata[0]["verdict"] == "etale of degree 2"
     assert strata[1]["quotiented"] == ["u"] and strata[1]["verdict"] == "etale of degree 1"
+
+
+# etale --strata inputs: the golden's, the worked families of the strata
+# tests, and declared degrees above the actual one (a padded top level).
+STRATA_INPUTS = [
+    ["u*t^2 + t", "--ring", "QQ[u]"],
+    ["u*t^2 + v*t + 1", "--ring", "ZZ[u,v]"],
+    ["t^2 + b*t + c", "--ring", "QQ[b,c]"],
+    ["2*t + 1", "--ring", "ZZ"],
+    ["u*t + u", "--ring", "QQ[u]"],
+    ["u*v*t^2 + u*t", "--ring", "QQ[u,v]"],
+    ["(u - v)*t^3 + u*t + 1/2*u", "--ring", "QQ[u,v]"],
+    ["(a-3)*t^3 + b^2*t + 1", "--ring", "ZZ[a,b]"],
+    ["a*t^3 + b*t^2 + t + 1", "--ring", "QQ[a,b]"],
+    ["u*t^2 + v*t + 1", "--ring", "QQ[u,v]", "--degree", "3"],
+    ["t + 1", "--ring", "QQ[u]", "--degree", "3"],
+    ["(u + 2)*t^3 + (u + 2)*t^2 + u*t + (u - v)", "--ring", "QQ[u,v]", "--degree", "4"],
+    ["u*t^2 + v*t + 1", "--ring", "Fp(7)[u,v]", "--degree", "2"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("inputs", STRATA_INPUTS, ids=" ".join)
+def test_etale_strata_bytes_with_the_discriminant_reused_or_recomputed(inputs, fmt, capsys,
+                                                                       monkeypatch):
+    argv = ["etale", *inputs, "--strata", "--format", fmt]
+    reused = run(argv, capsys)
+    assert reused[0] == 0
+    monkeypatch.setattr(cli, "main1_strata", lambda p, degree, b=None: main1_strata(p, degree))
+    assert run(argv, capsys) == reused
+    if inputs == STRATA_INPUTS[0] and fmt == "json":
+        assert reused[1] == (GOLDEN / "etale_strata_json.golden").read_text()
+
+
+@pytest.mark.parametrize("declared", [None, 2, 3])
+def test_etale_strata_computes_each_discriminant_once(declared, capsys, monkeypatch):
+    calls = []
+
+    def counting(P, degree=None):
+        calls.append((str(P), degree))
+        return discriminant(P, degree)
+
+    monkeypatch.setattr(resultants, "discriminant", counting)
+    monkeypatch.setattr(strata, "discriminant", counting)
+    degree = [] if declared is None else ["--degree", str(declared)]
+    argv = ["etale", "u*t^2 + v*t + 1", "--ring", "QQ[u,v]", *degree, "--strata"]
+    assert run(argv, capsys)[0] == 0
+    top = ("u*t^2 + v*t + 1", declared or 2)
+    assert calls.count(top) == 1
+    if declared == 3:  # the padded top level works at the actual degree
+        assert calls.count(("u*t^2 + v*t + 1", 2)) == 1
+    assert len(calls) == len(set(calls))
 
 
 @pytest.mark.parametrize(

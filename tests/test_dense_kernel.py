@@ -3,10 +3,12 @@
 UniPoly arithmetic, the parser and the oracle run on raw coefficient
 lists (unipoly._mul and friends).  Over ZZ and Fp products of operands
 with at least _KRONECKER_MIN coefficients go through Kronecker
-substitution, and over QQ they clear denominators first; every product
-is compared with _mul_reference, the schoolbook product on RingElement
-wrappers, at lengths on both sides of the threshold, with zero and
-one-term operands and interior zeros.
+substitution, and over QQ they clear denominators first, unless one
+operand has one term: then it scales the other, and a monomial's power is
+a shift of its coefficient's power.  Every product is compared with
+_mul_reference, the schoolbook product on RingElement wrappers, at
+lengths on both sides of the threshold, with zero and one-term operands,
+monomial powers and interior zeros.
 """
 
 import random
@@ -16,7 +18,7 @@ from math import comb
 
 import pytest
 
-from disckit import GF, QQ, ZZ, PolynomialRing, PrimeField, UniPoly, parse_poly
+from disckit import GF, QQ, ZZ, PolynomialRing, PrimeField, UniPoly, parse_poly, unipoly
 from disckit.unipoly import _KRONECKER_MIN, _kronecker, _mul_reference
 from conftest import rand_element
 
@@ -78,10 +80,26 @@ def test_zero_and_one_term_operands(ring):
         for k in (0, 1, 5):
             m = one_term(rng, ring, k)
             assert f * m == _mul_reference(f, m) == m * f
+            want = UniPoly.constant(ring, "t", 1)
+            for n in range(6):  # a monomial's power is a shift of its coefficient's
+                assert m**n == want
+                want = _mul_reference(want, m)
         assert f**0 == UniPoly.constant(ring, "t", 1)
         assert f**1 == f
     assert zero**0 == UniPoly.constant(ring, "t", 1)
     assert (zero**3).is_zero()
+
+
+def test_one_term_products_over_qq_clear_no_fractions(monkeypatch):
+    def no_clearing(values):
+        raise AssertionError("cleared fractions")
+
+    monkeypatch.setattr(unipoly, "_clear_fractions", no_clearing)
+    f = parse_poly("1/2*t^3 - 3/4*t^8 + (5/6*t)^3 - 7", QQ, "t")
+    assert f.coeffs == tuple(QQ.element(c) for c in (
+        -7, 0, 0, Fraction(1, 2) + Fraction(125, 216), 0, 0, 0, 0, Fraction(-3, 4)))
+    with pytest.raises(AssertionError, match="cleared fractions"):
+        parse_poly("(1/2*t + 1/3)*(t - 1/5)", QQ, "t")
 
 
 @pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64, 200])

@@ -6,6 +6,7 @@ fields, the fiberwise scan against the per-point reference scan, and
 the packed divisibility test of its lanes against remainders.
 """
 
+import os
 import random
 import re
 import tracemalloc
@@ -297,6 +298,43 @@ def test_worker_count_does_not_change_the_report(monkeypatch):
     monkeypatch.setenv("DISCKIT_THREADS", "16")
     assert verify_discriminant_locus(4, 2, 7) == baseline
     assert pools == [3, 4]
+
+
+def test_a_pooled_scan_builds_its_tables_once(monkeypatch):
+    """The fiber plan and the irreducible sieve are built once, in the
+    calling process, and handed to every chunk; the report is unchanged."""
+    baseline = verify_discriminant_locus(4, 2, 7)
+    monkeypatch.setattr(oracle, "_POOL_WORK", 1)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("DISCKIT_THREADS", "3")
+    caller = os.getpid()
+    calls = []
+
+    def counting(name):
+        real = getattr(oracle, name)
+
+        def build(*args):
+            # a forked worker inherits this wrapper; building there fails the scan
+            assert os.getpid() == caller, f"{name} was rebuilt in a worker"
+            calls.append(name)
+            return real(*args)
+
+        return build
+
+    for name in ("_fiber_plan", "_monic_irreducibles"):
+        monkeypatch.setattr(oracle, name, counting(name))
+    pools = []
+    real_pool = oracle.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", recording_pool)
+    report = verify_discriminant_locus(4, 2, 7)
+    assert pools == [3]
+    assert sorted(calls) == ["_fiber_plan", "_monic_irreducibles"]
+    assert repr(report) == repr(baseline)
 
 
 def test_small_scans_start_no_pool(monkeypatch):

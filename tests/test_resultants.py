@@ -1,5 +1,6 @@
 """Resultant and discriminant tests: layout, determinants, identities."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,8 +25,10 @@ from disckit import (
     sylvester_matrix,
     unipoly_gcd,
 )
+from disckit import resultants
 from disckit.parser import MAX_DEGREE
-from disckit.resultants import declared_degree
+from disckit.resultants import _det_packed, declared_degree
+from disckit.rings import MultiPoly, clear_denominators
 from conftest import rand_element, rand_scalar, rand_unipoly
 
 
@@ -177,6 +180,74 @@ def test_det_multilinear_in_rows():
 def test_empty_matrix_determinant_is_one():
     assert det_fraction_free([], ZZ) == ZZ.one
     assert det_cofactor([], ZZ) == ZZ.one
+
+
+def test_cofactor_expansion_is_capped():
+    def identity(n):
+        return [[ZZ.one if i == j else ZZ.zero for j in range(n)] for i in range(n)]
+
+    size = resultants.MAX_COFACTOR_SIZE
+    assert size == 8
+    assert det_cofactor(identity(size), ZZ) == ZZ.one
+    with pytest.raises(ParameterError, match="exceeds the limit 8") as info:
+        det_cofactor(identity(size + 1), ZZ)
+    assert info.value.exit_code == 3
+
+
+# ----- matrices of constants over polynomial rings -----------------------------
+
+CONSTANT_RINGS = (
+    PolynomialRing(ZZ, ("x",)),
+    PolynomialRing(QQ, ("u", "v")),
+    PolynomialRing(GF(7), ("x",)),
+)
+
+
+def _det_packed_reference(rows, ring):
+    """_det_packed on the raw rows, over QQ[vars] on rows cleared to ZZ[vars]."""
+    if ring.base != QQ:
+        return _det_packed(rows)
+    cleared = [clear_denominators(row) for row in rows]
+    total = math.prod(s for _, s in cleared)
+    det = _det_packed([row for row, _ in cleared])
+    return MultiPoly(ring, {e: Fraction(c, total) for e, c in det.terms.items()})
+
+
+@pytest.mark.parametrize("ring", CONSTANT_RINGS, ids=str)
+def test_constant_matrices_take_the_scalar_path(ring, monkeypatch):
+    rng = random.Random(4004)
+    cases = []
+    for n in range(1, 7):
+        for _ in range(6):
+            cases.append([[ring.element(rand_scalar(rng, ring.base).value) for _ in range(n)]
+                          for _ in range(n)])
+    singular = [[ring.element(v) for v in row] for row in ([1, 2, 3], [2, 4, 6], [0, 1, 5])]
+    cases.append(singular)
+    P = UniPoly(ring, "t", [2, 6, 6])  # 6*t^2 + 6*t + 2
+    cases.append(sylvester_matrix(P, P.derivative(), SylvesterSpec(2, 1)))
+    want = [_det_packed_reference([[x.value for x in row] for row in m], ring) for m in cases]
+    assert want[-2].is_zero()
+
+    def no_packed(rows):
+        raise AssertionError("a constant matrix took the packed path")
+
+    monkeypatch.setattr(resultants, "_det_packed", no_packed)
+    got = [det_fraction_free(m, ring) for m in cases]
+    assert [g.value for g in got] == want
+    assert all(g.ring == ring for g in got)
+    assert str(got[-1]) == str(discriminant(UniPoly(ring.base, "t", [2, 6, 6])))
+    assert discriminant(P) == got[-1]
+
+
+def test_a_matrix_with_one_variable_entry_takes_the_packed_path(monkeypatch):
+    ring = PolynomialRing(ZZ, ("x",))
+    x = ring.variable("x")
+    m = [[ring.element(2), ring.element(1)], [ring.element(3), x]]
+    calls = []
+    real = resultants._det_packed
+    monkeypatch.setattr(resultants, "_det_packed", lambda rows: calls.append(1) or real(rows))
+    assert det_fraction_free(m, ring) == 2 * x - 3
+    assert calls == [1]
 
 
 # ----- resultant identities --------------------------------------------------

@@ -25,6 +25,7 @@ from disckit import (
     parse_ring,
     standard_etale_check,
 )
+from disckit import strata
 from disckit.strata import _eliminable
 
 
@@ -286,10 +287,29 @@ ELIMINATIONS = [
 ]
 
 
+def _eliminable_by_hom(a):
+    """The image of v that _eliminable used to build: r = a at v = 0 through a
+    RingHom into a fresh ring without v, times -1/c."""
+    ring = a.ring
+    for name in ring.names:
+        if a.value.degree_in(name) != 1:
+            continue
+        c = a.value.coefficient_of(name, 1).constant_raw()
+        if c is None or not ring.base._is_unit(c):
+            continue
+        remaining = tuple(n for n in ring.names if n != name)
+        smaller = PolynomialRing(ring.base, remaining) if remaining else ring.base
+        r = RingHom(ring, smaller, {name: smaller.zero})(a)
+        return name, smaller, r * ring.base._exact_div(ring.base.coerce(-1), c)
+    return None
+
+
 @pytest.mark.parametrize("base, names, src, expected", ELIMINATIONS)
 def test_eliminable_image_of_linear_forms(base, names, src, expected):
     ring = parse_ring(f"{base}[{names}]")
-    step = _eliminable(parse_element(src, ring))
+    a = parse_element(src, ring)
+    step = _eliminable(a)
+    assert step == _eliminable_by_hom(a)
     if expected is None:
         assert step is None
         return
@@ -298,7 +318,33 @@ def test_eliminable_image_of_linear_forms(base, names, src, expected):
     assert image.ring == smaller
     # the substitution kills a
     hom = RingHom(ring, smaller, {name: image})
-    assert hom(parse_element(src, ring)).is_zero()
+    assert hom(a).is_zero()
+
+
+@pytest.mark.parametrize("src, rt, degree", REDUCED_FAMILIES)
+def test_eliminable_matches_the_ring_hom_substitution_along_descents(src, rt, degree, monkeypatch):
+    seen = []
+
+    def checked(a):
+        step = _eliminable(a)
+        assert step == _eliminable_by_hom(a), a
+        seen.append(step)
+        return step
+
+    monkeypatch.setattr(strata, "_eliminable", checked)
+    main1_strata(parse_poly(src, parse_ring(rt), "t"), degree)
+    assert seen
+
+
+# ----- the top-level discriminant, reused or recomputed -------------------------
+
+def test_a_padded_top_level_ignores_the_declared_degree_discriminant():
+    P = parse_poly("u*t^2 + v*t + 1", parse_ring("QQ[u,v]"), "t")
+    b3 = discriminant(P, 3)
+    assert b3 != discriminant(P, 2)
+    strata_list = main1_strata(P, 3, b3)
+    assert strata_list == main1_strata(P, 3) == main1_strata(P)
+    assert strata_list[0].discriminant == str(discriminant(P, 2))
 
 
 # ----- localized unit test ----------------------------------------------------
