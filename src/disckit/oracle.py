@@ -321,7 +321,7 @@ def _fibers(levels, powers, q: int, vec: list[int], prefix: Point, coords):
             yield prefix + (a,), sub
 
 
-def _lane_dims(d: int, q: int) -> int:
+def _lane_coords(d: int, q: int) -> int:
     """k, the number of last coordinates that share the lanes in _ideal_zero_points."""
     return 2 if d >= 3 and q * q <= _LANES else 1
 
@@ -330,7 +330,7 @@ def _ideal_zero_points(d: int, q: int, compiled, first_coords, plan):
     """Z: yields the points with u_0 in first_coords where every generator vanishes.
 
     The last k coordinates share the lanes: k = 2 when d >= 3 and the grid
-    F_q^2 fits one block of _LANES lanes, else k = 1 (_lane_dims).  plan is
+    F_q^2 fits one block of _LANES lanes, else k = 1 (_lane_coords).  plan is
     _fiber_plan(compiled, d - k).  Each fiber over u_0..u_{d-k-1}
     specialises the generators to polynomials in the last k coordinates
     and evaluates them at every point of F_q^k at once on packed lanes
@@ -339,7 +339,7 @@ def _ideal_zero_points(d: int, q: int, compiled, first_coords, plan):
     """
     if any(len(terms) == 1 and not any(terms[0][0]) for terms in compiled):
         return  # a nonzero constant generator vanishes nowhere
-    k = _lane_dims(d, q)
+    k = _lane_coords(d, q)
     levels, last_keys = plan
     monomials = sorted({key[1:] for key in last_keys})
     column = {exps: m for m, exps in enumerate(monomials)}
@@ -422,7 +422,7 @@ def _multiple_root_points(d: int, m: int, q: int, first_coords, irreducibles) ->
 
 def _scan_tables(d: int, l: int, q: int, compiled):
     """What every chunk of one scan shares: the fiber plan of Z and the irreducibles of M."""
-    return _fiber_plan(compiled, d - _lane_dims(d, q)), _monic_irreducibles(d // (l + 1), q)
+    return _fiber_plan(compiled, d - _lane_coords(d, q)), _monic_irreducibles(d // (l + 1), q)
 
 
 def _scan_chunk(args, tables=None) -> tuple[int, int, list[Point], list[Point]]:
