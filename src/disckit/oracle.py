@@ -521,8 +521,10 @@ def verify_discriminant_locus(
     Covers every monic degree-d form over F_q (the chart pinning the
     leading coefficient): the generators' zeros are solved fiber by
     fiber, the multiple-root forms are enumerated as h^m * g, and each
-    point in one set but not the other is re-tested on its own.  q^d
-    must fit the budget (at least 1) and q must be a prime exceeding d.
+    point in one set but not the other is re-tested on its own.  The
+    count of multiple-root forms is held to its closed form, q^(d-l)
+    (none at l = d); any other count raises DisckitError.  q^d must fit
+    the budget (at least 1) and q must be a prime exceeding d.
     Only the monic chart (d, 0) is enumerable for now; passing any other
     chart is an error.
     """
@@ -543,6 +545,14 @@ def verify_discriminant_locus(
             results = list(pool.map(scan, chunks))
     ideal_zero_count = sum(r[0] for r in results)
     mult_root_count = sum(r[1] for r in results)
+    # The monic forms of degree d over F_q with a root of multiplicity at
+    # least l + 1 number q^(d - l) for l < d, and none at l = d.
+    expected = q ** (d - l) if l < d else 0
+    if mult_root_count != expected:
+        raise DisckitError(
+            f"the scan over F_{q} found {mult_root_count} forms with a root of multiplicity "
+            f">= {l + 1}, but there are {expected}"
+        )
     sound_miss: list[Point] = []
     complete_miss: list[Point] = []
     for r in results:

@@ -15,14 +15,26 @@ folds right-associatively to x^8.  Implicit multiplication (2t, 3(x+1)) is a
 syntax error, as is '/' applied to anything but two integer literals.
 All syntax errors carry a 1-based line and column.
 
+The source is cut into tokens by one compiled regex.  A token is a plain
+tuple (kind, text, offset), the offset being the index of its first
+character; line and column are computed from the offset only when an
+error is raised.
+
 Every intermediate value is bounded before it is built: no integer
 literal may have more than MAX_DIGITS digits, no exponent and no total
 degree (main variable included) may exceed MAX_DEGREE, and a power over
 ZZ or QQ may not predict coefficients longer than _MAX_HEIGHT_BITS bits.
 Degrees are checked from the operands before a product or a power is
-computed, so an oversized input fails at once.  Expressions are evaluated
-on the raw coefficient lists of the unipoly kernel; parse_poly wraps the
-result in one UniPoly at the end.
+computed, so an oversized input fails at once.
+
+The evaluator makes one pass over the tokens.  A term folds its numbers
+and powers of its variables into one coefficient c and one power x^k of
+the main variable x, with the ring's raw operations; only parenthesised
+sums that are not a single term go through the list product and power of
+the unipoly kernel.  A sum adds each term into one raw coefficient list
+at index k, and parse_poly wraps that list in one UniPoly at the end.
+The evaluator that built every intermediate value as a raw list is kept
+as _ReferenceParser, which the tests hold the evaluator to.
 
 Ring descriptors use the syntax ZZ, QQ, Fp(p), optionally followed by
 a variable block: ZZ[b,c], Fp(7)[u0,u1].
@@ -31,9 +43,9 @@ a variable block: ZZ[b,c], Fp(7)[u0,u1].
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import InputSyntaxError, ParameterError, RingMismatchError
 from .rings import GF, NAME_PATTERN, QQ, ZZ, PolynomialRing, Ring, RingElement, check_name
@@ -68,6 +80,18 @@ def _height(coeffs: list, ring: Ring) -> int:
     return bits + len(coeffs).bit_length()
 
 
+def _monomial_height(c, k: int, ring: Ring) -> int:
+    """_height of the raw list of c*x^k, without building the list."""
+    if not c or getattr(ring, "base", ring).modulus:
+        return 0
+    if isinstance(ring, PolynomialRing):
+        bits = max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+                   for x in c.terms.values())
+        return bits + len(c.terms).bit_length()
+    # the k zeros below c have denominator 1, which c's denominator matches
+    return max(abs(c.numerator).bit_length(), c.denominator.bit_length()) + (k + 1).bit_length()
+
+
 class TokenKind(enum.Enum):
     NUMBER = "number"
     IDENT = "identifier"
@@ -81,165 +105,113 @@ class TokenKind(enum.Enum):
     EOF = "end of input"
 
 
-class Token(NamedTuple):
-    kind: TokenKind
-    text: str
-    line: int
-    column: int
+_NUMBER, _IDENT, _PLUS, _MINUS, _STAR, _SLASH, _CARET, _LPAREN, _RPAREN, _EOF = TokenKind
+
+# One alternative per token kind, each its own group, so a match's lastindex
+# names the kind (_KINDS).  Group 10 is any other character, an error.  The
+# leading whitespace is skipped inside the match; tokenize stops the scan
+# before trailing whitespace, so every match that starts also succeeds.
+_SPACE = " \t\r\n"
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:([0-9]+)|(" + NAME_PATTERN + r")"
+    r"|(\+)|(-)|(\*)|(/)|(\^)|(\()|(\))|([^ \t\r\n]))"
+)
+_KINDS = (None, _NUMBER, _IDENT, _PLUS, _MINUS, _STAR, _SLASH, _CARET, _LPAREN, _RPAREN)
+_BAD = len(_KINDS)
+_LASTINDEX = operator.attrgetter("lastindex")
 
 
-_SINGLE = {
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "^": TokenKind.CARET,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-}
-
-_IDENT_RE = re.compile(NAME_PATTERN)
+def _syntax_error(src: str, message: str, offset: int) -> InputSyntaxError:
+    """The error at src[offset], its 1-based line and column counted here."""
+    line = src.count("\n", 0, offset) + 1
+    column = offset - src.rfind("\n", 0, offset)
+    return InputSyntaxError(message, line, column, src)
 
 
-def tokenize(src: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= src[j] <= "9":
-                j += 1
-            if j - i > MAX_DIGITS:
-                raise InputSyntaxError(
-                    f"integer literal of {j - i} digits exceeds the limit {MAX_DIGITS}",
-                    line, col, src,
+def tokenize(src: str) -> list[tuple]:
+    """The (kind, text, offset) tokens of src, ending with an EOF token.
+
+    Raises at the first character that starts no token, or at the first
+    integer literal of more than MAX_DIGITS digits, whichever comes first.
+    """
+    matches = list(_TOKEN_RE.finditer(src, 0, len(src.rstrip(_SPACE))))
+    groups = list(map(_LASTINDEX, matches))
+    if _BAD in groups or len(src) > MAX_DIGITS:
+        for m, g in zip(matches, groups):
+            if g == _BAD:
+                raise _syntax_error(src, f"unexpected character {m[g]!r}", m.start(g))
+            if g == 1 and len(m[g]) > MAX_DIGITS:
+                raise _syntax_error(
+                    src, f"integer literal of {len(m[g])} digits exceeds the limit {MAX_DIGITS}",
+                    m.start(g),
                 )
-            tokens.append(Token(TokenKind.NUMBER, src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        ident = _IDENT_RE.match(src, i)
-        if ident:
-            j = ident.end()
-            tokens.append(Token(TokenKind.IDENT, src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise InputSyntaxError(f"unexpected character {ch!r}", line, col, src)
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+    tokens = list(zip(map(_KINDS.__getitem__, groups),
+                      map(re.Match.group, matches, groups),
+                      map(re.Match.start, matches, groups)))
+    tokens.append((_EOF, "", len(src)))
     return tokens
 
 
-class _Parser:
-    """Recursive-descent evaluator on the raw coefficient lists of unipoly.
+class _Evaluator:
+    """Token handling shared by the evaluator and its reference.
 
-    Every value is a raw list over ring, ascending in the main variable;
-    without a main variable every value has at most one entry.  The
-    scope maps variable names to values.
+    Subclasses build self.scope (name -> value of the variable) and define
+    expr(), which returns the raw coefficient list of the expression.
     """
 
-    def __init__(self, src: str, ring: Ring, scope: dict):
+    def __init__(self, src: str, ring: Ring):
         self.src = src
         self.tokens = tokenize(src)
         self.pos = 0
         self.ring = ring
-        self.scope = scope
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, tok: tuple | None = None):
+        raise _syntax_error(self.src, message, (tok or self.tokens[self.pos])[2])
 
-    def advance(self) -> Token:
+    def expect(self, kind: TokenKind) -> tuple:
         tok = self.tokens[self.pos]
+        if tok[0] is not kind:
+            self.fail(f"expected {kind.value}, found {self._describe(tok)}")
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise InputSyntaxError(message, tok.line, tok.column, self.src)
-
-    def expect(self, kind: TokenKind) -> Token:
-        tok = self.peek()
-        if tok.kind is not kind:
-            self.fail(f"expected {kind.value}, found {self._describe(tok)}")
-        return self.advance()
-
     @staticmethod
-    def _describe(tok: Token) -> str:
-        if tok.kind is TokenKind.EOF:
+    def _describe(tok: tuple) -> str:
+        kind, text, _ = tok
+        if kind is _EOF:
             return "end of input"
-        return f"{tok.kind.value} {tok.text!r}" if tok.text else tok.kind.value
+        return f"{kind.value} {text!r}" if text else kind.value
 
-    def parse(self):
+    def parse(self) -> list:
         value = self.expr()
-        tok = self.peek()
-        if tok.kind is not TokenKind.EOF:
-            if tok.kind is TokenKind.SLASH:
+        tok = self.tokens[self.pos]
+        if tok[0] is not _EOF:
+            if tok[0] is _SLASH:
                 self.fail("'/' is only allowed between two integer literals", tok)
-            if tok.kind in (TokenKind.NUMBER, TokenKind.IDENT, TokenKind.LPAREN):
+            if tok[0] in (_NUMBER, _IDENT, _LPAREN):
                 self.fail(
                     f"unexpected {self._describe(tok)}; use '*' for multiplication", tok
                 )
             self.fail(f"unexpected {self._describe(tok)}", tok)
         return value
 
-    def expr(self):
-        value = self.term()
-        while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            op = self.advance()
-            rhs = self.term()
-            value = (_add if op.kind is TokenKind.PLUS else _sub)(value, rhs, self.ring)
-        return value
+    def unknown(self, tok: tuple):
+        known = ", ".join(sorted(self.scope)) or "none"
+        self.fail(f"unknown variable {tok[1]!r} (known: {known})", tok)
 
-    def term(self):
-        value = self.factor()
-        while self.peek().kind is TokenKind.STAR:
-            op = self.advance()
-            rhs = self.factor()
-            self.check_degree(_degree(value, self.ring) + _degree(rhs, self.ring), op)
-            value = _mul(value, rhs, self.ring)
-        return value
-
-    def factor(self):
-        if self.peek().kind is TokenKind.MINUS:
-            self.advance()
-            return _neg(self.factor(), self.ring)
-        value = self.atom()
-        if self.peek().kind is TokenKind.CARET:
-            op = self.advance()
-            n = self.exponent()
-            if n > 1:
-                self.check_degree(n * _degree(value, self.ring), op)
-                if n * _height(value, self.ring) > _MAX_HEIGHT_BITS:
-                    self.fail(f"the power would have coefficients over {_MAX_HEIGHT_BITS} bits", op)
-            value = _pow(value, n, self.ring)
-        return value
-
-    def check_degree(self, degree: int, op: Token):
+    def check_degree(self, degree: int, op: tuple):
         if degree > MAX_DEGREE:
             self.fail(f"degree {degree} exceeds the limit {MAX_DEGREE}", op)
 
+    def check_height(self, bits: int, op: tuple):
+        if bits > _MAX_HEIGHT_BITS:
+            self.fail(f"the power would have coefficients over {_MAX_HEIGHT_BITS} bits", op)
+
     def exponent(self) -> int:
-        parts = [self.nat(limit=True)]
-        while self.peek().kind is TokenKind.CARET:
-            self.advance()
-            parts.append(self.nat(limit=True))
+        parts = [self.nat()]
+        while self.tokens[self.pos][0] is _CARET:
+            self.pos += 1
+            parts.append(self.nat())
         acc = parts[-1]
         for x in reversed(parts[:-1]):
             if x > 1:
@@ -250,44 +222,239 @@ class _Parser:
                 acc = x**acc
         return acc
 
-    def nat(self, limit: bool = False) -> int:
-        tok = self.expect(TokenKind.NUMBER)
-        value = int(tok.text)
-        if limit and value > MAX_DEGREE:
+    def nat(self) -> int:
+        tok = self.expect(_NUMBER)
+        value = int(tok[1])
+        if value > MAX_DEGREE:
             self.fail(f"exponent exceeds the limit {MAX_DEGREE}", tok)
         return value
 
-    def atom(self):
-        tok = self.peek()
-        if tok.kind is TokenKind.NUMBER:
-            self.advance()
-            num = int(tok.text)
-            if self.peek().kind is TokenKind.SLASH:
-                self.advance()
-                den_tok = self.expect(TokenKind.NUMBER)
-                den = int(den_tok.text)
-                if den == 0:
-                    self.fail("zero denominator", den_tok)
-                return self.const(Fraction(num, den), tok)
-            return self.const(num, tok)
-        if tok.kind is TokenKind.IDENT:
-            self.advance()
-            if tok.text not in self.scope:
-                known = ", ".join(sorted(self.scope)) or "none"
-                self.fail(f"unknown variable {tok.text!r} (known: {known})", tok)
-            return self.scope[tok.text]
-        if tok.kind is TokenKind.LPAREN:
-            self.advance()
-            value = self.expr()
-            self.expect(TokenKind.RPAREN)
-            return value
-        self.fail(f"expected a number, variable, or '(', found {self._describe(tok)}")
-
-    def const(self, literal, tok: Token):
+    def number(self, tok: tuple):
+        """The raw value of the literal tok, or of tok '/' nat; tok is consumed."""
+        num = int(tok[1])
+        if self.tokens[self.pos][0] is _SLASH:
+            self.pos += 1
+            den_tok = self.expect(_NUMBER)
+            den = int(den_tok[1])
+            if den == 0:
+                self.fail("zero denominator", den_tok)
+            num = Fraction(num, den)
         try:
-            return _trim([self.ring.coerce(literal)])
+            return self.ring.coerce(num)
         except (RingMismatchError, ParameterError) as exc:
             self.fail(str(exc), tok)
+
+
+class _Parser(_Evaluator):
+    """One-pass evaluator: each factor and term is folded to c*x^k*poly.
+
+    A factor or a term is a tuple (c, k, deg, poly) for the value
+    c * x^k * poly, x the main variable: c a raw value of the ring, k >= 0,
+    and poly None (a monomial) or a raw list with at least two nonzero
+    entries (a parenthesised sum, which enters as (one, 0, deg, list)).
+    deg is the total degree of the value, kept alongside so that the
+    bounds need no rescan; a zero value is always (zero, 0, 0, None).
+    """
+
+    def __init__(self, src: str, ring: Ring, main_var: str | None):
+        super().__init__(src, ring)
+        self.zero, self.one = ring.coerce(0), ring.coerce(1)
+        self.polynomial = isinstance(ring, PolynomialRing)
+        scope = {}
+        if self.polynomial:
+            for name in ring.names:
+                scope[name] = (ring.variable(name).value, 0, 1, None)
+        if main_var is not None:
+            scope[main_var] = (self.one, 1, 1, None)
+        self.scope = scope
+
+    def expr(self) -> list:
+        tokens, ring, one = self.tokens, self.ring, self.one
+        add = ring._add
+        acc = {}  # exponent -> coefficient
+        negate = False
+        while True:
+            c, k, _, poly = self.term()
+            if c:
+                if negate:
+                    c = ring._neg(c)
+                if poly is None:
+                    terms = ((k, c),)
+                elif c is one:
+                    terms = enumerate(poly, k)
+                else:
+                    mul = ring._mul
+                    terms = [(i, mul(c, x) if x else x) for i, x in enumerate(poly, k)]
+                for i, x in terms:
+                    y = acc.get(i)
+                    acc[i] = x if y is None else add(y, x)
+            kind = tokens[self.pos][0]
+            if kind is _PLUS:
+                negate = False
+            elif kind is _MINUS:
+                negate = True
+            else:
+                break
+            self.pos += 1
+        if not acc:
+            return []
+        coeffs = [self.zero] * (max(acc) + 1)
+        for i, x in acc.items():
+            coeffs[i] = x
+        return _trim(coeffs)
+
+    def term(self) -> tuple:
+        c, k, deg, poly = self.factor()
+        tokens = self.tokens
+        while tokens[self.pos][0] is _STAR:
+            op = tokens[self.pos]
+            self.pos += 1
+            c2, k2, deg2, poly2 = self.factor()
+            deg += deg2
+            self.check_degree(deg, op)
+            if c2 is not self.one:
+                c = c2 if c is self.one else self.ring._mul(c, c2)
+            if not c:
+                k, deg, poly = 0, 0, None
+            else:
+                k += k2
+                if poly2 is not None:
+                    poly = poly2 if poly is None else _mul(poly, poly2, self.ring)
+        return c, k, deg, poly
+
+    def factor(self) -> tuple:
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        self.pos += 1
+        if kind is _IDENT:
+            value = self.scope.get(tok[1])
+            if value is None:
+                self.unknown(tok)
+        elif kind is _NUMBER:
+            c = self.number(tok)
+            value = (c, 0, 0, None)
+        elif kind is _MINUS:
+            c, k, deg, poly = self.factor()
+            return self.ring._neg(c), k, deg, poly
+        elif kind is _LPAREN:
+            value = self.group()
+        else:
+            self.fail(f"expected a number, variable, or '(', found {self._describe(tok)}", tok)
+        if self.tokens[self.pos][0] is _CARET:
+            return self.power(value)
+        return value
+
+    def group(self) -> tuple:
+        """The value of '(' expr ')', after the '(', as a factor."""
+        coeffs = self.expr()
+        self.expect(_RPAREN)
+        if not coeffs:
+            return self.zero, 0, 0, None
+        if any(coeffs[:-1]):
+            return self.one, 0, _degree(coeffs, self.ring), coeffs
+        c, k = coeffs[-1], len(coeffs) - 1
+        return c, k, k + (c.total_degree() if self.polynomial else 0), None
+
+    def power(self, value: tuple) -> tuple:
+        op = self.tokens[self.pos]
+        self.pos += 1
+        n = self.exponent()
+        if n == 1:
+            return value
+        if n == 0:
+            return self.one, 0, 0, None
+        c, k, deg, poly = value
+        self.check_degree(n * deg, op)
+        if poly is None:
+            self.check_height(n * _monomial_height(c, k, self.ring), op)
+            return c if c is self.one else self.raw_pow(c, n), k * n, deg * n, None
+        self.check_height(n * _height(poly, self.ring), op)
+        return c, 0, deg * n, _pow(poly, n, self.ring)  # c is one (see group)
+
+    def raw_pow(self, c, n: int):
+        """c^n for a raw value c and n >= 2, by the ring's raw operations."""
+        p = self.ring.modulus
+        if p:
+            return pow(c, n, p)
+        if not self.polynomial:
+            return c**n
+        mul, result = self.ring._mul, None
+        while n:
+            if n & 1:
+                result = c if result is None else mul(result, c)
+            n >>= 1
+            if n:
+                c = mul(c, c)
+        return result
+
+
+class _ReferenceParser(_Evaluator):
+    """The evaluator the tests hold _Parser to.
+
+    Every intermediate value is a raw list over ring, ascending in the
+    main variable, built by the list operations of the unipoly kernel;
+    without a main variable every value has at most one entry.  The
+    scope maps variable names to values.  Degrees and heights are read
+    off the operand lists before every product and power.
+    """
+
+    def __init__(self, src: str, ring: Ring, main_var: str | None):
+        super().__init__(src, ring)
+        scope = _ring_scope(ring)
+        if main_var is not None:
+            scope[main_var] = [ring.coerce(0), ring.coerce(1)]
+        self.scope = scope
+
+    def expr(self):
+        value = self.term()
+        while self.tokens[self.pos][0] in (_PLUS, _MINUS):
+            op = self.tokens[self.pos]
+            self.pos += 1
+            rhs = self.term()
+            value = (_add if op[0] is _PLUS else _sub)(value, rhs, self.ring)
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.tokens[self.pos][0] is _STAR:
+            op = self.tokens[self.pos]
+            self.pos += 1
+            rhs = self.factor()
+            self.check_degree(_degree(value, self.ring) + _degree(rhs, self.ring), op)
+            value = _mul(value, rhs, self.ring)
+        return value
+
+    def factor(self):
+        if self.tokens[self.pos][0] is _MINUS:
+            self.pos += 1
+            return _neg(self.factor(), self.ring)
+        value = self.atom()
+        if self.tokens[self.pos][0] is _CARET:
+            op = self.tokens[self.pos]
+            self.pos += 1
+            n = self.exponent()
+            if n > 1:
+                self.check_degree(n * _degree(value, self.ring), op)
+                self.check_height(n * _height(value, self.ring), op)
+            value = _pow(value, n, self.ring)
+        return value
+
+    def atom(self):
+        tok = self.tokens[self.pos]
+        if tok[0] is _NUMBER:
+            self.pos += 1
+            return _trim([self.number(tok)])
+        if tok[0] is _IDENT:
+            self.pos += 1
+            if tok[1] not in self.scope:
+                self.unknown(tok)
+            return self.scope[tok[1]]
+        if tok[0] is _LPAREN:
+            self.pos += 1
+            value = self.expr()
+            self.expect(_RPAREN)
+            return value
+        self.fail(f"expected a number, variable, or '(', found {self._describe(tok)}")
 
 
 def parse_poly(src: str, ring: Ring, main_var: str | None = None):
@@ -299,25 +466,33 @@ def parse_poly(src: str, ring: Ring, main_var: str | None = None):
     is one of its elements.  Every identifier outside the declared
     variables is rejected with a positioned error.
     """
+    return _parse_poly(_Parser, src, ring, main_var)
+
+
+def parse_element(src: str, ring: Ring) -> RingElement:
+    """Parse src as an element of ring (variables allowed for polynomial rings)."""
+    return _parse_element(_Parser, src, ring)
+
+
+def _parse_poly(evaluator: type[_Evaluator], src: str, ring: Ring, main_var: str | None):
+    """parse_poly on the given evaluator class."""
     if main_var is None:
         if not isinstance(ring, PolynomialRing):
             raise ParameterError(
                 "a main variable is required when the ring has no variables"
             )
-        return parse_element(src, ring)
+        return _parse_element(evaluator, src, ring)
     check_name(main_var)
     if isinstance(ring, PolynomialRing) and main_var in ring.names:
         raise ParameterError(
             f"main variable {main_var!r} collides with a coefficient variable"
         )
-    scope = _ring_scope(ring)
-    scope[main_var] = [ring.coerce(0), ring.coerce(1)]
-    return UniPoly._of(ring, main_var, _Parser(src, ring, scope).parse())
+    return UniPoly._of(ring, main_var, evaluator(src, ring, main_var).parse())
 
 
-def parse_element(src: str, ring: Ring) -> RingElement:
-    """Parse src as an element of ring (variables allowed for polynomial rings)."""
-    value = _Parser(src, ring, _ring_scope(ring)).parse()
+def _parse_element(evaluator: type[_Evaluator], src: str, ring: Ring) -> RingElement:
+    """parse_element on the given evaluator class."""
+    value = evaluator(src, ring, None).parse()
     return RingElement(ring, value[0] if value else ring.coerce(0))
 
 
@@ -355,4 +530,3 @@ def parse_ring(text: str) -> Ring:
     if names == [""]:
         raise ParameterError(f"empty variable block in ring descriptor {text!r}")
     return PolynomialRing(base, names)
-

@@ -519,6 +519,22 @@ class MultiPoly:
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Quotient self / divisor when the division is exact.
 
+        A nonzero self = q * divisor has, in every variable, a highest
+        exponent that is the sum of those of q and of the divisor, and so
+        has a lowest one (exponents add over an integral domain).  So a
+        divisor whose highest or lowest exponent in some variable exceeds
+        self's raises ExactDivisionError at once; any other division runs
+        in the packed kernel (_exact_div_packed).
+        """
+        if divisor.is_zero():
+            raise ExactDivisionError("division by zero polynomial")
+        if self.terms and not _exponent_range_within(divisor.terms, self.terms):
+            raise ExactDivisionError("inexact polynomial division (exponent range)")
+        return self._exact_div_packed(divisor)
+
+    def _exact_div_packed(self, divisor: "MultiPoly") -> "MultiPoly":
+        """exact_div without the exponent-range test, for a nonzero divisor.
+
         Runs in the packed-monomial kernel (see _Packed.exact_div) at the
         width of the largest exponent of either operand; raises
         ExactDivisionError as soon as a leading term fails to divide,
@@ -530,12 +546,10 @@ class MultiPoly:
         lemma the now primitive divisor leaves an integer quotient iff it
         leaves a rational one; that quotient divided by g is the answer.
         """
-        if divisor.is_zero():
-            raise ExactDivisionError("division by zero polynomial")
         if isinstance(self.ring.base, RationalRing):
             (num, den), _ = clear_denominators((self, divisor))
             g = gcd(*den.terms.values())
-            quotient = num.exact_div(den._new({e: c // g for e, c in den.terms.items()}))
+            quotient = num._exact_div_packed(den._new({e: c // g for e, c in den.terms.items()}))
             return self._new({e: Fraction(c, g) for e, c in quotient.terms.items()})
         bound = max(max(e) for e in itertools.chain(self.terms, divisor.terms))
         kernel = _Packed(self.ring, bound)
@@ -566,6 +580,15 @@ class MultiPoly:
                            for exps, coeff in self.sorted_terms())
 
     __repr__ = __str__
+
+
+def _exponent_range_within(inner: dict, outer: dict) -> bool:
+    """Whether, in every variable, the lowest and the highest exponent of the
+    nonempty term map inner are at most those of the nonempty outer."""
+    for a, b in zip(zip(*inner), zip(*outer)):
+        if max(a) > max(b) or min(a) > min(b):
+            return False
+    return True
 
 
 def _clear_fractions(values: Sequence[Fraction]) -> tuple[list[int], int]:

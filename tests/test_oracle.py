@@ -745,3 +745,53 @@ def test_growth_checks_both_fields_before_scanning_either(
     monkeypatch.setattr(oracle, "_scan_chunk", no_scan)
     with pytest.raises(error, match=re.escape(message)):
         dimension_growth_check(3, 1, q1, q2, budget=budget)
+
+
+# ----- the closed form of M -----------------------------------------------------
+
+def omit_consistently(monkeypatch, extra=None):
+    """Drop the least point of M from both M and Z, or add extra to both.
+
+    Z and M then still agree, so the re-test of their symmetric difference
+    sees nothing: only the closed-form count of M can catch the change.
+    """
+    real_m, real_z = oracle._multiple_root_points, oracle._ideal_zero_points
+    changed = []
+
+    def multiple(*args):
+        points = real_m(*args)
+        if extra is not None:
+            points.add(extra)
+        elif points:
+            changed.append(min(points))
+            points.discard(changed[-1])
+        return points
+
+    def zeros(*args):
+        points = [p for p in real_z(*args) if p not in changed]
+        return points + ([extra] if extra is not None else [])
+
+    monkeypatch.setattr(oracle, "_multiple_root_points", multiple)
+    monkeypatch.setattr(oracle, "_ideal_zero_points", zeros)
+
+
+@pytest.mark.parametrize("d, l, q", [(2, 1, 5), (3, 1, 5), (3, 2, 7), (4, 2, 5)])
+def test_multiple_root_count_is_held_to_its_closed_form(d, l, q, monkeypatch):
+    assert verify_discriminant_locus(d, l, q).mult_root_count == q ** (d - l)
+    omit_consistently(monkeypatch)
+    with pytest.raises(DisckitError, match=rf"found {q ** (d - l) - 1} forms .* there are {q ** (d - l)}"):
+        verify_discriminant_locus(d, l, q)
+
+
+def test_no_multiple_root_form_at_level_d(monkeypatch):
+    assert verify_discriminant_locus(3, 3, 5).mult_root_count == 0
+    omit_consistently(monkeypatch, extra=(1, 2, 3))
+    with pytest.raises(DisckitError, match="found 1 forms .* there are 0"):
+        verify_discriminant_locus(3, 3, 5)
+
+
+def test_a_point_dropped_from_m_alone_raises(monkeypatch):
+    real = oracle._multiple_root_points
+    monkeypatch.setattr(oracle, "_multiple_root_points", lambda *a: set(sorted(real(*a))[1:]))
+    with pytest.raises(DisckitError):
+        verify_discriminant_locus(3, 1, 5)

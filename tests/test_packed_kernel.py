@@ -30,7 +30,8 @@ from disckit import (
     sylvester_matrix,
 )
 from disckit.resultants import _det_fraction_free_reference
-from disckit.rings import _Packed
+from disckit import rings
+from disckit.rings import _Packed, _exponent_range_within
 from conftest import rand_element, rand_unipoly
 
 BASES = (ZZ, QQ, GF(7))
@@ -178,6 +179,44 @@ def test_exact_div_failures(base):
             (u + 1).exact_div(ring.element(2))
     else:
         assert (u + 1).exact_div(ring.element(2)) * 2 == u + 1
+
+
+def division_outcome(divide, divisor):
+    try:
+        return divide(divisor)
+    except ExactDivisionError:
+        return "inexact"
+
+
+@pytest.mark.parametrize("ring", POLY_RINGS + (PolynomialRing(GF(7), ("a", "b", "c")),), ids=str)
+def test_exponent_range_test_agrees_with_the_packed_path(ring):
+    """exact_div refuses by exponent ranges only divisions the kernel refuses."""
+    rng = random.Random(7005)
+    refused = 0
+    for _ in range(60):
+        b = rand_nonzero(rng, ring).value
+        a = rand_element(rng, ring, terms=4, max_exp=rng.choice((1, 3, 6))).value
+        for num in (a, a._mul(b)):
+            got = division_outcome(num.exact_div, b)
+            assert got == division_outcome(num._exact_div_packed, b), (num, b)
+            refused += bool(num.terms) and not _exponent_range_within(b.terms, num.terms)
+    assert refused > 10
+
+
+@pytest.mark.parametrize("base", BASES, ids=str)
+def test_exponent_range_refusals_pack_nothing(base, monkeypatch):
+    ring = PolynomialRing(base, ("u", "v"))
+    u, v = ring.variables()
+
+    def no_packing(*args):
+        raise AssertionError("the packed kernel ran")
+
+    monkeypatch.setattr(rings, "_Packed", no_packing)
+    monkeypatch.setattr(rings, "clear_denominators", no_packing)
+    # highest exponents: v, u^4 and u^2 exceed; lowest: u*v and u exceed
+    for num, den in ((u, v), (u**3 * v, u**4), (u * v + 1, u**2), (u + v, u * v), (v + 1, u + v)):
+        with pytest.raises(ExactDivisionError, match="exponent range"):
+            num.exact_div(den)
 
 
 def test_exact_div_with_remainder_terms_that_cancel_only_mod_p():

@@ -26,6 +26,7 @@ from disckit import (
     standard_etale_check,
 )
 from disckit import strata
+from disckit.rings import MultiPoly
 from disckit.strata import _eliminable
 
 
@@ -334,6 +335,32 @@ def test_eliminable_matches_the_ring_hom_substitution_along_descents(src, rt, de
     monkeypatch.setattr(strata, "_eliminable", checked)
     main1_strata(parse_poly(src, parse_ring(rt), "t"), degree)
     assert seen
+
+
+@pytest.mark.parametrize("src, rt, degree", REDUCED_FAMILIES)
+def test_exact_div_range_test_agrees_with_the_packed_path_along_descents(src, rt, degree,
+                                                                         monkeypatch):
+    """Every exact division of a stratification, with and without the exponent-range test."""
+    exact_div = MultiPoly.exact_div
+    outcomes = []
+
+    def checked(num, den):
+        try:
+            packed = num._exact_div_packed(den)
+        except ExactDivisionError:
+            packed = None
+        try:
+            quotient = exact_div(num, den)
+        except ExactDivisionError:
+            outcomes.append("refused" if packed is None else "wrongly refused")
+            raise
+        outcomes.append("divided" if quotient == packed else "wrong quotient")
+        return quotient
+
+    monkeypatch.setattr(MultiPoly, "exact_div", checked)
+    main1_strata(parse_poly(src, parse_ring(rt), "t"), degree)
+    assert set(outcomes) <= {"refused", "divided"}, outcomes
+    assert outcomes
 
 
 # ----- the top-level discriminant, reused or recomputed -------------------------
