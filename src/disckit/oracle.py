@@ -9,12 +9,12 @@ independently of each other:
   coefficient but the last two, specialise the generators to
   polynomials in u_{d-2} and u_{d-1}, and evaluate them at every point
   of the grid F_q x F_q at once.  The values at the q^2 points sit in
-  the lanes of one packed int, in row-major order: a multiply-add per
-  monomial sums a generator in every lane, and two masks and an add
-  test all lanes for divisibility by q (Lemire's test, see _Lanes).
-  Below degree 3, or when q^2 exceeds _LANES (4096), only u_{d-1}
-  shares the lanes, in blocks of up to 4096 values.  A generator that
-  is a nonzero constant mod q leaves Z empty, and nothing is scanned.
+  the lanes of packed ints, in row-major order and in blocks of whole
+  rows of up to _LANES (4096) lanes: a multiply-add per monomial sums a
+  generator in every lane, and two masks and an add test all lanes for
+  divisibility by q (Lemire's test, see _Lanes).  At degree 2 only u_1
+  shares the lanes.  A generator that is a nonzero constant mod q
+  leaves Z empty, and nothing is scanned.
 * M, the forms with a root of multiplicity >= m in the algebraic
   closure, enumerated directly as the products h^m * g with h monic
   irreducible; over the perfect field F_q these are exactly those forms.
@@ -23,9 +23,8 @@ Every point of the symmetric difference of Z and M is tested again with
 the per-point predicates (evaluating the generators, and a gcd chain of
 derivatives that knows nothing about resultants); a disagreement raises
 DisckitError.  Z costs q^d lane evaluations spread over q^(d-2) fibers
-of one block step each on the grid (q^(d-1) fibers otherwise).
-Mismatch points are returned in sorted order, split by direction, so a
-failure is reproducible and attributable.
+(q at degree 2).  Mismatch points are returned in sorted order, split by
+direction, so a failure is reproducible and attributable.
 
 Set DISCKIT_THREADS=n to spread the scan over n worker processes
 (capped at the CPU count, at q and by the predicted work, so a scan too
@@ -187,12 +186,13 @@ _LANES = 4096
 class _Lanes:
     """Packed evaluation over F_q of sums of monomials at many points at once.
 
-    A block holds up to _LANES points of a grid, each in a lane of S bits of
-    one int, and per monomial a column c * sum_i (its value at point i, mod
-    q) 2^(S i).  With coefficients below q, a sum of at most T monomials (T
-    = terms) is below 2^W at every point, W the bit length of T(q-1)^2, and
-    is summed exactly in its lane.  Its zero test mod q is Lemire, Kaser and
-    Kurz's divisibility test (Faster Remainder by Direct Computation, 2019):
+    A block holds whole rows of a grid (up to _LANES points, or one row),
+    each point in a lane of S bits of one int, and per monomial a column
+    c * sum_i (its value at point i, mod q) 2^(S i).  With coefficients
+    below q, a sum of at most T monomials (T = terms) is below 2^W at every
+    point, W the bit length of T(q-1)^2, and is summed exactly in its
+    lane.  Its zero test mod q is Lemire, Kaser and Kurz's divisibility
+    test (Faster Remainder by Direct Computation, 2019):
     with N = 2W and c = ceil(2^N/q), q divides v < 2^W iff (v*c mod 2^N) < c.
     A sum's lanes hold v_i*c < 2^(N+W); adding 2^N - c to each lane's low N
     bits sets its bit N exactly when v_i is not divisible by q.  S is
@@ -225,21 +225,21 @@ class _Lanes:
         full = 1 << self.n
         return points, columns, (full - 1) * ones, (full - self.c) * ones, full * ones
 
-    def blocks(self, first: range, k: int, monomials: list[tuple[int, ...]]):
-        """The blocks of the monomials in k variables over first x F_q^(k-1).
+    def blocks(self, k: int, monomials: list[tuple[int, ...]]):
+        """The blocks of the monomials in k variables over F_q^k.
 
-        Lane n holds the point whose k base-q digits are n (n itself at
-        k = 1), so first (of step 1) and F_q^(k-1) are in row-major order.
-        A block is a run of at most _LANES lanes of whole rows; its column
-        m holds monomials[m], built one at a time.
+        Lane n holds the point whose k base-q digits are n, so F_q^k is in
+        row-major order.  A block is a run of whole rows of q^(k-1) lanes:
+        as many rows as fit in _LANES, but at least one.  Its column m
+        holds monomials[m], built one at a time.
         """
         q = self.q
         inner = q ** (k - 1)
-        rows = _LANES // inner
-        for start in range(0, len(first), rows):
-            axes = [first[start:start + rows]] + [range(q)] * (k - 1)
+        rows = max(1, _LANES // inner)
+        for start in range(0, q, rows):
+            axes = [range(q)[start:start + rows]] + [range(q)] * (k - 1)
             table = (self._monomial(axes, exps) for exps in monomials)
-            yield self.block(range(axes[0].start * inner, axes[0].stop * inner), table)
+            yield self.block(range(start * inner, axes[0].stop * inner), table)
 
     def _monomial(self, axes: list[range], exps: tuple[int, ...]) -> list[int]:
         """The values mod q of prod x_t^exps[t] over the grid of the axes, row-major."""
@@ -321,25 +321,25 @@ def _fibers(levels, powers, q: int, vec: list[int], prefix: Point, coords):
             yield prefix + (a,), sub
 
 
-def _lane_coords(d: int, q: int) -> int:
+def _lane_coords(d: int) -> int:
     """k, the number of last coordinates that share the lanes in _ideal_zero_points."""
-    return 2 if d >= 3 and q * q <= _LANES else 1
+    return 2 if d >= 3 else 1
 
 
 def _ideal_zero_points(d: int, q: int, compiled, first_coords, plan):
     """Z: yields the points with u_0 in first_coords where every generator vanishes.
 
-    The last k coordinates share the lanes: k = 2 when d >= 3 and the grid
-    F_q^2 fits one block of _LANES lanes, else k = 1 (_lane_coords).  plan is
+    The last k = _lane_coords(d) coordinates share the lanes, and plan is
     _fiber_plan(compiled, d - k).  Each fiber over u_0..u_{d-k-1}
     specialises the generators to polynomials in the last k coordinates
     and evaluates them at every point of F_q^k at once on packed lanes
-    (see _Lanes).  At d >= 2 the blocks are built once per call; at d = 1
-    they are built one at a time over first_coords.
+    (see _Lanes), in blocks built once per call.  At d = 1 the plan has
+    no level, but no scan gets that far: the only level is l = d, whose
+    generator is the nonzero constant 1.
     """
     if any(len(terms) == 1 and not any(terms[0][0]) for terms in compiled):
         return  # a nonzero constant generator vanishes nowhere
-    k = _lane_coords(d, q)
+    k = _lane_coords(d)
     levels, last_keys = plan
     monomials = sorted({key[1:] for key in last_keys})
     column = {exps: m for m, exps in enumerate(monomials)}
@@ -350,21 +350,15 @@ def _ideal_zero_points(d: int, q: int, compiled, first_coords, plan):
         slices.append((cols, start, start + len(cols)))
         start += len(cols)
     lanes = _Lanes(q, max((len(cols) for cols, _, _ in slices), default=0))
-
-    def solve(vec: list[int], prefix: Point, blocks):
-        polys = [(cols, vec[lo:hi]) for cols, lo, hi in slices]
-        return (prefix + (divmod(n, q) if k == 2 else (n,))
-                for block in blocks for n in lanes.zeros(polys, block))
-
+    blocks = list(lanes.blocks(k, monomials))
+    top = max((e for terms in compiled for exps, _ in terms for e in exps), default=0)
+    powers = [[pow(a, e, q) for e in range(top + 1)] for a in range(q)]
     vec = [c for terms in compiled for _, c in terms]
-    if levels:
-        top = max((e for terms in compiled for exps, _ in terms for e in exps), default=0)
-        powers = [[pow(a, e, q) for e in range(top + 1)] for a in range(q)]
-        blocks = list(lanes.blocks(range(q), k, monomials))
-        for prefix, sub in _fibers(levels, powers, q, vec, (), first_coords):
-            yield from solve(sub, prefix, blocks)
-    else:  # d = 1: solve for u_0 itself over first_coords
-        yield from solve(vec, (), lanes.blocks(first_coords, k, monomials))
+    for prefix, sub in _fibers(levels, powers, q, vec, (), first_coords):
+        polys = [(cols, sub[lo:hi]) for cols, lo, hi in slices]
+        for block in blocks:
+            for n in lanes.zeros(polys, block):
+                yield prefix + (divmod(n, q) if k == 2 else (n,))
 
 
 def _monic_irreducibles(top: int, q: int) -> list[list[list[int]]]:
@@ -422,7 +416,7 @@ def _multiple_root_points(d: int, m: int, q: int, first_coords, irreducibles) ->
 
 def _scan_tables(d: int, l: int, q: int, compiled):
     """What every chunk of one scan shares: the fiber plan of Z and the irreducibles of M."""
-    return _fiber_plan(compiled, d - _lane_coords(d, q)), _monic_irreducibles(d // (l + 1), q)
+    return _fiber_plan(compiled, d - _lane_coords(d)), _monic_irreducibles(d // (l + 1), q)
 
 
 def _scan_chunk(args, tables=None) -> tuple[int, int, list[Point], list[Point]]:
@@ -475,8 +469,11 @@ def _thread_count() -> int:
 
 
 # The least predicted work per worker process, counted as q^d points times
-# the generators' terms.  On 2 CPUs two workers lost to one up to 1.75e6
-# (18 ms alone, 33 ms on two) and won from 4.5e6 on (75 -> 56 ms).
+# the generators' terms.  On a shared 2-CPU host a forced pool of two lost
+# to one worker up to 1.75e6 in every set of runs (15-23 ms alone, 30-44 ms
+# on two).  From 4.5e6 to 3e7 it won in some sets (75 -> 56 ms at 4.5e6)
+# and lost in others (62 -> 75 ms), alike on u_{d-1} rows and on the grid;
+# at 4.7e7 it won (613 -> 352 ms).
 _POOL_WORK = 2_000_000
 
 

@@ -25,7 +25,9 @@ literal may have more than MAX_DIGITS digits, no exponent and no total
 degree (main variable included) may exceed MAX_DEGREE, and a power over
 ZZ or QQ may not predict coefficients longer than _MAX_HEIGHT_BITS bits.
 Degrees are checked from the operands before a product or a power is
-computed, so an oversized input fails at once.
+computed, so an oversized input fails at once.  The evaluators recurse
+once per parenthesis, so a '(' nested more than _MAX_NESTING deep is a
+syntax error at that '(' rather than a stack overflow.
 
 The evaluator makes one pass over the tokens.  A term folds its numbers
 and powers of its variables into one coefficient c and one power x^k of
@@ -53,6 +55,7 @@ from .unipoly import MAX_DEGREE, UniPoly, _add, _mul, _neg, _pow, _sub, _trim
 
 MAX_DIGITS = 4300  # CPython's default int-string limit
 _MAX_HEIGHT_BITS = 10**5
+_MAX_NESTING = 100  # five frames a level, far inside the default limit of 1000
 
 
 def _degree(coeffs: list, ring: Ring) -> int:
@@ -164,6 +167,7 @@ class _Evaluator:
         self.tokens = tokenize(src)
         self.pos = 0
         self.ring = ring
+        self.depth = 0
 
     def fail(self, message: str, tok: tuple | None = None):
         raise _syntax_error(self.src, message, (tok or self.tokens[self.pos])[2])
@@ -198,6 +202,19 @@ class _Evaluator:
     def unknown(self, tok: tuple):
         known = ", ".join(sorted(self.scope)) or "none"
         self.fail(f"unknown variable {tok[1]!r} (known: {known})", tok)
+
+    def group_expr(self, tok: tuple) -> list:
+        """The raw list of '(' expr ')', tok the '(' already consumed.
+
+        A '(' nested more than _MAX_NESTING deep is an error at that '('.
+        """
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            self.fail(f"parentheses nested more than {_MAX_NESTING} deep", tok)
+        value = self.expr()
+        self.expect(_RPAREN)
+        self.depth -= 1
+        return value
 
     def check_degree(self, degree: int, op: tuple):
         if degree > MAX_DEGREE:
@@ -337,17 +354,16 @@ class _Parser(_Evaluator):
             c, k, deg, poly = self.factor()
             return self.ring._neg(c), k, deg, poly
         elif kind is _LPAREN:
-            value = self.group()
+            value = self.group(tok)
         else:
             self.fail(f"expected a number, variable, or '(', found {self._describe(tok)}", tok)
         if self.tokens[self.pos][0] is _CARET:
             return self.power(value)
         return value
 
-    def group(self) -> tuple:
-        """The value of '(' expr ')', after the '(', as a factor."""
-        coeffs = self.expr()
-        self.expect(_RPAREN)
+    def group(self, tok: tuple) -> tuple:
+        """The value of '(' expr ')', tok the '(' already consumed, as a factor."""
+        coeffs = self.group_expr(tok)
         if not coeffs:
             return self.zero, 0, 0, None
         if any(coeffs[:-1]):
@@ -451,9 +467,7 @@ class _ReferenceParser(_Evaluator):
             return self.scope[tok[1]]
         if tok[0] is _LPAREN:
             self.pos += 1
-            value = self.expr()
-            self.expect(_RPAREN)
-            return value
+            return self.group_expr(tok)
         self.fail(f"expected a number, variable, or '(', found {self._describe(tok)}")
 
 

@@ -506,6 +506,39 @@ def assert_unexpected_character(f, ch, fmt, capsys):
     ]
 
 
+def _nested(depth):
+    return "(" * depth + "t" + ")" * depth
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_parentheses_at_the_nesting_bound_parse(fmt, capsys):
+    argv = ["resultant", _nested(100), "t - 1", "--ring", "ZZ", "--format", fmt]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == run(["resultant", "t"] + argv[2:], capsys)[1]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("depth", [101, 10_000])
+def test_parentheses_nested_past_the_bound_are_syntax_errors(depth, fmt, capsys):
+    # past 100 levels the error is raised at the 101st '(', long before
+    # the recursion of the evaluator could run out of stack
+    f = _nested(depth)
+    code, out, err = run(["resultant", f, "t - 1", "--ring", "ZZ", "--format", fmt], capsys)
+    assert (code, out) == (2, "")
+    if fmt == "json":
+        envelope = json.loads(err)
+        jsonschema.validate(envelope, SCHEMA)
+        lines = envelope["diagnostics"]
+    else:
+        lines = err.splitlines()
+    assert lines == [
+        "error: parentheses nested more than 100 deep (line 1, column 101)",
+        "  " + f,
+        " " * 102 + "^",
+    ]
+
+
 def test_syntax_error_json_envelope(capsys):
     env = run_json(["discriminant", "t + (", "--ring", "QQ"], capsys, expect_code=2)
     assert env["status"] == "error"

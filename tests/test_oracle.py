@@ -466,18 +466,6 @@ def test_fiberwise_scan_matches_the_brute_force_on_perturbed_generators(d, l, q,
     assert sound and complete  # both mismatch directions occur
 
 
-def test_degree_one_lanes_follow_first_coords(monkeypatch):
-    # (q - 1)(1 + u + u^2 + u^3) vanishes at the fourth roots of unity but 1;
-    # with blocks of 64 lanes, 193 = 3*64 + 1, so chunks cut blocks anywhere
-    monkeypatch.setattr(oracle, "_LANES", 64)
-    q = 193
-    compiled = [[((e,), q - 1) for e in range(4)]]
-    for chunk in [range(q), range(70, 150), range(64, 65)] + _halves(q):
-        fast = oracle._scan_chunk((1, 1, q, compiled, chunk))
-        assert fast == oracle._scan_chunk_brute((1, 1, q, compiled, chunk))
-    assert oracle._scan_chunk((1, 1, q, compiled, range(q)))[0] == 3
-
-
 def _lane_zeros(lanes, values):
     """The values that the packed test finds divisible, one value per lane."""
     out = []
@@ -571,42 +559,66 @@ def test_zero_lanes_are_read_off_their_own_bytes(q, terms):
         assert lanes.marked(high, points) == list(points)
 
 
-# (_LANES, d, l, q, k, blocks): q^2 just within or just past a lowered lane
-# cap, and rows of u_{d-1} alone that span several blocks
-LANE_CAP_CASES = [
-    (25, 3, 1, 5, 2, 1),  # the 5 x 5 grid fills the 25 lanes exactly
-    (24, 3, 1, 5, 1, 1),  # 25 > 24: u_2 alone, one block of 5 lanes
-    (49, 4, 2, 7, 2, 1),
-    (48, 4, 2, 7, 1, 1),
-    (50, 3, 2, 7, 2, 1),
-    (5, 3, 1, 11, 1, 3),  # rows of 11 lanes cut into blocks of 5, 5 and 1
-    (4, 4, 2, 7, 1, 2),
+def _record_blocks(monkeypatch):
+    """The lane count of every block that _Lanes.blocks builds from now on."""
+    built = []
+    real = oracle._Lanes.blocks
+
+    def recording(self, k, monomials):
+        assert k == 2  # the q x q grid at every d >= 3
+        for block in real(self, k, monomials):
+            built.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(oracle._Lanes, "blocks", recording)
+    return built
+
+
+def _assert_whole_rows(built, q, cap, blocks):
+    assert len(built) == blocks
+    assert sum(built) == q * q
+    assert all(lanes % q == 0 and lanes <= max(cap, q) for lanes in built)
+
+
+# (_LANES, d, l, q, blocks): the q x q grid at a lowered lane cap that it
+# fills exactly, that cuts it into runs of whole rows, or that lies below
+# q, so that each block is one row
+GRID_BLOCK_CASES = [
+    (25, 3, 1, 5, 1),  # the 5 x 5 grid fills the 25 lanes exactly
+    (24, 3, 1, 5, 2),  # 4 rows of 5 lanes, then 1
+    (49, 4, 2, 7, 1),
+    (48, 4, 2, 7, 2),  # 6 rows of 7 lanes, then 1
+    (20, 3, 2, 7, 4),  # 2 rows, 2, 2, then 1
+    (5, 3, 1, 11, 11),  # 5 < 11: one row of 11 lanes per block
+    (4, 4, 2, 7, 7),
 ]
 
 
 @pytest.mark.parametrize(
-    "cap,d,l,q,k,blocks", LANE_CAP_CASES, ids=["-".join(map(str, c[:4])) for c in LANE_CAP_CASES]
+    "cap,d,l,q,blocks", GRID_BLOCK_CASES, ids=["-".join(map(str, c[:4])) for c in GRID_BLOCK_CASES]
 )
-def test_grid_and_row_lanes_match_the_brute_force(cap, d, l, q, k, blocks, monkeypatch):
+def test_grid_blocks_of_whole_rows_match_the_brute_force(cap, d, l, q, blocks, monkeypatch):
     monkeypatch.setattr(oracle, "_LANES", cap)
-    built = []
-    real = oracle._Lanes.blocks
-
-    def recording(self, first, k, monomials):
-        for block in real(self, first, k, monomials):
-            built.append((k, len(block[0])))
-            yield block
-
-    monkeypatch.setattr(oracle._Lanes, "blocks", recording)
+    built = _record_blocks(monkeypatch)
     compiled = oracle._compile_gens(d, l, q)
     for chunk in [range(q)] + _halves(q):
         built.clear()
         fast = oracle._scan_chunk((d, l, q, compiled, chunk))
         assert fast == oracle._scan_chunk_brute((d, l, q, compiled, chunk))
-        assert {kind for kind, _ in built} == {k}
-        assert len(built) == blocks
-        assert sum(lanes for _, lanes in built) == q**k
-        assert max(lanes for _, lanes in built) <= cap
+        _assert_whole_rows(built, q, cap, blocks)
+
+
+# q^2 > 4096: the default cap holds 61 rows of 67 lanes, or 31 rows of 131
+@pytest.mark.parametrize("q,blocks", [(67, 2), (131, 5)])
+@pytest.mark.parametrize("l", [1, 2])
+def test_wide_fields_split_the_grid_at_the_default_cap(l, q, blocks, monkeypatch):
+    built = _record_blocks(monkeypatch)
+    compiled = oracle._compile_gens(3, l, q)
+    for chunk in (range(0, 1), range(q // 2, q // 2 + 2), range(q - 1, q)):
+        built.clear()
+        fast = oracle._scan_chunk((3, l, q, compiled, chunk))
+        assert fast == oracle._scan_chunk_brute((3, l, q, compiled, chunk))
+        _assert_whole_rows(built, q, oracle._LANES, blocks)
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,8 @@ def T(ring=ZZ):
         ("  t  +  1 ", T() + 1),
         ("t^1", T()),
         ("(((t)))", T()),
+        # the nesting bound counts depth, not parentheses
+        (" + ".join(["(" * 100 + "t" + ")" * 100] * 3), 3 * T()),
     ],
 )
 def test_accepted_expressions_over_zz(src, expected):

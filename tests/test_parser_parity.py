@@ -214,6 +214,9 @@ def test_many_generated_inputs_agree():
         "t t", "2t", "()", "t +", "(t", "t)", "t^-1", "t^(2)", "t^t", "/3", "t//2",
         "", "   ", "\n\n", "t$", "t & 1", "x + 1", "3.5", "t^2 +* 3", "t^", "t +\n 2 $",
         "t²", "é + t", "t^²", "３*t", "1/0", "3/7", "4/2/2", "(1/2)/2", "t -\t\t-",
+        # parentheses at the nesting bound of 100 and past it
+        "(" * 100 + "t" + ")" * 100, "(" * 101 + "t" + ")" * 101, "(" * 10_000 + "t" + ")" * 10_000,
+        "(" * 100 + "t", "t*" + "(t + " * 50 + "1" + ")" * 50 + "^2 + " + "(" * 101 + "1)",
     ],
 )
 @pytest.mark.parametrize("ring", (ZZ, QQ, GF(7), ZZ_AB, QQ_UV), ids=str)
@@ -264,6 +267,7 @@ CLI_REQUESTS = [
     ["discriminant", "(3^9999)^20*t", "--ring", "ZZ"],
     ["discriminant", "3/7*t^2 + 1", "--ring", "Fp(7)"],
     ["etale", "u*t^2 + v^200000", "--ring", "QQ[u,v]", "--strata"],
+    ["resultant", "t", "(" * 101 + "t" + ")" * 101, "--ring", "ZZ"],
 ]
 
 

@@ -1,8 +1,9 @@
 """The North star's static promises, read from the source of every module.
 
 disckit has no runtime dependencies, so every import is relative or names
-a standard-library module; and its arithmetic is exact, so no float
-literal and no call of float appears.
+a standard-library module; its arithmetic is exact, so no float literal
+and no call of float appears; and its one setting outside the command
+line is DISCKIT_THREADS, the only environment variable it reads.
 """
 
 import ast
@@ -34,3 +35,56 @@ def test_no_runtime_dependencies_and_no_floats():
                     and node.func.id == "float":
                 breaches.append(f"{where}:{node.lineno} calls float")
     assert breaches == []
+
+
+def _environment_reads(tree: ast.AST) -> list[tuple[int, str | None]]:
+    """(line, name) for each read of the environment; name is None when
+    the variable is not a string literal or the read is not one the
+    census knows (os.environ[...], os.environ.get(...), os.getenv(...))."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def literal(node):
+        ok = isinstance(node, ast.Constant) and isinstance(node.value, str)
+        return node.value if ok else None
+
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [(node.lineno, None) for alias in node.names
+                      if alias.name in ("environ", "environb", "getenv", "getenvb", "*")]
+        if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            continue
+        parent = parents.get(node)
+        if node.attr in ("getenv", "getenvb"):
+            args = parent.args if isinstance(parent, ast.Call) and parent.func is node else []
+            reads.append((node.lineno, literal(args[0]) if args else None))
+        elif node.attr in ("environ", "environb"):
+            name = None
+            if isinstance(parent, ast.Subscript) and parent.value is node:
+                name = literal(parent.slice)
+            elif isinstance(parent, ast.Attribute) and parent.attr == "get":
+                call = parents.get(parent)
+                if isinstance(call, ast.Call) and call.func is parent and call.args:
+                    name = literal(call.args[0])
+            reads.append((node.lineno, name))
+    return sorted(reads, key=lambda read: (read[0], read[1] or ""))
+
+
+def test_the_only_environment_variable_read_is_disckit_threads():
+    reads = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        reads += [(str(path.relative_to(SRC)), name) for _, name in _environment_reads(tree)]
+    assert reads == [("oracle.py", "DISCKIT_THREADS")]
+
+
+def test_the_environment_census_sees_every_form_of_read():
+    src = (
+        "import os\nfrom os import environ\n"
+        "os.environ['A']; os.environ.get('B', '1'); os.getenv('C')\n"
+        "os.environ.get(name); dict(os.environ); os.getenv(f'D{x}')\n"
+    )
+    assert _environment_reads(ast.parse(src)) == [
+        (2, None), (3, "A"), (3, "B"), (3, "C"), (4, None), (4, None), (4, None)
+    ]
