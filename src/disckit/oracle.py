@@ -29,7 +29,9 @@ direction, so a failure is reproducible and attributable.
 Set DISCKIT_THREADS=n to spread the scan over n worker processes
 (capped at the CPU count, at q and by the predicted work, so a scan too
 small to repay a pool starts none); chunks are merged in coefficient
-order, so reports are byte-identical whatever the worker count.
+order, so reports are byte-identical whatever the worker count.  The
+process-pool machinery (concurrent.futures, multiprocessing) is imported
+only when a scan starts a pool, so importing disckit does not load it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -537,6 +538,10 @@ def verify_discriminant_locus(
     if len(chunks) == 1:
         results = [_scan_chunk(chunks[0])]
     else:
+        # loaded here, not at import: it pulls in multiprocessing, socket,
+        # pickle, logging and subprocess, which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
+
         scan = functools.partial(_scan_chunk, tables=_scan_tables(d, l, q, compiled))
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             results = list(pool.map(scan, chunks))

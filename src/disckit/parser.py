@@ -27,7 +27,9 @@ ZZ or QQ may not predict coefficients longer than _MAX_HEIGHT_BITS bits.
 Degrees are checked from the operands before a product or a power is
 computed, so an oversized input fails at once.  The evaluators recurse
 once per parenthesis, so a '(' nested more than _MAX_NESTING deep is a
-syntax error at that '(' rather than a stack overflow.
+syntax error at that '(' rather than a stack overflow.  A run of unary
+minus signs is counted in a loop, not recursed into, and negates its
+factor once if the count is odd.
 
 The evaluator makes one pass over the tokens.  A term folds its numbers
 and powers of its variables into one coefficient c and one power x^k of
@@ -200,7 +202,10 @@ class _Evaluator:
         return value
 
     def unknown(self, tok: tuple):
-        known = ", ".join(sorted(self.scope)) or "none"
+        names = set(self.scope)
+        if isinstance(self.ring, PolynomialRing):
+            names.update(self.ring.names)
+        known = ", ".join(sorted(names)) or "none"
         self.fail(f"unknown variable {tok[1]!r} (known: {known})", tok)
 
     def group_expr(self, tok: tuple) -> list:
@@ -271,19 +276,16 @@ class _Parser(_Evaluator):
     entries (a parenthesised sum, which enters as (one, 0, deg, list)).
     deg is the total degree of the value, kept alongside so that the
     bounds need no rescan; a zero value is always (zero, 0, 0, None).
+    The scope holds the main variable and each ring variable the source
+    has named so far: a ring variable is built at its first use, so a
+    parse costs nothing for the variables it does not name.
     """
 
     def __init__(self, src: str, ring: Ring, main_var: str | None):
         super().__init__(src, ring)
         self.zero, self.one = ring.coerce(0), ring.coerce(1)
         self.polynomial = isinstance(ring, PolynomialRing)
-        scope = {}
-        if self.polynomial:
-            for name in ring.names:
-                scope[name] = (ring.variable(name).value, 0, 1, None)
-        if main_var is not None:
-            scope[main_var] = (self.one, 1, 1, None)
-        self.scope = scope
+        self.scope = {} if main_var is None else {main_var: (self.one, 1, 1, None)}
 
     def expr(self) -> list:
         tokens, ring, one = self.tokens, self.ring, self.one
@@ -340,25 +342,39 @@ class _Parser(_Evaluator):
         return c, k, deg, poly
 
     def factor(self) -> tuple:
-        tok = self.tokens[self.pos]
+        tokens = self.tokens
+        start = self.pos
+        while tokens[self.pos][0] is _MINUS:
+            self.pos += 1
+        negate = (self.pos - start) % 2
+        tok = tokens[self.pos]
         kind = tok[0]
         self.pos += 1
         if kind is _IDENT:
             value = self.scope.get(tok[1])
             if value is None:
-                self.unknown(tok)
+                value = self.variable(tok)
         elif kind is _NUMBER:
             c = self.number(tok)
             value = (c, 0, 0, None)
-        elif kind is _MINUS:
-            c, k, deg, poly = self.factor()
-            return self.ring._neg(c), k, deg, poly
         elif kind is _LPAREN:
             value = self.group(tok)
         else:
             self.fail(f"expected a number, variable, or '(', found {self._describe(tok)}", tok)
-        if self.tokens[self.pos][0] is _CARET:
-            return self.power(value)
+        if tokens[self.pos][0] is _CARET:
+            value = self.power(value)
+        if negate:
+            c, k, deg, poly = value
+            return self.ring._neg(c), k, deg, poly
+        return value
+
+    def variable(self, tok: tuple) -> tuple:
+        """The factor of the ring variable tok names, built and kept in the
+        scope at its first use; any other name is an error."""
+        name = tok[1]
+        if not (self.polynomial and name in self.ring.names):
+            self.unknown(tok)
+        value = self.scope[name] = (self.ring.variable(name).value, 0, 1, None)
         return value
 
     def group(self, tok: tuple) -> tuple:
@@ -441,9 +457,10 @@ class _ReferenceParser(_Evaluator):
         return value
 
     def factor(self):
-        if self.tokens[self.pos][0] is _MINUS:
+        start = self.pos
+        while self.tokens[self.pos][0] is _MINUS:
             self.pos += 1
-            return _neg(self.factor(), self.ring)
+        negate = (self.pos - start) % 2
         value = self.atom()
         if self.tokens[self.pos][0] is _CARET:
             op = self.tokens[self.pos]
@@ -453,7 +470,7 @@ class _ReferenceParser(_Evaluator):
                 self.check_degree(n * _degree(value, self.ring), op)
                 self.check_height(n * _height(value, self.ring), op)
             value = _pow(value, n, self.ring)
-        return value
+        return _neg(value, self.ring) if negate else value
 
     def atom(self):
         tok = self.tokens[self.pos]

@@ -38,9 +38,9 @@ import functools
 import heapq
 import itertools
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DisckitError,

@@ -26,8 +26,8 @@ is a unit, so the empty stratum that quotients it is still emitted.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import ExactDivisionError
 from .rings import MultiPoly, PolynomialRing, Ring, RingElement, RingHom

@@ -17,8 +17,8 @@ Karatsuba), and the product is unpacked.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import (
     ExactDivisionError,

@@ -5,6 +5,7 @@ renderings are checked for byte determinism across runs and worker
 counts.
 """
 
+import concurrent.futures
 import functools
 import json
 import math
@@ -539,6 +540,14 @@ def test_parentheses_nested_past_the_bound_are_syntax_errors(depth, fmt, capsys)
     ]
 
 
+@pytest.mark.parametrize("count", [1000, 5001])
+def test_long_runs_of_unary_minus_parse(count, capsys):
+    code, out, err = run(["resultant", "1+" + "-" * count + "t", "t", "--ring", "ZZ"], capsys)
+    assert (code, err) == (0, "")
+    same = "1+t" if count % 2 == 0 else "1-t"
+    assert out == run(["resultant", same, "t", "--ring", "ZZ"], capsys)[1]
+
+
 def test_syntax_error_json_envelope(capsys):
     env = run_json(["discriminant", "t + (", "--ring", "QQ"], capsys, expect_code=2)
     assert env["status"] == "error"
@@ -615,13 +624,13 @@ def test_worker_count_does_not_change_bytes(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "_POOL_WORK", 1)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
     pools = []
-    real_pool = oracle.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def recording_pool(max_workers):
         pools.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setenv("DISCKIT_THREADS", "4")
     code, threaded, _ = run(argv, capsys)
     assert code == 0

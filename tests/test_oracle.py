@@ -6,6 +6,7 @@ fields, the fiberwise scan against the per-point reference scan, and
 the packed divisibility test of its lanes against remainders.
 """
 
+import concurrent.futures
 import os
 import random
 import re
@@ -286,13 +287,13 @@ def test_worker_count_does_not_change_the_report(monkeypatch):
     monkeypatch.setattr(oracle, "_POOL_WORK", 1)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
     pools = []
-    real_pool = oracle.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def recording_pool(max_workers):
         pools.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setenv("DISCKIT_THREADS", "3")
     assert verify_discriminant_locus(4, 2, 7) == baseline
     monkeypatch.setenv("DISCKIT_THREADS", "16")
@@ -324,13 +325,13 @@ def test_a_pooled_scan_builds_its_tables_once(monkeypatch):
     for name in ("_fiber_plan", "_monic_irreducibles"):
         monkeypatch.setattr(oracle, name, counting(name))
     pools = []
-    real_pool = oracle.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def recording_pool(max_workers):
         pools.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     report = verify_discriminant_locus(4, 2, 7)
     assert pools == [3]
     assert sorted(calls) == ["_fiber_plan", "_monic_irreducibles"]
@@ -344,7 +345,7 @@ def test_small_scans_start_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("started a process pool")
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("DISCKIT_THREADS", "4")
     assert [verify_discriminant_locus(*case) for case in cases] == baseline

@@ -50,6 +50,17 @@ def test_accepted_expressions_over_zz(src, expected):
     assert parse_poly(src, ZZ, "t") == expected
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 5000, 5001])
+def test_a_run_of_unary_minus_negates_by_its_parity(count):
+    # a run is counted, not recursed into, and binds looser than '^'
+    sign = -1 if count % 2 else 1
+    minus = "-" * count
+    assert parse_poly(minus + "t", ZZ, "t") == sign * T()
+    assert parse_poly(minus + "t^2", ZZ, "t") == sign * T() ** 2
+    assert parse_poly("1 + " + minus + "(t - 2)^3", ZZ, "t") == 1 + sign * (T() - 2) ** 3
+    assert parse_poly("t*" + minus + "2", ZZ, "t") == sign * 2 * T()
+
+
 def test_rational_literals():
     f = parse_poly("1/2*t + 3/4", QQ, "t")
     assert f == T(QQ) * Fraction(1, 2) + Fraction(3, 4)

@@ -217,6 +217,11 @@ def test_many_generated_inputs_agree():
         # parentheses at the nesting bound of 100 and past it
         "(" * 100 + "t" + ")" * 100, "(" * 101 + "t" + ")" * 101, "(" * 10_000 + "t" + ")" * 10_000,
         "(" * 100 + "t", "t*" + "(t + " * 50 + "1" + ")" * 50 + "^2 + " + "(" * 101 + "1)",
+        # runs of 0, 1, 2 and 5000 unary minus signs, before '^' and '('
+        *(f"1 {op} {'-' * n}{operand}"
+          for n in (0, 1, 2, 5000) for op in "+-*"
+          for operand in ("t", "t^2", "(t - 3)", "(t - 3)^2", "2/3")),
+        "-" * 5000, "-" * 5000 + ")", "- - -\t-\n-t^3", "-" * 5001 + "(t^2 + 1)^2*-t",
     ],
 )
 @pytest.mark.parametrize("ring", (ZZ, QQ, GF(7), ZZ_AB, QQ_UV), ids=str)
@@ -237,6 +242,27 @@ def test_long_integer_literals_agree():
     big = "1" + "0" * 4300
     for src in (big, big[:-1], "t - " + big, "x" + big + " + $", "$ + " + big, big + " $"):
         assert_same(src, ZZ, "t")
+
+
+def test_a_parse_builds_only_the_ring_variables_it_names(monkeypatch):
+    ring = PolynomialRing(ZZ, [f"a{i}" for i in range(4000)])
+    built = []
+    variable = PolynomialRing.variable
+
+    def counting(self, name):
+        built.append(name)
+        return variable(self, name)
+
+    monkeypatch.setattr(PolynomialRing, "variable", counting)
+    fast = outcome(_Parser, "a7*t + 1", ring, "t")
+    assert built == ["a7"]
+    built.clear()
+    assert outcome(_Parser, "a7*t + a3 - a7^2 + a3*t", ring, "t")[0] == "ok"
+    assert built == ["a7", "a3"]
+    monkeypatch.undo()
+    assert fast == outcome(_ReferenceParser, "a7*t + 1", ring, "t")
+    for src in ("a7*t + a3999 - a0^2", "a7*t + b"):
+        assert_same(src, ring, "t")
 
 
 # ----- the command line with either evaluator -------------------------------------

@@ -3,10 +3,14 @@
 disckit has no runtime dependencies, so every import is relative or names
 a standard-library module; its arithmetic is exact, so no float literal
 and no call of float appears; and its one setting outside the command
-line is DISCKIT_THREADS, the only environment variable it reads.
+line is DISCKIT_THREADS, the only environment variable it reads.  A
+command loads no module that it does not run: the process-pool machinery
+only when a scan starts a pool, and typing never.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -88,3 +92,43 @@ def test_the_environment_census_sees_every_form_of_read():
     assert _environment_reads(ast.parse(src)) == [
         (2, None), (3, "A"), (3, "B"), (3, "C"), (4, None), (4, None), (4, None)
     ]
+
+
+def _fresh_python(code: str, **env: str) -> str:
+    """stdout of code run by a fresh `python -S` that imports disckit from SRC."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+def test_importing_disckit_loads_no_pool_machinery_and_no_typing():
+    loaded = _fresh_python(
+        "import sys\n"
+        "import disckit, disckit.cli\n"
+        "print('\\n'.join(sys.modules))\n"
+    ).split()
+    assert "disckit.cli" in loaded and "disckit.oracle" in loaded
+    heavy = [name for name in loaded
+             if name == "typing" or name.partition(".")[0] in ("concurrent", "multiprocessing")]
+    assert heavy == []
+
+
+def test_a_pooled_scan_in_a_fresh_process_matches_one_process(monkeypatch):
+    """The pool's import runs the first time a scan starts a pool."""
+    monkeypatch.delenv("DISCKIT_THREADS", raising=False)
+    from disckit import oracle
+
+    baseline = repr(oracle.verify_discriminant_locus(4, 2, 7))
+    pooled = _fresh_python(
+        "import sys\n"
+        "from disckit import oracle\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "oracle._POOL_WORK = 1\n"
+        "oracle.os.cpu_count = lambda: 2\n"
+        "print(repr(oracle.verify_discriminant_locus(4, 2, 7)))\n"
+        "assert 'concurrent.futures.process' in sys.modules\n",
+        DISCKIT_THREADS="2",
+    )
+    assert pooled.strip() == baseline
