@@ -8,6 +8,16 @@ but never fall below them.  Keeping the declared degree first-class is
 what lets symbolic leading coefficients specialize to zero without
 changing the matrix shape.
 
+That determinant is the value, not the method.  resultant strips the
+padding first by its two laws, then works at the actual degrees: over
+Fp by the Euclidean remainder sequence, over ZZ by the subresultant PRS
+with every division checked, over QQ by the ZZ sequence on operands
+cleared of their denominators, and over a polynomial ring whose operands
+have constant coefficients by its base ring's sequence.  Only other
+polynomial-ring operands reach a Sylvester matrix, under packed
+Bareiss.  The determinant at the declared degrees stays as
+_resultant_reference, which the tests hold resultant to.
+
 The discriminant of P at declared degree d is the raw determinant
 Res_{d,d-1}(P, P'), with no content or sign normalization: for
 t^2 + b*t + c it is 4c - b^2.
@@ -22,6 +32,7 @@ from math import prod
 
 from .errors import ExactDivisionError, ParameterError, RingMismatchError
 from .rings import (
+    ZZ,
     MultiPoly,
     RationalRing,
     Ring,
@@ -30,7 +41,7 @@ from .rings import (
     _Packed,
     clear_denominators,
 )
-from .unipoly import MAX_DEGREE, UniPoly
+from .unipoly import MAX_DEGREE, UniPoly, _trim
 
 
 @dataclass(frozen=True)
@@ -52,7 +63,7 @@ def declared_degree(poly: UniPoly, declared: int | None, which: str) -> int:
     discriminants, strata and the command line: the zero polynomial
     needs one, and it is never negative, below the actual degree, nor
     above unipoly.MAX_DEGREE, the bound on every parsed degree (a
-    declared degree sizes the Sylvester matrix before any entry exists).
+    declared degree sizes sylvester_matrix before any entry exists).
     """
     if declared is None:
         if poly.is_zero():
@@ -86,12 +97,18 @@ def sylvester_matrix(
     return [[RingElement(ring, x) for x in row] for row in _sylvester_rows(F, G, spec)]
 
 
-def _sylvester_rows(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None) -> list[list]:
-    """The rows of sylvester_matrix as raw values, read off the raw coefficient lists."""
+def _declared_pair(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None) -> tuple[int, int]:
+    """The declared degrees (m, n) of a resultant's operands, which share one line."""
     if F.coeff_ring != G.coeff_ring or F.var != G.var:
         raise RingMismatchError("resultant arguments live in different polynomial rings")
     m = declared_degree(F, spec.m if spec else None, "the first polynomial")
     n = declared_degree(G, spec.n if spec else None, "the second polynomial")
+    return m, n
+
+
+def _sylvester_rows(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None) -> list[list]:
+    """The rows of sylvester_matrix as raw values, read off the raw coefficient lists."""
+    m, n = _declared_pair(F, G, spec)
     zero = F.coeff_ring.coerce(0)
     size = m + n
     rows = []
@@ -151,12 +168,23 @@ def _det_scalar(rows: list[list], ring: Ring):
     return Fraction(_det_int([row for row, _ in scaled]), prod(s for _, s in scaled))
 
 
+def _constants(values: list[MultiPoly]) -> list | None:
+    """The base values when every entry is a constant, else None (at the first that is not)."""
+    out = []
+    for x in values:
+        c = x.constant_raw()
+        if c is None:
+            return None
+        out.append(c)
+    return out
+
+
 def _constant_rows(rows: list[list[MultiPoly]]) -> list[list] | None:
     """The base values of the rows when every entry is a constant, else None."""
     out = []
     for row in rows:
-        values = [x.constant_raw() for x in row]
-        if None in values:
+        values = _constants(row)
+        if values is None:
             return None
         out.append(values)
     return out
@@ -354,8 +382,146 @@ def det_cofactor(matrix: list[list[RingElement]], ring: Ring) -> RingElement:
 
 
 def resultant(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = None) -> RingElement:
-    """Raw Sylvester determinant of (F, G) at the declared degrees."""
+    """Raw Sylvester determinant of (F, G) at the declared degrees (m, n).
+
+    The padding comes off first, in every ring.  A zero polynomial gives
+    a zero row, unless the other side has no rows: Res_{m,0}(0, g0) is
+    g0^m.  Otherwise, with a = deg F and b = deg G,
+
+        Res_{a+k,b}(F, G) = (-1)^(b*k) * lc(G)^k * Res_{a,b}(F, G),
+        Res_{a,b+k}(F, G) = lc(F)^k * Res_{a,b}(F, G),
+
+    and padding on both sides leaves a zero first column.
+    Res_{a,b} is then a remainder sequence on the raw coefficient lists
+    when the coefficients are scalars, or constants of a polynomial ring
+    (_resultant_scalar); any other polynomial ring runs packed Bareiss on
+    the (a+b) x (a+b) Sylvester matrix.  _resultant_reference builds the
+    matrix at the declared degrees and is what this is tested against.
+    """
+    m, n = _declared_pair(F, G, spec)
+    ring = F.coeff_ring
+    f, g = F._raw, G._raw
+    if m + n == 0:
+        return ring.one
+    if not f:
+        return G.coefficient(0) ** m if n == 0 else ring.zero
+    if not g:
+        return F.coefficient(0) ** n if m == 0 else ring.zero
+    k, l = m - len(f) + 1, n - len(g) + 1
+    if k and l:
+        return ring.zero
+    if ring.modulus is not None or isinstance(ring, RationalRing):
+        value = RingElement(ring, _resultant_scalar(f, g, ring))
+    else:
+        cf = _constants(f)
+        cg = _constants(g) if cf is not None else None
+        if cg is None:
+            value = _det_raw(_sylvester_rows(F, G, None), ring)
+        else:
+            value = RingElement(ring, ring._const(_resultant_scalar(cf, cg, ring.base)))
+    if k:
+        value = value * RingElement(ring, g[-1]) ** k
+        return -value if n * k % 2 else value
+    if l:
+        value = value * RingElement(ring, f[-1]) ** l
+    return value
+
+
+def _resultant_reference(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = None) -> RingElement:
+    """The Sylvester determinant at the declared degrees; the reference resultant is tested against."""
     return _det_raw(_sylvester_rows(F, G, spec), F.coeff_ring)
+
+
+def _resultant_scalar(f: list, g: list, ring: Ring):
+    """The raw Res_{deg f, deg g} of two nonzero raw lists over ZZ, QQ or Fp.
+
+    Over QQ, with s*F and t*G cleared to ZZ by rings._clear_fractions,
+    Res(F, G) = Res(s*F, t*G) / (s^deg G * t^deg F).
+    """
+    p = ring.modulus
+    if p is not None:
+        return _resultant_mod(f, g, p) if p else _resultant_int(f, g)
+    (f, s), (g, t) = _clear_fractions(f), _clear_fractions(g)
+    return Fraction(_resultant_int(f, g), s ** (len(g) - 1) * t ** (len(f) - 1))
+
+
+def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
+    """Res(A, B) over F_p at the actual degrees, by the Euclidean recurrence
+
+        Res(A, B) = (-1)^(deg A * deg B) * lc(B)^(deg A - deg R) * Res(B, R)
+
+    for R = A mod B, down to Res(A, c) = c^deg A for a constant c.
+    """
+    res = 1
+    while len(b) > 1:
+        db = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        r = list(a)
+        while len(r) > db:
+            c = r.pop() * inv % p
+            shift = len(r) - db
+            r[shift:] = [(x - c * y) % p for x, y in zip(r[shift:], b)]
+            _trim(r)
+        if not r:
+            return 0
+        da = len(a) - 1
+        if da & db & 1:
+            res = -res
+        res = res * pow(b[-1], da - len(r) + 1, p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
+def _resultant_int(a: list[int], b: list[int]) -> int:
+    """Res(A, B) over ZZ at the actual degrees, by the subresultant PRS.
+
+    Collins' and Brown-Traub's sequence in the form of Cohen's Algorithm
+    3.3.7, without the content: each pseudo-remainder is divided by
+    g * h^delta, and the last nonzero subresultant is lc(B)^deg A / h^(deg A - 1).
+    Every division goes through ZZ._exact_div, which raises
+    ExactDivisionError on a remainder.
+    """
+    exact = ZZ._exact_div
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) & (len(b) - 1) & 1:
+            sign = -1
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0
+        d = g * h**delta
+        a, b = b, r if d == 1 else [exact(x, d) for x in r]
+        g = a[-1]
+        if delta:
+            h = exact(g**delta, h ** (delta - 1))
+    da = len(a) - 1
+    return sign * exact(b[0] ** da, h ** max(da - 1, 0))
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lc(B)^(deg A - deg B + 1) * A by B, on ints, trimmed."""
+    lc = b[-1]
+    db = len(b) - 1
+    r = list(a)
+    steps = len(a) - db
+    while len(r) > db:
+        c = r.pop()
+        shift = len(r) - db
+        r[:shift] = [lc * x for x in r[:shift]]
+        r[shift:] = [lc * x - c * y for x, y in zip(r[shift:], b)]
+        steps -= 1
+        _trim(r)
+    if steps and r:
+        scale = lc**steps
+        r = [scale * x for x in r]
+    return r
 
 
 def bezout_certificate(

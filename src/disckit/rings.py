@@ -315,14 +315,15 @@ class PolynomialRing(Ring):
             check_name(name)
         self.base = base
         self.names = names
+        self._index = {name: i for i, name in enumerate(names)}
 
     def variable(self, name: str) -> "RingElement":
-        if name not in self.names:
+        i = self._index.get(name)
+        if i is None:
             raise ParameterError(
                 f"{self} has no variable {name!r}; its variables are {', '.join(self.names)}"
             )
-        i = self.names.index(name)
-        exps = tuple(1 if k == i else 0 for k in range(len(self.names)))
+        exps = (0,) * i + (1,) + (0,) * (len(self.names) - 1 - i)
         return RingElement(self, MultiPoly(self, {exps: self.base.coerce(1)}))
 
     def variables(self) -> tuple["RingElement", ...]:

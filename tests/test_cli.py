@@ -72,6 +72,21 @@ def test_resultant_declared_degree_padding(capsys):
     assert env["payload"]["deg_f"] == 2
 
 
+@pytest.mark.parametrize(
+    "ring, f, value",
+    [
+        # (-1)^(1*9999) * 2^9999 * Res_{1,1}(f, 2t - 1); Res_{1,1} is -3, or -1 - 2a
+        ("ZZ", "t+1", str(3 * 2**9999)),
+        ("QQ", "t+1", str(3 * 2**9999)),
+        ("ZZ[a]", "t+a", f"{2**10000}*a + {2**9999}"),
+    ],
+)
+def test_resultant_at_the_largest_declared_degree(ring, f, value, capsys):
+    env = run_json(["resultant", f, "2*t-1", "--ring", ring, "--deg-f", "10000"], capsys)
+    assert env["payload"]["resultant"] == value
+    assert env["payload"]["deg_f"] == 10000
+
+
 def test_resultant_symbolic(capsys):
     env = run_json(
         ["resultant", "t^2 + b*t + c", "2*t + b", "--ring", "ZZ[b,c]"], capsys

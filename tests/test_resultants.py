@@ -27,7 +27,7 @@ from disckit import (
 )
 from disckit import resultants
 from disckit.parser import MAX_DEGREE
-from disckit.resultants import _det_packed, declared_degree
+from disckit.resultants import _det_packed, _resultant_reference, declared_degree
 from disckit.rings import MultiPoly, clear_denominators
 from conftest import rand_element, rand_scalar, rand_unipoly
 
@@ -68,7 +68,7 @@ def test_two_monic_linears():
     assert resultant(t - 2, t - 5) == ZZ.element(-3)
 
 
-@pytest.mark.parametrize("ring", (ZZ, GF(7)), ids=str)
+@pytest.mark.parametrize("ring", (ZZ, GF(7), QQ, PolynomialRing(ZZ, ("a",))), ids=str)
 def test_declared_degree_padding_laws(ring):
     # Res_{m+k,n} = (-1)^(n*k) * lc(G)^k * Res_{m,n}
     # Res_{m,n+k} = lc(F)^k * Res_{m,n}
@@ -83,8 +83,35 @@ def test_declared_degree_padding_laws(ring):
         base = resultant(F, G)
         first = resultant(F, G, SylvesterSpec(m + k, n))
         assert first == base * G.leading_coeff() ** k * (-1) ** (n * k)
+        assert first == _resultant_reference(F, G, SylvesterSpec(m + k, n))
         second = resultant(F, G, SylvesterSpec(m, n + k))
         assert second == base * F.leading_coeff() ** k
+        assert second == _resultant_reference(F, G, SylvesterSpec(m, n + k))
+
+
+def test_padding_comes_off_before_the_sylvester_matrix_over_a_polynomial_ring(monkeypatch):
+    ring = PolynomialRing(ZZ, ("a",))
+    a = ring.variable("a")
+    F = T(ring) + UniPoly.constant(ring, "t", a)  # t + a
+    G = 2 * T(ring) - 1
+    base = -1 - 2 * a
+    assert resultant(F, G) == base
+    assert resultant(F, G, SylvesterSpec(3, 1)) == _resultant_reference(F, G, SylvesterSpec(3, 1))
+    assert resultant(G, F, SylvesterSpec(1, 3)) == _resultant_reference(G, F, SylvesterSpec(1, 3))
+    sizes = []
+    real = resultants._sylvester_rows
+
+    def recording(F, G, spec):
+        rows = real(F, G, spec)
+        sizes.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(resultants, "_sylvester_rows", recording)
+    # Res_{400,1}(F, G) = (-1)^(1*399) * 2^399 * Res_{1,1}(F, G)
+    assert resultant(F, G, SylvesterSpec(400, 1)) == -(2**399) * base
+    # Res_{1,400}(G, F) = lc(G)^399 * Res_{1,1}(G, F), and Res_{1,1}(G, F) = -Res_{1,1}(F, G)
+    assert resultant(G, F, SylvesterSpec(1, 400)) == -(2**399) * base
+    assert sizes == [2, 2]
 
 
 def test_declared_degree_below_actual_rejected():
@@ -248,6 +275,90 @@ def test_a_matrix_with_one_variable_entry_takes_the_packed_path(monkeypatch):
     monkeypatch.setattr(resultants, "_det_packed", lambda rows: calls.append(1) or real(rows))
     assert det_fraction_free(m, ring) == 2 * x - 3
     assert calls == [1]
+
+
+# ----- remainder sequences against the Sylvester reference ----------------------
+
+SCALAR_RESULTANT_RINGS = (ZZ, QQ, GF(2), GF(7), GF(2**31 - 1)) + CONSTANT_RINGS
+
+
+def _no_matrix(*args):
+    raise AssertionError("a scalar resultant built a matrix")
+
+
+def _scalar_poly(rng, ring, terms):
+    """A polynomial with `terms` random scalar (or constant) coefficients; 0 for none."""
+    base = getattr(ring, "base", ring)
+    return UniPoly(ring, "t", [rand_scalar(rng, base) for _ in range(terms)])
+
+
+@pytest.mark.parametrize("ring", SCALAR_RESULTANT_RINGS, ids=str)
+def test_remainder_sequences_equal_the_sylvester_reference(ring, monkeypatch):
+    # every padding from 0 to 2 on each side, on zero, constant and dense operands
+    rng = random.Random(4015)
+    cases = []
+    for _ in range(30):
+        F = _scalar_poly(rng, ring, rng.randint(0, 6))
+        G = _scalar_poly(rng, ring, rng.randint(0, 6))
+        for k in range(3):
+            for l in range(3):
+                cases.append((F, G, SylvesterSpec((F.degree if F else 0) + k,
+                                                  (G.degree if G else 0) + l)))
+    zero, three = UniPoly.zero(ring, "t"), UniPoly.constant(ring, "t", 3)
+    edges = [
+        (zero, three, SylvesterSpec(2, 0)),
+        (three, zero, SylvesterSpec(0, 2)),
+        (zero, zero, SylvesterSpec(0, 0)),
+        (zero, zero, SylvesterSpec(1, 0)),
+        (three, three, SylvesterSpec(0, 0)),
+    ]
+    cases += edges
+    want = [_resultant_reference(F, G, spec) for F, G, spec in cases]
+    assert [str(w) for w in want[-5:]] == [str(ring.element(v)) for v in (9, 9, 1, 0, 1)]
+    for name in ("_sylvester_rows", "_det_scalar", "_det_packed"):
+        monkeypatch.setattr(resultants, name, _no_matrix)
+    got = [resultant(F, G, spec) for F, G, spec in cases]
+    assert got == want
+    assert [str(g) for g in got] == [str(w) for w in want]
+    assert all(g.ring == ring for g in got)
+
+
+def _dense_poly(rng, ring, degree):
+    """Coefficients in [-9, 9] and a leading coefficient in [1, 9]."""
+    coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.randint(1, 9)]
+    return UniPoly(ring, "t", coeffs)
+
+
+def test_degree_200_over_zz_reduces_to_the_value_over_gf_p(monkeypatch):
+    rng = random.Random(4016)
+    p = 2**31 - 1  # divides neither leading coefficient, both in [1, 9]
+    F, G = _dense_poly(rng, ZZ, 200), _dense_poly(rng, ZZ, 200)
+    to_p = RingHom(ZZ, GF(p))
+    monkeypatch.setattr(resultants, "_sylvester_rows", _no_matrix)
+    value = resultant(F, G).value
+    assert value
+    assert value % p == resultant(F.map_coefficients(to_p), G.map_coefficients(to_p)).value
+
+
+def test_degree_200_root_product_formula_over_zz(monkeypatch):
+    # Res(prod (t - r_i), G) = prod G(r_i) for the monic first operand
+    rng = random.Random(4017)
+    roots = [rng.randint(-1, 1) for _ in range(200)]  # F's coefficients reach 2^67
+    F = UniPoly.constant(ZZ, "t", 1)
+    for r in roots:
+        F = F * (T() - r)
+    G = _dense_poly(rng, ZZ, 200)
+    monkeypatch.setattr(resultants, "_sylvester_rows", _no_matrix)
+    assert resultant(F, G).value == math.prod(G.evaluate(r).value for r in roots)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ring", (ZZ, GF(2**31 - 1)), ids=str)
+def test_degree_60_remainder_sequences_equal_bareiss(ring):
+    rng = random.Random(4018)
+    F, G = _dense_poly(rng, ring, 60), _dense_poly(rng, ring, 60)
+    assert resultant(F, G) == _resultant_reference(F, G)
+    assert discriminant(F) == _resultant_reference(F, F.derivative())
 
 
 # ----- resultant identities --------------------------------------------------

@@ -173,6 +173,32 @@ def test_polynomial_ring_validation():
         PolynomialRing(ZZ, ("u",)).variable("w")
 
 
+def test_variable_looks_up_its_index_without_scanning_the_names():
+    calls = []
+
+    class CountingNames(tuple):
+        def index(self, *args):
+            calls.append("index")
+            return super().index(*args)
+
+        def __contains__(self, name):
+            calls.append("in")
+            return super().__contains__(name)
+
+        def __iter__(self):
+            calls.append("iter")
+            return super().__iter__()
+
+    ring = PolynomialRing(ZZ, [f"a{i}" for i in range(50)])
+    ring.names = CountingNames(ring.names)
+    for i in (0, 17, 49):
+        x = ring.variable(f"a{i}")
+        assert x.value.terms == {(0,) * i + (1,) + (0,) * (49 - i): 1}
+    assert calls == []
+    with pytest.raises(ParameterError, match="has no variable 'b'"):
+        ring.variable("b")
+
+
 def test_ring_equality_is_structural():
     assert PolynomialRing(ZZ, ("u", "v")) == PolynomialRing(ZZ, ("u", "v"))
     assert PolynomialRing(ZZ, ("u", "v")) != PolynomialRing(ZZ, ("v", "u"))
