@@ -20,37 +20,35 @@ each taken at the declared (not actual) degrees, so the generators
 stay meaningful when leading u's vanish.
 
 Determinants commute with ring maps, so no generator needs its own
-determinant.  With a = y_0 + y_1 t + ... + y_n t^n over ZZ[y_0..y_n],
-the generic raw discriminant R_n = Res_{n, n-1}(a, a') is computed on
-first use and kept in a least-recently-used memo of MAX_SYMBOLIC_DEGREE
-= 9 entries (room for R_1..R_9; nothing is computed at import).  P_j on
-any chart is the image of R_{d-j} under y_m -> coefficient m of f^(j),
-which on every chart is a constant or an integer multiple of one u_k.
-So each term of R_{d-j} maps to exactly one term, and the map runs on
-the monomial path of RingHom: packed exponent keys are added and
-coefficient powers multiplied, with no polynomial product.
-
-R_n is not taken from its (2n-1) x (2n-1) Sylvester matrix but from
-the graded Bezout matrix (Gelfand, Kapranov and Zelevinsky,
-Discriminants, Resultants and Multidimensional Determinants, ch. 12):
-the n x n Bezout matrix of (a, a') at y_0 = y_n = 1, whose determinant
-is (-1)^(n(n-1)/2) R_n there, is expanded over memoised minors with no
-division, and y_0 and y_n are restored in each monomial from the two
-gradings of R_n (degree 2n-1, weight n^2).  Degrees above 9 raise
-ParameterError before any matrix is built.  The generic Sylvester
-determinant and the per-chart Sylvester determinants are kept as the
-references the cached path is tested against.
+determinant.  P_j on any chart is the image of the generic raw
+discriminant R_{d-j} = Res_{d-j, d-j-1}(a, a') of
+a = y_0 + y_1 t + ... + y_{d-j} t^(d-j) under y_m -> coefficient m of
+f^(j).  R_n is built once per degree from the graded Bezout matrix and
+kept in the memo of resultants (resultants._generic_raw_discriminant,
+capped at resultants.MAX_SYMBOLIC_DEGREE = 9, which also bounds d
+here); resultants.discriminant maps the same memo over every
+polynomial ring.  On every chart each coefficient of f^(j) is a
+constant or an integer multiple of one u_k, so each term of R_{d-j}
+maps to exactly one term, and the map runs on the monomial path of
+RingHom: packed exponent keys are added and coefficient powers
+multiplied, with no polynomial product.  The per-chart Sylvester
+determinants are kept as the reference the cached path is tested
+against.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DisckitError, ExactDivisionError, ParameterError
-from .rings import QQ, ZZ, MultiPoly, PolynomialRing, Ring, RingHom, _Packed
-from .resultants import SylvesterSpec, _det_minors, resultant
+from .errors import ExactDivisionError, ParameterError
+from .rings import QQ, ZZ, MultiPoly, PolynomialRing, Ring, RingHom
+from .resultants import (
+    SylvesterSpec,
+    _generic_discriminant_image,
+    _generic_raw_discriminant,
+    resultant,
+)
 from .unipoly import UniPoly
 
 
@@ -143,88 +141,6 @@ def incidence_ideal(d: int, l: int, chart: ChartId) -> IdealGens:
     return IdealGens(flat, tuple(gens))
 
 
-MAX_SYMBOLIC_DEGREE = 9
-
-
-@functools.lru_cache(maxsize=MAX_SYMBOLIC_DEGREE)
-def _generic_raw_discriminant(n: int) -> MultiPoly:
-    """R_n = Res_{n,n-1}(a, a') for a = y_0 + y_1 t + ... + y_n t^n.
-
-    For n >= 2 it is read off the n x n Bezout matrix of (a, a') at
-    y_0 = y_n = 1, over ZZ[y_1..y_{n-1}]: its determinant, expanded over
-    memoised minors with no division (resultants._det_minors), is
-    (-1)^(n(n-1)/2) R_n at y_0 = y_n = 1.  R_n is homogeneous of degree
-    2n-1 and isobaric of weight n^2 (y_k has weight k), so each monomial
-    gets back e_n = (n^2 - sum k e_k) / n and e_0 = 2n-1 - sum e_k - e_n;
-    a remainder or a negative exponent raises DisckitError.  n = 1 is
-    the 1 x 1 Sylvester determinant; _generic_raw_discriminant_sylvester
-    is the reference for every n.
-
-    n is capped at MAX_SYMBOLIC_DEGREE (R_9 has 26 059 terms and takes
-    about 1.5 s; R_10 has 133 881 and takes about 20 s and 350 MiB):
-    above it ParameterError is raised before any matrix is built.
-
-    The result is shared by every caller through the memo, and
-    MultiPoly.terms is a mutable dict: callers map or divide it into a
-    fresh polynomial and never hand it out as is.
-    """
-    if n > MAX_SYMBOLIC_DEGREE:
-        raise ParameterError(
-            f"the generic discriminant of degree {n} exceeds the limit {MAX_SYMBOLIC_DEGREE}"
-        )
-    if n < 2:
-        return _generic_raw_discriminant_sylvester(n)
-    inner = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(1, n)))
-    arith = _Packed(inner, 2 * n - 1)
-    det = _det_minors(_bezout_matrix(n, arith), arith)
-    sign = -1 if n * (n - 1) // 2 % 2 else 1
-    terms = {}
-    for key, c in det.items():
-        exps = arith._exponents(key)
-        e_n, rest = divmod(n * n - sum(k * e for k, e in enumerate(exps, 1)), n)
-        e_0 = 2 * n - 1 - sum(exps) - e_n
-        if rest or e_n < 0 or e_0 < 0:
-            raise DisckitError(f"a term of R_{n} breaks its degree or its weight")
-        terms[(e_0,) + exps + (e_n,)] = sign * c
-    ring = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(n + 1)))
-    return MultiPoly(ring, terms)
-
-
-def _bezout_matrix(n: int, arith: _Packed) -> list[list[dict]]:
-    """The n x n Bezout matrix of (a, a') at y_0 = y_n = 1, as packed dicts.
-
-    With F the coefficients of a and G those of a' padded with one zero,
-    B[i][j] = sum over k <= min(i, n-1-j) of
-    F[j+k+1] G[i-k] - F[i-k] G[j+k+1].
-    Each F[k] and G[k] is one packed monomial times an integer.
-    """
-    unit = [arith._key(tuple(int(k == m) for k in range(1, n))) for m in range(1, n)]
-    F = [(0, 1)] + [(key, 1) for key in unit] + [(0, 1)]
-    G = [(key, k) for k, key in enumerate(unit, 1)] + [(0, n), (0, 0)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry: dict = {}
-            for k in range(min(i, n - 1 - j) + 1):
-                for (fe, fc), (ge, gc), s in (
-                    (F[j + k + 1], G[i - k], 1),
-                    (F[i - k], G[j + k + 1], -1),
-                ):
-                    e = fe + ge
-                    entry[e] = entry.get(e, 0) + s * fc * gc
-            row.append({e: c for e, c in entry.items() if c})
-        rows.append(row)
-    return rows
-
-
-def _generic_raw_discriminant_sylvester(n: int) -> MultiPoly:
-    """Reference for _generic_raw_discriminant: the (2n-1) x (2n-1) Sylvester determinant."""
-    ring = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(n + 1)))
-    a = UniPoly(ring, "t", ring.variables())
-    return resultant(a, a.derivative(), SylvesterSpec(n, n - 1)).value
-
-
 def _check_level(d: int, l: int):
     if not 1 <= l <= d:
         raise ParameterError(f"level must satisfy 1 <= l <= d, got l={l}, d={d}")
@@ -247,9 +163,7 @@ def discriminant_ideal(d: int, l: int, chart: ChartId | None = None) -> IdealGen
     gens = []
     deriv = f
     for j in range(l):
-        generic = _generic_raw_discriminant(d - j)
-        images = {f"y{m}": deriv.coefficient(m) for m in range(d - j + 1)}
-        gens.append(RingHom(generic.ring, f.coeff_ring, images)(generic).value)
+        gens.append(_generic_discriminant_image(deriv, d - j).value)
         deriv = deriv.derivative()
     return IdealGens(f.coeff_ring, tuple(gens))
 

@@ -13,30 +13,54 @@ padding first by its two laws, then works at the actual degrees: over
 Fp by the Euclidean remainder sequence, over ZZ by the subresultant PRS
 with every division checked, over QQ by the ZZ sequence on operands
 cleared of their denominators, and over a polynomial ring whose operands
-have constant coefficients by its base ring's sequence.  Only other
+have constant coefficients by its base ring's sequence.  Other
 polynomial-ring operands reach a Sylvester matrix, under packed
-Bareiss.  The determinant at the declared degrees stays as
+Bareiss; a discriminant of small degree does not call resultant at all
+(below).  The determinant at the declared degrees stays as
 _resultant_reference, which the tests hold resultant to.
 
 The discriminant of P at declared degree d is the raw determinant
 Res_{d,d-1}(P, P'), with no content or sign normalization: for
-t^2 + b*t + c it is 4c - b^2.
+t^2 + b*t + c it is 4c - b^2.  Determinants commute with ring maps, so
+one symbolic determinant per degree serves every polynomial ring: with
+a = y_0 + y_1 t + ... + y_n t^n over ZZ[y_0..y_n], the generic raw
+discriminant R_n = Res_{n,n-1}(a, a') is computed on first use and
+kept in a least-recently-used memo of MAX_SYMBOLIC_DEGREE = 9 entries
+(room for R_1..R_9; nothing is computed at import).  discriminant maps
+R_d by y_m -> coefficient m of P when the coefficients are polynomials,
+d is the actual degree, at most MAPPED_DISCRIMINANT_CUTOFF, and the map
+expands few enough terms (MAX_MAP_EXPANSION); the jet discriminant
+ideals of jets map the same memo into every chart.
+
+R_n is not taken from its (2n-1) x (2n-1) Sylvester matrix but from
+the graded Bezout matrix (Gelfand, Kapranov and Zelevinsky,
+Discriminants, Resultants and Multidimensional Determinants, ch. 12):
+the n x n Bezout matrix of (a, a') at y_0 = y_n = 1, whose determinant
+is (-1)^(n(n-1)/2) R_n there, is expanded over memoised minors with no
+division, and y_0 and y_n are restored in each monomial from the two
+gradings of R_n (degree 2n-1, weight n^2).  Degrees above 9 raise
+ParameterError before any matrix is built.  The generic Sylvester
+determinant, _generic_raw_discriminant_sylvester, is the reference the
+memoized R_n is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .errors import ExactDivisionError, ParameterError, RingMismatchError
+from .errors import DisckitError, ExactDivisionError, ParameterError, RingMismatchError
 from .rings import (
     ZZ,
     MultiPoly,
+    PolynomialRing,
     RationalRing,
     Ring,
     RingElement,
+    RingHom,
     _clear_fractions,
     _Packed,
     clear_denominators,
@@ -553,11 +577,167 @@ def bezout_certificate(
     return U, V, det_fraction_free(matrix, ring)
 
 
+MAX_SYMBOLIC_DEGREE = 9
+
+
+@functools.lru_cache(maxsize=MAX_SYMBOLIC_DEGREE)
+def _generic_raw_discriminant(n: int) -> MultiPoly:
+    """R_n = Res_{n,n-1}(a, a') for a = y_0 + y_1 t + ... + y_n t^n.
+
+    For n >= 2 it is read off the n x n Bezout matrix of (a, a') at
+    y_0 = y_n = 1, over ZZ[y_1..y_{n-1}]: its determinant, expanded over
+    memoised minors with no division (_det_minors), is
+    (-1)^(n(n-1)/2) R_n at y_0 = y_n = 1.  R_n is homogeneous of degree
+    2n-1 and isobaric of weight n^2 (y_k has weight k), so each monomial
+    gets back e_n = (n^2 - sum k e_k) / n and e_0 = 2n-1 - sum e_k - e_n;
+    a remainder or a negative exponent raises DisckitError.  n = 1 is
+    the 1 x 1 Sylvester determinant; _generic_raw_discriminant_sylvester
+    is the reference for every n.
+
+    n is capped at MAX_SYMBOLIC_DEGREE (R_9 has 26 059 terms and takes
+    about 1.5 s; R_10 has 133 881 and takes about 20 s and 350 MiB):
+    above it ParameterError is raised before any matrix is built.
+
+    The result is shared by every caller through the memo, and
+    MultiPoly.terms is a mutable dict: callers map or divide it into a
+    fresh polynomial and never hand it out as is.
+    """
+    if n > MAX_SYMBOLIC_DEGREE:
+        raise ParameterError(
+            f"the generic discriminant of degree {n} exceeds the limit {MAX_SYMBOLIC_DEGREE}"
+        )
+    if n < 2:
+        return _generic_raw_discriminant_sylvester(n)
+    inner = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(1, n)))
+    arith = _Packed(inner, 2 * n - 1)
+    det = _det_minors(_bezout_matrix(n, arith), arith)
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    terms = {}
+    for key, c in det.items():
+        exps = arith._exponents(key)
+        e_n, rest = divmod(n * n - sum(k * e for k, e in enumerate(exps, 1)), n)
+        e_0 = 2 * n - 1 - sum(exps) - e_n
+        if rest or e_n < 0 or e_0 < 0:
+            raise DisckitError(f"a term of R_{n} breaks its degree or its weight")
+        terms[(e_0,) + exps + (e_n,)] = sign * c
+    ring = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(n + 1)))
+    return MultiPoly(ring, terms)
+
+
+def _bezout_matrix(n: int, arith: _Packed) -> list[list[dict]]:
+    """The n x n Bezout matrix of (a, a') at y_0 = y_n = 1, as packed dicts.
+
+    With F the coefficients of a and G those of a' padded with one zero,
+    B[i][j] = sum over k <= min(i, n-1-j) of
+    F[j+k+1] G[i-k] - F[i-k] G[j+k+1].
+    Each F[k] and G[k] is one packed monomial times an integer.
+    """
+    unit = [arith._key(tuple(int(k == m) for k in range(1, n))) for m in range(1, n)]
+    F = [(0, 1)] + [(key, 1) for key in unit] + [(0, 1)]
+    G = [(key, k) for k, key in enumerate(unit, 1)] + [(0, n), (0, 0)]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            entry: dict = {}
+            for k in range(min(i, n - 1 - j) + 1):
+                for (fe, fc), (ge, gc), s in (
+                    (F[j + k + 1], G[i - k], 1),
+                    (F[i - k], G[j + k + 1], -1),
+                ):
+                    e = fe + ge
+                    entry[e] = entry.get(e, 0) + s * fc * gc
+            row.append({e: c for e, c in entry.items() if c})
+        rows.append(row)
+    return rows
+
+
+def _generic_raw_discriminant_sylvester(n: int) -> MultiPoly:
+    """Reference for _generic_raw_discriminant: the (2n-1) x (2n-1) Sylvester determinant."""
+    ring = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(n + 1)))
+    a = UniPoly(ring, "t", ring.variables())
+    return resultant(a, a.derivative(), SylvesterSpec(n, n - 1)).value
+
+
+def _generic_discriminant_image(P: UniPoly, d: int) -> RingElement:
+    """Res_{d,d-1}(P, P') as the image of R_d under y_m -> coefficient m of P.
+
+    R_d is a polynomial identity over ZZ, so the map is right over every
+    coefficient ring, also when P' loses degree in characteristic p.
+    Over QQ[vars] the coefficients are first cleared to s*P over ZZ[vars]
+    (rings.clear_denominators), so the map runs on ints, and R_d is
+    homogeneous of degree 2d-1: the image is divided by s^(2d-1).
+    The image is a fresh polynomial; the memoized R_d is never handed out.
+    """
+    generic = _generic_raw_discriminant(d)
+    ring = P.coeff_ring
+    images = [P.coefficient(m).value for m in range(d + 1)]
+    rational = isinstance(ring.base, RationalRing)
+    if rational:
+        images, scale = clear_denominators(images)
+    image = RingHom(generic.ring, images[0].ring, dict(zip(generic.ring.names, images)))(generic)
+    if not rational:
+        return image
+    total = scale ** (2 * d - 1)
+    return RingElement(ring, MultiPoly(ring, {e: Fraction(c, total) for e, c in image.value.terms.items()}))
+
+
+# The largest degree discriminant maps R_d for.  One discriminant cold, in
+# a fresh process over ZZ[a,b] with the build of R_d included (2-core
+# host, CPython 3.11): at d = 6 the map takes 7-12 ms against 16-22 ms
+# for packed Bareiss; at d = 7 it takes 33 ms against 42 ms with one-term
+# coefficients but 55 ms against 48 ms with some two-term ones.
+MAPPED_DISCRIMINANT_CUTOFF = 6
+
+# The most term products per term of R_d that the map may expand.  A term
+# y_0^e_0 ... y_d^e_d of R_d multiplies out to at most prod |c_m|^e_m
+# terms, |c_m| the terms of coefficient m of P; measured against packed
+# Bareiss over ZZ[a,b] and QQ[a,b] for d = 2..7, the map wins up to about
+# 45 per term of R_d and loses from about 130.
+MAX_MAP_EXPANSION = 64
+
+
+def _map_pays(raw: list[MultiPoly], d: int) -> bool:
+    """Whether R_d mapped into P (raw coefficients, actual degree d) beats packed Bareiss.
+
+    One-term coefficients map each term of R_d to one term, so the map
+    pays as soon as one coefficient is not a constant; otherwise the
+    expansion bound of MAX_MAP_EXPANSION decides.
+    """
+    sizes = [len(c.terms) for c in raw]
+    if max(sizes) <= 1:
+        return _constants(raw) is None
+    generic = _generic_raw_discriminant(d)
+    budget = MAX_MAP_EXPANSION * len(generic.terms)
+    for exps in generic.terms:
+        budget -= prod(map(pow, sizes, exps))
+        if budget < 0:
+            return False
+    return True
+
+
 def discriminant(P: UniPoly, degree: int | None = None) -> RingElement:
-    """Raw discriminant Res_{d,d-1}(P, P') at declared degree d >= 1."""
+    """Raw discriminant Res_{d,d-1}(P, P') at declared degree d >= 1.
+
+    Over a polynomial ring, when d is the actual degree and at most
+    MAPPED_DISCRIMINANT_CUTOFF, some coefficient is not a constant and
+    the map stays within MAX_MAP_EXPANSION (_map_pays), this is the
+    memoized generic R_d under y_m -> coefficient m of P
+    (_generic_discriminant_image), and no determinant runs.  Every other
+    input is resultant(P, P') at (d, d-1): a padded P by the padding
+    laws, scalar or constant coefficients by a remainder sequence, and a
+    larger d or larger coefficients by packed Bareiss.
+    """
     d = declared_degree(P, degree, "the polynomial")
     if d < 1:
         raise ParameterError(f"the discriminant needs declared degree >= 1, got {d}")
+    if (
+        d == P.degree
+        and d <= MAPPED_DISCRIMINANT_CUTOFF
+        and isinstance(P.coeff_ring, PolynomialRing)
+        and _map_pays(P._raw, d)
+    ):
+        return _generic_discriminant_image(P, d)
     return resultant(P, P.derivative(), SylvesterSpec(d, d - 1))
 
 

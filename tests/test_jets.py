@@ -30,10 +30,10 @@ from disckit import (
     resultant,
     taylor_map,
 )
-from disckit import jets
-from disckit.jets import (
+from disckit import resultants
+from disckit.jets import _discriminant_ideal_sylvester
+from disckit.resultants import (
     MAX_SYMBOLIC_DEGREE,
-    _discriminant_ideal_sylvester,
     _generic_raw_discriminant,
     _generic_raw_discriminant_sylvester,
 )
@@ -329,10 +329,14 @@ def test_cached_results_are_fresh_copies():
 def test_generic_discriminant_memo_is_bounded_and_lazy():
     assert _generic_raw_discriminant.cache_info().maxsize == MAX_SYMBOLIC_DEGREE
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import disckit, disckit.jets as j; print(j._generic_raw_discriminant.cache_info().currsize)"
+    probe = (
+        "import disckit, disckit.jets as j, disckit.resultants as r; "
+        "print(j._generic_raw_discriminant is r._generic_raw_discriminant, "
+        "r._generic_raw_discriminant.cache_info().currsize)"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["True", "0"]
 
 
 @pytest.mark.parametrize(
@@ -370,7 +374,7 @@ def test_bezout_discriminant_past_the_sylvester_range(n, terms):
 @pytest.mark.parametrize("bound", [1, 3])
 def test_bezout_discriminant_too_narrow_width_raises(monkeypatch, bound):
     # bound 1 is too narrow for the entries, bound 3 only for the minors
-    monkeypatch.setattr(jets, "_Packed", lambda ring, true_bound: _Packed(ring, bound))
+    monkeypatch.setattr(resultants, "_Packed", lambda ring, true_bound: _Packed(ring, bound))
     with pytest.raises(DisckitError, match="overflow"):
         _generic_raw_discriminant.__wrapped__(6)
 
@@ -379,7 +383,7 @@ def test_bezout_discriminant_too_narrow_width_raises(monkeypatch, bound):
 def test_bezout_discriminant_refuses_terms_off_the_gradings(monkeypatch, key):
     # n = 2: one inner variable y1 in a 3-bit field.  y1 leaves a
     # remainder in the weight; y1^4 gives e_0 = 3 - 4 < 0.
-    monkeypatch.setattr(jets, "_det_minors", lambda rows, arith: {key: 1})
+    monkeypatch.setattr(resultants, "_det_minors", lambda rows, arith: {key: 1})
     with pytest.raises(DisckitError, match="degree or its weight"):
         _generic_raw_discriminant.__wrapped__(2)
 
@@ -389,7 +393,7 @@ def test_symbolic_degree_cap_runs_no_determinant(monkeypatch):
         raise AssertionError("a determinant ran above the cap")
 
     for name in ("_det_minors", "_bezout_matrix", "resultant"):
-        monkeypatch.setattr(jets, name, refuse)
+        monkeypatch.setattr(resultants, name, refuse)
     n = MAX_SYMBOLIC_DEGREE + 1
     for call in (
         lambda: discriminant_ideal(n, 1),

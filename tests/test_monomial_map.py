@@ -31,7 +31,7 @@ from disckit import (
     main1_strata,
 )
 from disckit import strata
-from disckit.jets import _generic_raw_discriminant
+from disckit.resultants import _generic_raw_discriminant
 from disckit.rings import _Layout
 
 from conftest import rand_element, rand_scalar

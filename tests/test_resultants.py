@@ -589,3 +589,178 @@ def test_discriminant_specialization_consistency():
         x, y = rng.randint(-4, 4), rng.randint(-4, 4)
         psi = RingHom(base, ZZ, {"a": ZZ.element(x), "b": ZZ.element(y)})
         assert psi(discriminant(P)) == discriminant(P.map_coefficients(psi), P.degree)
+
+
+
+# ----- discriminants by the generic map, and the routes around it ----------------
+
+GENERIC_MAP_RINGS = (
+    PolynomialRing(ZZ, ("a", "b")),
+    PolynomialRing(QQ, ("u", "v")),
+    PolynomialRing(GF(7), ("a", "b")),
+    PolynomialRing(GF(3), ("a", "b")),
+)
+
+
+def _refuse(*args):
+    raise AssertionError("the discriminant took the wrong route")
+
+
+def _symbolic_poly(rng, ring, d):
+    """Actual degree d, one-term coefficients but one, which gains a term in the first variable."""
+    x = ring.variables()[0]
+    coeffs = [rand_element(rng, ring, terms=1, max_exp=2) for _ in range(d + 1)]
+    coeffs[rng.randrange(d)] += x
+    if coeffs[-1].is_zero():
+        coeffs[-1] = ring.one
+    return UniPoly(ring, "t", coeffs)
+
+
+def _dense_coefficients(ring, d, shift):
+    """t^d plus coefficients (a + b + k)^2 + shift*a, of four to six terms: the map would expand too far."""
+    a, b = ring.variables()
+    lower = [(a + b + k) ** 2 + shift * a for k in range(1, d + 1)]
+    return UniPoly(ring, "t", lower + [ring.one])
+
+
+def _depressed_cubic(ring):
+    """t^3 + a*t + b: over Fp(3) its derivative is the constant a."""
+    a, b = ring.variables()
+    t = T(ring)
+    return t**3 + UniPoly.constant(ring, "t", a) * t + UniPoly.constant(ring, "t", b)
+
+
+def _reference(P, d):
+    return _resultant_reference(P, P.derivative(), SylvesterSpec(d, d - 1))
+
+
+def _assert_route(cases, monkeypatch, refused):
+    """discriminant equals the reference, in value, ring and str, with the names in refused patched to raise."""
+    want = [_reference(P, d) for P, d in cases]
+    for name in refused:
+        monkeypatch.setattr(resultants, name, _refuse)
+    got = [discriminant(P, d) for P, d in cases]
+    assert got == want
+    assert [str(g) for g in got] == [str(w) for w in want]
+    assert all(g.ring == P.coeff_ring for g, (P, _) in zip(got, cases))
+
+
+@pytest.mark.parametrize("ring", GENERIC_MAP_RINGS, ids=str)
+def test_discriminants_up_to_the_cutoff_map_the_generic_one(ring, monkeypatch):
+    rng = random.Random(4021)
+    degrees = range(1, resultants.MAPPED_DISCRIMINANT_CUTOFF + 1)
+    cases = [(_symbolic_poly(rng, ring, d), d) for d in degrees for _ in range(4)]
+    cases.append((_depressed_cubic(ring), 3))
+    a, b = ring.variables()
+    two_terms = [a + 1, a + 2, b - 1, b - 2, ring.one]
+    cases.append((UniPoly(ring, "t", two_terms), 4))  # 36.5 term products per term of R_4
+    # R_1 is itself a 1 x 1 Sylvester determinant: fill the memo before refusing matrices
+    for d in degrees:
+        resultants._generic_raw_discriminant(d)
+    assert all(resultants._map_pays(P._raw, d) for P, d in cases)
+    _assert_route(cases, monkeypatch, ("_sylvester_rows", "_det_packed"))
+
+
+@pytest.mark.parametrize("ring", GENERIC_MAP_RINGS, ids=str)
+def test_coefficients_past_the_expansion_bound_keep_bareiss(ring, monkeypatch):
+    cases = [(_dense_coefficients(ring, d, shift), d) for d in (3, 4) for shift in (1, 2)]
+    assert not any(resultants._map_pays(P._raw, d) for P, d in cases)
+    _assert_route(cases, monkeypatch, ("_generic_discriminant_image",))
+
+
+@pytest.mark.parametrize("ring", GENERIC_MAP_RINGS, ids=str)
+def test_padded_constant_and_larger_discriminants_keep_their_routes(ring, monkeypatch):
+    rng = random.Random(4022)
+    a, b = ring.variables()
+    cases = []
+    for d in range(1, resultants.MAPPED_DISCRIMINANT_CUTOFF + 1):
+        P = _symbolic_poly(rng, ring, d)
+        cases += [(P, d + 1), (P, d + 2)]
+        constant = _scalar_poly(rng, ring, d + 1)
+        if constant.degree >= 1:
+            cases += [(constant, constant.degree + pad) for pad in range(3)]
+    cases.append((UniPoly(ring, "t", [b, a, 0]), 2))  # a vanishing leading coefficient
+    if ring.base == GF(7):
+        cases.append((UniPoly(ring, "t", [b, a, 7 * a]), 2))  # 7*a vanishes too
+    cases.append((_depressed_cubic(ring), 4))
+    top = resultants.MAPPED_DISCRIMINANT_CUTOFF + 1
+    t = T(ring)
+    cases.append((t**top + UniPoly.constant(ring, "t", a) * t + UniPoly.constant(ring, "t", b), top))
+    _assert_route(cases, monkeypatch, ("_generic_raw_discriminant",))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ring", GENERIC_MAP_RINGS, ids=str)
+def test_the_generic_map_equals_bareiss_above_the_cutoff(ring):
+    rng = random.Random(4023)
+    for d in (7, 8):
+        assert d > resultants.MAPPED_DISCRIMINANT_CUTOFF
+        P = _symbolic_poly(rng, ring, d)
+        assert resultants._generic_discriminant_image(P, d) == discriminant(P)
+
+
+# ----- the trace form of the finite free algebra A[t]/P ----------------------------
+
+def _trace_form_discriminant(Q):
+    """det Tr(t^(i+j)) on A[t]/Q for monic Q, times (-1)^(d(d-1)/2).
+
+    Tr(t^k) is the power sum p_k of the roots of Q, given by Newton's
+    identities: with Q = t^d + c_(d-1) t^(d-1) + ... + c_0,
+    p_k = -(c_(d-1) p_(k-1) + ... + c_(d-m) p_(k-m)) - [k <= d] k c_(d-k),
+    m = min(k-1, d).  Nothing here is a Sylvester or Bezout matrix or a
+    remainder sequence, and for monic Q this is Res_{d,d-1}(Q, Q').
+    """
+    ring, d, c = Q.coeff_ring, Q.degree, Q.coeffs
+    assert c[-1] == ring.one
+    p = [ring.element(d)]
+    for k in range(1, 2 * d - 1):
+        total = k * c[d - k] if k <= d else ring.zero
+        for i in range(1, min(k - 1, d) + 1):
+            total = total + c[d - i] * p[k - i]
+        p.append(-total)
+    det = det_cofactor([[p[i + j] for j in range(d)] for i in range(d)], ring)
+    return -det if d * (d - 1) // 2 % 2 else det
+
+
+TRACE_FORM_RINGS = (ZZ, QQ, GF(7), PolynomialRing(ZZ, ("a", "b")), PolynomialRing(QQ, ("u", "v")))
+
+
+def _unit(rng, ring):
+    base = getattr(ring, "base", ring)
+    if base == ZZ:
+        return ring.element(rng.choice([-1, 1]))
+    while True:
+        lc = ring.element(rand_scalar(rng, base).value)
+        if not lc.is_zero():
+            return lc
+
+
+@pytest.mark.parametrize("ring", TRACE_FORM_RINGS, ids=str)
+def test_discriminant_is_the_trace_form_of_the_free_algebra(ring):
+    rng = random.Random(4024)
+    for d in range(1, resultants.MAPPED_DISCRIMINANT_CUTOFF + 1):
+        for _ in range(2):
+            # coefficients of degree at most 1 in each variable keep the power sums small
+            lower = [rand_element(rng, ring, terms=2, max_exp=1) for _ in range(d)]
+            Q = UniPoly(ring, "t", lower + [ring.one])
+            want = _trace_form_discriminant(Q)
+            assert discriminant(Q) == want
+            # P = lc * Q with lc a unit: Res_{d,d-1}(P, P') = lc^(2d-1) Res_{d,d-1}(Q, Q')
+            lc = _unit(rng, ring)
+            assert discriminant(Q * lc) == lc ** (2 * d - 1) * want
+
+
+def test_mapped_discriminants_leave_the_memo_intact():
+    from disckit import ChartId, discriminant_ideal
+    from disckit.jets import _discriminant_ideal_sylvester
+
+    rng = random.Random(4025)
+    for ring in GENERIC_MAP_RINGS[:2]:
+        for d in range(2, 7):
+            P = _symbolic_poly(rng, ring, d)
+            assert resultants._map_pays(P._raw, d)
+            discriminant(P).value.terms.clear()
+    for d in range(2, 7):
+        assert resultants._generic_raw_discriminant(d) == resultants._generic_raw_discriminant_sylvester(d)
+    for chart in (ChartId(4, 0), ChartId(1, 1)):
+        assert discriminant_ideal(4, 2, chart) == _discriminant_ideal_sylvester(4, 2, chart)

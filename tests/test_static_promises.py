@@ -5,7 +5,10 @@ a standard-library module; its arithmetic is exact, so no float literal
 and no call of float appears; and its one setting outside the command
 line is DISCKIT_THREADS, the only environment variable it reads.  A
 command loads no module that it does not run: the process-pool machinery
-only when a scan starts a pool, and typing never.
+only when a scan starts a pool, and typing never.  Every disckit module
+is imported at the top of the module that uses it, never inside a
+function, and resultants, which jets builds on, imports nothing from
+jets.
 """
 
 import ast
@@ -39,6 +42,56 @@ def test_no_runtime_dependencies_and_no_floats():
                     and node.func.id == "float":
                 breaches.append(f"{where}:{node.lineno} calls float")
     assert breaches == []
+
+
+def _imports(tree: ast.AST):
+    """(line, module, inside a function) for each import; a relative module keeps its dots."""
+    nested = {
+        id(node)
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        for name in names:
+            yield node.lineno, name, id(node) in nested
+
+
+def _is_disckit(name: str) -> bool:
+    return name.startswith(".") or name.partition(".")[0] == "disckit"
+
+
+def test_disckit_modules_are_imported_at_module_level_only():
+    inside = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        inside += [(str(path.relative_to(SRC)), name)
+                   for _, name, nested in _imports(tree) if nested]
+    assert [name for _, name in inside if _is_disckit(name)] == []
+    assert inside == [("oracle.py", "concurrent.futures")]
+
+
+def test_resultants_imports_nothing_from_jets():
+    tree = ast.parse((SRC / "resultants.py").read_text(encoding="utf-8"))
+    names = [name for _, name, _ in _imports(tree)]
+    assert names and not [name for name in names if name in (".jets", "disckit.jets")]
+
+
+def test_the_import_census_sees_nested_and_relative_imports():
+    src = (
+        "import os\nfrom .rings import ZZ\n"
+        "def f():\n    from .jets import x\n    import disckit.cli\n"
+        "class C:\n    def g(self):\n        from .. import y\n"
+    )
+    assert list(_imports(ast.parse(src))) == [
+        (1, "os", False), (2, ".rings", False), (4, ".jets", True),
+        (5, "disckit.cli", True), (8, "..", True),
+    ]
 
 
 def _environment_reads(tree: ast.AST) -> list[tuple[int, str | None]]:
@@ -109,7 +162,11 @@ def test_importing_disckit_loads_no_pool_machinery_and_no_typing():
         "import disckit, disckit.cli\n"
         "print('\\n'.join(sys.modules))\n"
     ).split()
-    assert "disckit.cli" in loaded and "disckit.oracle" in loaded
+    assert sorted(name for name in loaded if name.partition(".")[0] == "disckit") == [
+        "disckit", "disckit.cli", "disckit.dims", "disckit.errors", "disckit.jets",
+        "disckit.oracle", "disckit.parser", "disckit.resultants", "disckit.rings",
+        "disckit.strata", "disckit.unipoly",
+    ]
     heavy = [name for name in loaded
              if name == "typing" or name.partition(".")[0] in ("concurrent", "multiprocessing")]
     assert heavy == []
