@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, DisckitError, ParameterError, UnsupportedRingError
@@ -57,8 +57,8 @@ def coeffs_mod(P: UniPoly, p: int) -> list[int]:
     reduces to a * b^-1 mod p, and a denominator divisible by p raises
     ParameterError.
     """
-    field = GF(p)  # validates the modulus
-    return _trim([field.coerce(c) for c in P._raw])
+    ring = GF(p)  # validates the modulus
+    return _trim([ring.coerce(c) for c in P._raw])
 
 
 def _has_mult_root_ints(coeffs: list[int], m: int, p: int) -> bool:

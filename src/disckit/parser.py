@@ -399,25 +399,9 @@ class _Parser(_Evaluator):
         self.check_degree(n * deg, op)
         if poly is None:
             self.check_height(n * _monomial_height(c, k, self.ring), op)
-            return c if c is self.one else self.raw_pow(c, n), k * n, deg * n, None
+            return c if c is self.one else self.ring._pow(c, n), k * n, deg * n, None
         self.check_height(n * _height(poly, self.ring), op)
         return c, 0, deg * n, _pow(poly, n, self.ring)  # c is one (see group)
-
-    def raw_pow(self, c, n: int):
-        """c^n for a raw value c and n >= 2, by the ring's raw operations."""
-        p = self.ring.modulus
-        if p:
-            return pow(c, n, p)
-        if not self.polynomial:
-            return c**n
-        mul, result = self.ring._mul, None
-        while n:
-            if n & 1:
-                result = c if result is None else mul(result, c)
-            n >>= 1
-            if n:
-                c = mul(c, c)
-        return result
 
 
 class _ReferenceParser(_Evaluator):

@@ -38,10 +38,10 @@ Discriminants, Resultants and Multidimensional Determinants, ch. 12):
 the n x n Bezout matrix of (a, a') at y_0 = y_n = 1, whose determinant
 is (-1)^(n(n-1)/2) R_n there, is expanded over memoised minors with no
 division, and y_0 and y_n are restored in each monomial from the two
-gradings of R_n (degree 2n-1, weight n^2).  Degrees above 9 raise
-ParameterError before any matrix is built.  The generic Sylvester
-determinant, _generic_raw_discriminant_sylvester, is the reference the
-memoized R_n is tested against.
+gradings of R_n (degree 2n-1, weight n^2); R_1 = y_1 is written down.
+Degrees above 9 raise ParameterError before any matrix is built.  The
+generic Sylvester determinant, _generic_raw_discriminant_sylvester, is
+the reference the memoized R_n is tested against.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .rings import (
     _Packed,
     clear_denominators,
 )
-from .unipoly import MAX_DEGREE, UniPoly, _trim
+from .unipoly import MAX_DEGREE, UniPoly, _rem_mod, _trim
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,8 @@ class SylvesterSpec:
     n: int
 
     def __post_init__(self):
+        if type(self.m) is not int or type(self.n) is not int:  # a bool is refused too
+            raise ParameterError(f"declared degrees must be integers, got {self}")
         if self.m < 0 or self.n < 0:
             raise ParameterError(f"declared degrees must be nonnegative, got {self}")
 
@@ -85,9 +87,9 @@ def declared_degree(poly: UniPoly, declared: int | None, which: str) -> int:
 
     The one rule for declared degrees, shared by the resultants,
     discriminants, strata and the command line: the zero polynomial
-    needs one, and it is never negative, below the actual degree, nor
-    above unipoly.MAX_DEGREE, the bound on every parsed degree (a
-    declared degree sizes sylvester_matrix before any entry exists).
+    needs one, and it is an int (not a bool), never negative, below the
+    actual degree, nor above unipoly.MAX_DEGREE, the bound on every parsed
+    degree (a declared degree sizes sylvester_matrix before any entry exists).
     """
     if declared is None:
         if poly.is_zero():
@@ -95,6 +97,8 @@ def declared_degree(poly: UniPoly, declared: int | None, which: str) -> int:
                 f"{which} is the zero polynomial; pass its declared degree"
             )
         return poly.degree
+    if type(declared) is not int:  # a bool is refused too
+        raise ParameterError(f"the declared degree of {which} must be an integer, got {declared!r}")
     if poly.degree > declared:
         raise ParameterError(
             f"declared degree {declared} of {which} is below its actual degree {poly.degree}"
@@ -118,7 +122,8 @@ def sylvester_matrix(
     the same way.
     """
     ring = F.coeff_ring
-    return [[RingElement(ring, x) for x in row] for row in _sylvester_rows(F, G, spec)]
+    rows = _sylvester_rows(F, G, *_declared_pair(F, G, spec))
+    return [[RingElement(ring, x) for x in row] for row in rows]
 
 
 def _declared_pair(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None) -> tuple[int, int]:
@@ -130,9 +135,9 @@ def _declared_pair(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None) -> tuple[
     return m, n
 
 
-def _sylvester_rows(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None) -> list[list]:
-    """The rows of sylvester_matrix as raw values, read off the raw coefficient lists."""
-    m, n = _declared_pair(F, G, spec)
+def _sylvester_rows(F: UniPoly, G: UniPoly, m: int, n: int) -> list[list]:
+    """The rows of sylvester_matrix at degrees (m, n), each at least its operand's
+    actual degree, as raw values read off the raw coefficient lists."""
     zero = F.coeff_ring.coerce(0)
     size = m + n
     rows = []
@@ -440,7 +445,7 @@ def resultant(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = None) -> Ring
         cf = _constants(f)
         cg = _constants(g) if cf is not None else None
         if cg is None:
-            value = _det_raw(_sylvester_rows(F, G, None), ring)
+            value = _det_raw(_sylvester_rows(F, G, len(f) - 1, len(g) - 1), ring)
         else:
             value = RingElement(ring, ring._const(_resultant_scalar(cf, cg, ring.base)))
     if k:
@@ -453,7 +458,7 @@ def resultant(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = None) -> Ring
 
 def _resultant_reference(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = None) -> RingElement:
     """The Sylvester determinant at the declared degrees; the reference resultant is tested against."""
-    return _det_raw(_sylvester_rows(F, G, spec), F.coeff_ring)
+    return _det_raw(_sylvester_rows(F, G, *_declared_pair(F, G, spec)), F.coeff_ring)
 
 
 def _resultant_scalar(f: list, g: list, ring: Ring):
@@ -478,17 +483,10 @@ def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
     """
     res = 1
     while len(b) > 1:
-        db = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        while len(r) > db:
-            c = r.pop() * inv % p
-            shift = len(r) - db
-            r[shift:] = [(x - c * y) % p for x, y in zip(r[shift:], b)]
-            _trim(r)
+        r = _rem_mod(a, b, p)
         if not r:
             return 0
-        da = len(a) - 1
+        da, db = len(a) - 1, len(b) - 1
         if da & db & 1:
             res = -res
         res = res * pow(b[-1], da - len(r) + 1, p) % p
@@ -551,30 +549,29 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 def bezout_certificate(
     F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = None
 ) -> tuple[UniPoly, UniPoly, RingElement]:
-    """Cofactors (U, V, r) with U*F + V*G = r, r the resultant.
+    """Cofactors (U, V, r) with U*F + V*G = r, r = resultant(F, G, spec).
 
     U and V come from the cofactor expansion of the Sylvester matrix
     along its last column (the classical proof that the resultant lies
-    in the ideal (F, G)), so the identity holds over any coefficient
-    ring and can be re-verified independently by multiplying out.
+    in the ideal (F, G)), each minor a determinant of raw rows
+    (_det_raw), so the identity holds over any coefficient ring and can
+    be re-verified independently by multiplying out.
     """
-    matrix = sylvester_matrix(F, G, spec)
-    size = len(matrix)
+    m, n = _declared_pair(F, G, spec)
+    size = m + n
     if size == 0:
         raise ParameterError(
             "the empty Sylvester matrix carries no cofactor identity"
         )
     ring = F.coeff_ring
-    m = declared_degree(F, spec.m if spec else None, "the first polynomial")
-    n = size - m
+    rows = _sylvester_rows(F, G, m, n)
     cofactors = []
     for k in range(size):
-        minor = [row[:-1] for i, row in enumerate(matrix) if i != k]
-        value = det_fraction_free(minor, ring)
+        value = _det_raw([row[:-1] for i, row in enumerate(rows) if i != k], ring)
         cofactors.append(value if (k + size - 1) % 2 == 0 else -value)
-    U = UniPoly(ring, F.var, [cofactors[n - 1 - e] for e in range(n)] if n else ())
-    V = UniPoly(ring, F.var, [cofactors[n + m - 1 - e] for e in range(m)])
-    return U, V, det_fraction_free(matrix, ring)
+    U = UniPoly(ring, F.var, [cofactors[n - 1 - e] for e in range(n)])
+    V = UniPoly(ring, F.var, [cofactors[size - 1 - e] for e in range(m)])
+    return U, V, resultant(F, G, spec)
 
 
 MAX_SYMBOLIC_DEGREE = 9
@@ -590,9 +587,9 @@ def _generic_raw_discriminant(n: int) -> MultiPoly:
     (-1)^(n(n-1)/2) R_n at y_0 = y_n = 1.  R_n is homogeneous of degree
     2n-1 and isobaric of weight n^2 (y_k has weight k), so each monomial
     gets back e_n = (n^2 - sum k e_k) / n and e_0 = 2n-1 - sum e_k - e_n;
-    a remainder or a negative exponent raises DisckitError.  n = 1 is
-    the 1 x 1 Sylvester determinant; _generic_raw_discriminant_sylvester
-    is the reference for every n.
+    a remainder or a negative exponent raises DisckitError.  R_1 is
+    Res_{1,0}(a, y_1) = y_1; _generic_raw_discriminant_sylvester is the
+    reference for every n.
 
     n is capped at MAX_SYMBOLIC_DEGREE (R_9 has 26 059 terms and takes
     about 1.5 s; R_10 has 133 881 and takes about 20 s and 350 MiB):
@@ -606,8 +603,9 @@ def _generic_raw_discriminant(n: int) -> MultiPoly:
         raise ParameterError(
             f"the generic discriminant of degree {n} exceeds the limit {MAX_SYMBOLIC_DEGREE}"
         )
-    if n < 2:
-        return _generic_raw_discriminant_sylvester(n)
+    ring = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(n + 1)))
+    if n == 1:
+        return MultiPoly(ring, {(0, 1): 1})
     inner = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(1, n)))
     arith = _Packed(inner, 2 * n - 1)
     det = _det_minors(_bezout_matrix(n, arith), arith)
@@ -620,7 +618,6 @@ def _generic_raw_discriminant(n: int) -> MultiPoly:
         if rest or e_n < 0 or e_0 < 0:
             raise DisckitError(f"a term of R_{n} breaks its degree or its weight")
         terms[(e_0,) + exps + (e_n,)] = sign * c
-    ring = PolynomialRing(ZZ, tuple(f"y{k}" for k in range(n + 1)))
     return MultiPoly(ring, terms)
 
 

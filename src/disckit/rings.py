@@ -17,6 +17,11 @@ A raw value is falsy exactly when it is zero, and str() prints it;
 no ring method repeats either.  Every supported ring is an integral
 domain, so zero is also the only nilpotent.
 
+Ring.coerce checks a RingElement's ring and refuses a bool, and ZZ, QQ
+and Fp(p) supply only _coerce for plain values (PolynomialRing.coerce also
+embeds its base ring); Ring._pow is the one power of a raw value
+(square-and-multiply; a**n on ZZ and QQ, pow(a, n, p) on Fp(p)).
+
 Ring.modulus names the rings with a plain-int path (0 on ZZ, p on Fp(p),
 None otherwise), and every int kernel dispatches on it; QQ reaches the ZZ
 path through _clear_fractions.
@@ -78,10 +83,11 @@ def _is_prime(p: int) -> bool:
 class Ring:
     """Descriptor of a coefficient ring; subclasses implement raw-value ops.
 
-    The raw-value protocol (underscore methods) operates on the plain
-    Python values listed in the module docstring.  The raw value itself
-    answers two questions without its ring: it is falsy exactly when it
-    is zero, and str() prints it.  User code works with RingElement
+    The raw-value protocol (underscore methods: _coerce, _add, _neg, _sub,
+    _mul, _pow, _is_one, _is_unit, _exact_div, _sign_mag) operates on the
+    plain Python values listed in the module docstring.  The raw value
+    itself answers two questions without its ring: it is falsy exactly
+    when it is zero, and str() prints it.  User code works with RingElement
     wrappers obtained from element()/zero/one.  modulus is 0 when raw
     values are plain ints (ZZ), p when they are residues mod the prime p
     (Fp(p)), and None when they are not ints.
@@ -100,9 +106,20 @@ class Ring:
     def one(self) -> "RingElement":
         return self.element(1)
 
+    def coerce(self, value):
+        """The raw value of value; a RingElement of another ring or a bool is refused."""
+        if isinstance(value, RingElement):
+            if value.ring != self:
+                raise RingMismatchError(f"cannot coerce element of {value.ring} into {self}")
+            return value.value
+        if isinstance(value, bool):
+            raise ParameterError("booleans are not ring values")
+        return self._coerce(value)
+
     # raw-value protocol -------------------------------------------------
 
-    def coerce(self, value):
+    def _coerce(self, value):
+        """The raw value of a plain Python value; RingMismatchError if it has none."""
         raise NotImplementedError
 
     def _add(self, a, b):
@@ -117,8 +134,19 @@ class Ring:
     def _mul(self, a, b):
         raise NotImplementedError
 
+    def _pow(self, a, n: int):
+        """a^n for an int n >= 0 by square-and-multiply; a^0 is one, also for a = 0."""
+        result = None
+        while n:
+            if n & 1:
+                result = a if result is None else self._mul(result, a)
+            n >>= 1
+            if n:
+                a = self._mul(a, a)
+        return self.coerce(1) if result is None else result
+
     def _is_one(self, a) -> bool:
-        raise NotImplementedError
+        return a == 1
 
     def _is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -148,8 +176,8 @@ class _NumberRing(Ring):
     def _mul(self, a, b):
         return a * b
 
-    def _is_one(self, a):
-        return a == 1
+    def _pow(self, a, n):
+        return a**n
 
     def _sign_mag(self, a):
         return (1 if a >= 0 else -1), str(abs(a))
@@ -158,13 +186,7 @@ class _NumberRing(Ring):
 class IntegerRing(_NumberRing):
     modulus = 0
 
-    def coerce(self, value):
-        if isinstance(value, RingElement):
-            if value.ring != self:
-                raise RingMismatchError(f"cannot coerce element of {value.ring} into ZZ")
-            return value.value
-        if isinstance(value, bool):
-            raise ParameterError("booleans are not ring values")
+    def _coerce(self, value):
         if isinstance(value, int):
             return value
         if isinstance(value, Fraction) and value.denominator == 1:
@@ -195,13 +217,7 @@ class IntegerRing(_NumberRing):
 
 
 class RationalRing(_NumberRing):
-    def coerce(self, value):
-        if isinstance(value, RingElement):
-            if value.ring != self:
-                raise RingMismatchError(f"cannot coerce element of {value.ring} into QQ")
-            return value.value
-        if isinstance(value, bool):
-            raise ParameterError("booleans are not ring values")
+    def _coerce(self, value):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         raise RingMismatchError(f"cannot coerce {value!r} into QQ")
@@ -236,13 +252,7 @@ class PrimeField(Ring):
             raise ParameterError(f"{p} is not prime")
         self.p = self.modulus = p
 
-    def coerce(self, value):
-        if isinstance(value, RingElement):
-            if value.ring != self:
-                raise RingMismatchError(f"cannot coerce element of {value.ring} into {self}")
-            return value.value
-        if isinstance(value, bool):
-            raise ParameterError("booleans are not ring values")
+    def _coerce(self, value):
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, Fraction):
@@ -261,8 +271,8 @@ class PrimeField(Ring):
     def _mul(self, a, b):
         return (a * b) % self.p
 
-    def _is_one(self, a):
-        return a == 1
+    def _pow(self, a, n):
+        return pow(a, n, self.p)
 
     def _is_unit(self, a):
         return a != 0
@@ -811,15 +821,7 @@ class RingElement:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ParameterError(f"exponent must be a nonnegative integer, got {n!r}")
-        result = self.ring.one
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return RingElement(self.ring, self.ring._pow(self.value, n))
 
     def exact_div(self, other) -> "RingElement":
         return RingElement(self.ring, self.ring._exact_div(self.value, self._coerce_other(other)))
@@ -912,9 +914,6 @@ class RingHom:
             return
         raise UnsupportedRingError(f"no ring map from {src} into {dst_scalar}")
 
-    def _map_scalar(self, raw) -> RingElement:
-        return self.codomain.element(raw)
-
     def __call__(self, x) -> RingElement:
         """Image of x, by the monomial path when it applies (see the class docstring)."""
         if isinstance(x, RingElement):
@@ -924,7 +923,7 @@ class RingHom:
         else:
             raw = self.domain.coerce(x)
         if not isinstance(self.domain, PolynomialRing):
-            return self._map_scalar(raw)
+            return self.codomain.element(raw)
         if self._monomials is not None:
             return self._map_monomial(raw)
         return self._map_general(raw)

@@ -154,24 +154,23 @@ def _deriv_mod(a: list[int], p: int) -> list[int]:
     return [k * c for k, c in enumerate(a[1:], 1)]
 
 
-def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """A greatest common divisor over F_p (p prime), not made monic.
+def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """The remainder of a by a nonzero b over F_p (p prime): _divmod's on plain ints."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    r = list(a)
+    while len(r) > db:
+        c = r[-1] * inv % p
+        for i, y in enumerate(b, len(r) - 1 - db):
+            r[i] = (r[i] - c * y) % p
+        _trim(r)
+    return r
 
-    The remainder loop of _divmod on plain ints, inlined: the oracle calls
-    this on tiny lists, where ring dispatch and a call per step would cost
-    more than the arithmetic.
-    """
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """A greatest common divisor over F_p (p prime), not made monic."""
     while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        r = list(a)
-        while len(r) > db:
-            shift = len(r) - 1 - db
-            c = r[-1] * inv % p
-            for i, y in enumerate(b, shift):
-                r[i] = (r[i] - c * y) % p
-            _trim(r)
-        a, b = b, r
+        a, b = b, _rem_mod(a, b, p)
     return a
 
 
@@ -239,10 +238,11 @@ def _mul(a: list, b: list, ring: Ring) -> list:
 def _pow(a: list, n: int, ring: Ring) -> list:
     """a^n by square-and-multiply; a^0 = 1, also for a = 0.
 
-    A monomial c*t^k is raised as the shift t^(k*n) of c^n.
+    A monomial c*t^k, a constant included, is raised as the shift
+    t^(k*n) of c^n (ring._pow).
     """
-    if len(a) > 1 and not any(a[:-1]):
-        return [ring.coerce(0)] * ((len(a) - 1) * n) + _pow(a[-1:], n, ring)
+    if a and not any(a[:-1]):
+        return [ring.coerce(0)] * ((len(a) - 1) * n) + [ring._pow(a[-1], n)]
     result = None
     while n:
         if n & 1:

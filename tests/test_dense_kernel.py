@@ -8,7 +8,8 @@ operand has one term: then it scales the other, and a monomial's power is
 a shift of its coefficient's power.  Every product is compared with
 _mul_reference, the schoolbook product on RingElement wrappers, at
 lengths on both sides of the threshold, with zero and one-term operands,
-monomial powers and interior zeros.
+monomial powers and interior zeros.  The Fp remainder on plain ints,
+_rem_mod, is compared with _divmod.
 """
 
 import random
@@ -146,6 +147,18 @@ def test_divmod_by_a_unit_leading_coefficient(ring):
             q, r = divmod(f, g)
             assert q * g + r == f
             assert r.degree < g.degree
+
+
+@pytest.mark.parametrize("ring", (GF(2), GF(7), GF(P31)), ids=str)
+def test_the_int_remainder_over_fp_matches_divmod(ring):
+    rng = random.Random(8006)
+    for la in (0, 1, 2, 3, 6, _KRONECKER_MIN + 2):
+        for lb in (1, 2, 3, 5):
+            f, g = rand_poly(rng, ring, la), rand_poly(rng, ring, lb)
+            a, b = f._raw, g._raw
+            saved = list(a), list(b)
+            assert unipoly._rem_mod(a, b, ring.p) == unipoly._divmod(a, b, ring)[1]
+            assert (a, b) == saved  # the operands are left as they were
 
 
 @pytest.mark.slow

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,8 @@ from disckit import (
     det_cofactor,
     det_fraction_free,
     discriminant,
+    etale_verdict,
+    main1_strata,
     resultant,
     sylvester_matrix,
     unipoly_gcd,
@@ -101,8 +104,8 @@ def test_padding_comes_off_before_the_sylvester_matrix_over_a_polynomial_ring(mo
     sizes = []
     real = resultants._sylvester_rows
 
-    def recording(F, G, spec):
-        rows = real(F, G, spec)
+    def recording(F, G, m, n):
+        rows = real(F, G, m, n)
         sizes.append(len(rows))
         return rows
 
@@ -155,6 +158,29 @@ def test_degenerate_specs():
     assert resultant(t - 2, c, SylvesterSpec(1, 0)) == ZZ.element(5)
     with pytest.raises(ParameterError):
         SylvesterSpec(-1, 2)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"], ids=repr)
+def test_a_declared_degree_must_be_an_int(bad):
+    t = T()
+    P = t + 1
+    spec = SimpleNamespace(m=bad, n=1)  # a stand-in that reaches declared_degree itself
+    calls = [
+        lambda: SylvesterSpec(bad, 1),
+        lambda: SylvesterSpec(1, bad),
+        lambda: declared_degree(P, bad, "f"),
+        lambda: sylvester_matrix(P, t, spec),
+        lambda: resultant(P, t, spec),
+        lambda: bezout_certificate(P, t, spec),
+        lambda: discriminant(P, bad),
+        lambda: classify_discriminant(P, bad),
+        lambda: etale_verdict(P, bad),
+        lambda: main1_strata(P, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="must be (an integer|integers)") as caught:
+            call()
+        assert caught.value.exit_code == 3
 
 
 # ----- determinant engines ---------------------------------------------------
@@ -506,6 +532,47 @@ def test_bezout_identity_symbolic():
     assert r == 4 * c - b**2
 
 
+BEZOUT_RINGS = (ZZ, QQ, GF(7), PolynomialRing(ZZ, ("a",)), PolynomialRing(QQ, ("u", "v")))
+
+
+@pytest.mark.parametrize("ring", BEZOUT_RINGS, ids=str)
+def test_bezout_certificate_at_every_padding(ring):
+    rng = random.Random(4012)
+    t = T(ring)
+    zero = UniPoly.zero(ring, "t")
+    three = UniPoly.constant(ring, "t", 3)
+    operands = [zero, three, t - 1] + [rand_unipoly(rng, ring, 3, nonzero=True) for _ in range(4)]
+    for F in operands:
+        for G in operands:
+            for k in range(3):
+                for l in range(3):
+                    m, n = max(F.degree, 0) + k, max(G.degree, 0) + l
+                    if m + n == 0:
+                        continue
+                    spec = SylvesterSpec(m, n)
+                    U, V, r = bezout_certificate(F, G, spec)
+                    assert r == _resultant_reference(F, G, spec)
+                    assert U * F + V * G == UniPoly.constant(ring, "t", r)
+                    assert U.degree < max(n, 1) and V.degree < m
+
+
+def test_bezout_certificate_takes_r_from_resultant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate built a RingElement matrix")
+
+    monkeypatch.setattr(resultants, "sylvester_matrix", refuse)
+    monkeypatch.setattr(resultants, "det_fraction_free", refuse)
+    seen = []
+    real = resultants.resultant
+    monkeypatch.setattr(resultants, "resultant", lambda *args: seen.append(args) or real(*args))
+    t = T()
+    spec = SylvesterSpec(3, 1)
+    U, V, r = bezout_certificate(t**2 + 1, t - 2, spec)
+    assert seen == [(t**2 + 1, t - 2, spec)]
+    assert r == real(t**2 + 1, t - 2, spec) == -5
+    assert U * (t**2 + 1) + V * (t - 2) == UniPoly.constant(ZZ, "t", -5)
+
+
 def test_bezout_empty_matrix_rejected():
     c = UniPoly.constant(ZZ, "t", ZZ.element(3))
     with pytest.raises(ParameterError):
@@ -654,9 +721,6 @@ def test_discriminants_up_to_the_cutoff_map_the_generic_one(ring, monkeypatch):
     a, b = ring.variables()
     two_terms = [a + 1, a + 2, b - 1, b - 2, ring.one]
     cases.append((UniPoly(ring, "t", two_terms), 4))  # 36.5 term products per term of R_4
-    # R_1 is itself a 1 x 1 Sylvester determinant: fill the memo before refusing matrices
-    for d in degrees:
-        resultants._generic_raw_discriminant(d)
     assert all(resultants._map_pays(P._raw, d) for P, d in cases)
     _assert_route(cases, monkeypatch, ("_sylvester_rows", "_det_packed"))
 

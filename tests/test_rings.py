@@ -61,6 +61,36 @@ def test_power_matches_repeated_product(ring):
     assert ring.zero**0 == ring.one
 
 
+POW_RINGS = (
+    ZZ, QQ, GF(2), GF(7),
+    PolynomialRing(ZZ, ("x", "y")), PolynomialRing(QQ, ("u", "v")), PolynomialRing(GF(7), ("x",)),
+)
+
+
+@pytest.mark.parametrize("ring", POW_RINGS, ids=str)
+def test_raw_power_matches_repeated_raw_product(ring):
+    rng = random.Random(1003)
+    for a in [ring.coerce(0)] + [rand_element(rng, ring).value for _ in range(6)]:
+        acc = ring.coerce(1)
+        for n in range(10):
+            assert ring._pow(a, n) == acc
+            acc = ring._mul(acc, a)
+
+
+@pytest.mark.parametrize("ring", SCALAR_RINGS, ids=str)
+def test_coerce_errors_are_shared_by_the_scalar_rings(ring):
+    other = GF(3)
+    for value, error, message in (
+        (other.one, RingMismatchError, f"cannot coerce element of {other} into {ring}"),
+        (True, ParameterError, "booleans are not ring values"),
+        ("2", RingMismatchError, f"cannot coerce '2' into {ring}"),
+    ):
+        with pytest.raises(error) as caught:
+            ring.coerce(value)
+        assert type(caught.value) is error and str(caught.value) == message
+    assert "coerce" not in vars(type(ring))
+
+
 def test_integer_coercion_in_mixed_arithmetic():
     u = PolynomialRing(ZZ, ("u",)).variable("u")
     assert 2 * u + 1 == u + u + 1

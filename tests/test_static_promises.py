@@ -8,12 +8,15 @@ command loads no module that it does not run: the process-pool machinery
 only when a scan starts a pool, and typing never.  Every disckit module
 is imported at the top of the module that uses it, never inside a
 function, and resultants, which jets builds on, imports nothing from
-jets.
+jets.  Every module-level import outside __init__ (whose imports are its
+re-exports) is read somewhere as that import, not only as a local of the
+same name.
 """
 
 import ast
 import os
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -92,6 +95,69 @@ def test_the_import_census_sees_nested_and_relative_imports():
         (1, "os", False), (2, ".rings", False), (4, ".jets", True),
         (5, "disckit.cli", True), (8, "..", True),
     ]
+
+
+def _unused_imports(source: str, filename: str = "<source>") -> list[str]:
+    """Module-level imported names that no scope reads as the module-level binding.
+
+    symtable resolves every name by Python's own scoping rules: a read at
+    module level, or a read in a function or class that resolves to the
+    module's global, uses the import; a read of a function-local name of
+    the same spelling does not.  Under `from __future__ import
+    annotations` symtable skips annotations, so every name in an
+    annotation (a string one parsed first) counts as a use.  __future__
+    imports are exempt.
+    """
+    tree = ast.parse(source, filename)
+    imported = [
+        (alias.asname or alias.name).partition(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    read = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+    while annotations:
+        for node in ast.walk(annotations.pop()):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                annotations.append(ast.parse(node.value, mode="eval"))
+    top = symtable.symtable(source, filename, "exec")
+    tables = [top]
+    while tables:
+        table = tables.pop()
+        read.update(sym.get_name() for sym in table.get_symbols()
+                    if sym.is_referenced() and (table is top or sym.is_global()))
+        tables += table.get_children()
+    return [name for name in imported if name not in read]
+
+
+def test_every_module_level_import_is_used():
+    unused = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
+        for name in _unused_imports(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert unused == []
+
+
+def test_the_unused_import_census_sees_local_shadows():
+    src = (
+        "from __future__ import annotations\nimport os.path\nimport re as regex\n"
+        "from .rings import GF, ZZ, field\nfrom .x import a, b\n"
+        "from .y import Q, R\n"
+        "def f(a: ZZ) -> 'list[Q]':\n    field = GF(2)\n    return field, a\n"
+        "class C:\n    def g(self):\n        return os.path, [regex for regex in ()]\n"
+        "    def h(self):\n        def inner():\n            return b\n        return inner\n"
+    )
+    assert _unused_imports(src) == ["regex", "field", "a", "R"]
 
 
 def _environment_reads(tree: ast.AST) -> list[tuple[int, str | None]]:
