@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
 from .dims import DimReport, complex_table, h_ext_jet
-from .errors import DisckitError, InputSyntaxError, ParameterError
+from .errors import DisckitError, InputSyntaxError, ParameterError, Record
 from .jets import ChartId, discriminant_ideal, homogeneous_classical_discriminant
 from .oracle import DEFAULT_BUDGET, dimension_growth_check, verify_discriminant_locus
 from .parser import parse_poly, parse_ring
@@ -30,11 +28,17 @@ from .strata import etale_verdict, main1_strata
 SCHEMA_ID = "disckit/cli_result_v1"
 
 
-@dataclass
-class CommandResult:
-    status: str
-    payload: dict | None
-    diagnostics: list[str] = field(default_factory=list)
+class CommandResult(Record):
+    _fields = ("status", "payload", "diagnostics")
+    # the one mutable record, and so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, status: str, payload: dict | None, diagnostics: list[str] | None = None):
+        self.status = status
+        self.payload = payload
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def _render_plain(value, indent: int = 0) -> list[str]:
@@ -74,6 +78,8 @@ def _plain_scalar(x) -> str:
 
 def render(result: CommandResult, command: str, fmt: str) -> str:
     if fmt == "json":
+        import json  # only here: a plain rendering never loads it
+
         envelope = {
             "schema": SCHEMA_ID,
             "command": command,
@@ -93,9 +99,9 @@ def render(result: CommandResult, command: str, fmt: str) -> str:
 # ----- subcommand handlers ---------------------------------------------------
 
 def _payload(value):
-    """A report as payload: dataclass -> dict of its fields, tuple -> list, Fraction -> str."""
-    if is_dataclass(value):
-        return {f.name: _payload(getattr(value, f.name)) for f in fields(value)}
+    """A report as payload: Record -> dict of its fields, tuple -> list, Fraction -> str."""
+    if isinstance(value, Record):
+        return {name: _payload(getattr(value, name)) for name in value._fields}
     if isinstance(value, (tuple, list)):
         return [_payload(x) for x in value]
     return str(value) if isinstance(value, Fraction) else value

@@ -14,9 +14,8 @@ MAX_BINOMIAL_BITS, MAX_TABLE_TERMS and MAX_TABLE_BITS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, Record, check_int
 
 # No binomial C(n, k) may predict more bits than this: C(n, k) < n^min(k, n-k),
 # so it has at most min(k, n-k) * n.bit_length() bits.
@@ -43,27 +42,33 @@ def _comb(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class DimReport:
-    N: int
-    d: int
-    k: int
-    j: int
-    i: int
-    value: int
-    object: str
+class DimReport(Record):
+    _fields = ("N", "d", "k", "j", "i", "value", "object")
+
+    def __init__(self, N: int, d: int, k: int, j: int, i: int, value: int, object: str):
+        self._set("N", N)
+        self._set("d", d)
+        self._set("k", k)
+        self._set("j", j)
+        self._set("i", i)
+        self._set("value", value)
+        self._set("object", object)
 
 
-@dataclass(frozen=True)
-class ComplexTerm:
+class ComplexTerm(Record):
     """One term of the dual resolution complex: a twist and its rank."""
 
-    twist: int
-    module_dim: int
+    _fields = ("twist", "module_dim")
+
+    def __init__(self, twist: int, module_dim: int):
+        self._set("twist", twist)
+        self._set("module_dim", module_dim)
 
 
 def dim_sym(n: int, dimV: int) -> int:
     """Dimension of Sym^n of a dimV-dimensional space; 0 for n < 0."""
+    check_int(n, "the symmetric power")
+    check_int(dimV, "the space dimension")
     if dimV < 1:
         raise ParameterError(f"the space dimension must be positive, got {dimV}")
     if n < 0:
@@ -73,6 +78,8 @@ def dim_sym(n: int, dimV: int) -> int:
 
 def rank_jet(k: int, N: int) -> int:
     """Rank of the bundle of order-k jets of a line bundle on P^N."""
+    check_int(k, "the jet order")
+    check_int(N, "the ambient dimension N")
     if k < 0 or N < 1:
         raise ParameterError(f"rank_jet needs k >= 0 and N >= 1, got k={k}, N={N}")
     return _comb(k + N, N)
@@ -85,6 +92,8 @@ def rank_table(d: int, k: int) -> dict[str, int]:
     rank k+1, so the quotient has rank d-k; the table makes the
     additivity identity rk_jet + rk_Q = rk_W explicit.
     """
+    check_int(d, "the form degree")
+    check_int(k, "the jet order")
     if d < 1:
         raise ParameterError(f"the form degree must be at least 1, got {d}")
     if not 0 <= k <= d:
@@ -93,6 +102,10 @@ def rank_table(d: int, k: int) -> dict[str, int]:
 
 
 def _check_common(N: int, d: int, k: int, j: int, i: int):
+    for value, what in ((N, "the ambient dimension N"), (d, "the form degree"),
+                        (k, "the jet order"), (j, "the exterior power"),
+                        (i, "the cohomological degree")):
+        check_int(value, what)
     if N < 1:
         raise ParameterError(f"the ambient dimension N must be at least 1, got {N}")
     if not 1 <= k < d:
@@ -153,6 +166,7 @@ def complex_term_rank(N: int, d: int, k: int, j: int) -> ComplexTerm:
     term is the trivial line and is supplied by complex_table.
     """
     r = _check_stable_range(N, d, k)
+    check_int(j, "the term index")
     if not 1 <= j <= r:
         raise ParameterError(f"the term index must satisfy 1 <= j <= {r}, got j={j}")
     return ComplexTerm(twist=-j, module_dim=h_ext_jet_dual(N, d, k, j, N))

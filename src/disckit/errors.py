@@ -1,8 +1,25 @@
-"""Error types shared across the toolkit.
+"""Error types, the count check and the record base shared across the toolkit.
 
 Every exception carries the process exit code the command line maps it
 to: 2 for input syntax problems, 3 for ring or parameter problems, 4
 for exceeded enumeration budgets, 5 for internal invariant violations.
+
+It also holds two small pieces that every module shares.  check_int
+refuses a count argument (a degree, level, index or budget) that is not
+an int: a bool is refused, and so is 2.0.  Record is the base of the
+report types (SylvesterSpec, ChartId, Stratum, CommandResult and the
+rest).  A record names its fields in _fields and spells its own
+__init__, which stores each field with self._set, that is
+object.__setattr__, as a frozen dataclass does; the fields live in
+__dict__ in field order, so vars() reads them.  Record supplies
+equality and hashing on the field tuple within one class, a repr in
+the format of the standard library's dataclasses, and assignment and
+deletion that raise AttributeError.  The one mutable record,
+CommandResult, puts object's __setattr__ and __delattr__ back and sets
+__hash__ = None, as a plain dataclass has it.  Records are not
+dataclasses because importing dataclasses, with the inspect it loads,
+took about a third of the package's import time;
+tests/test_records.py holds each record to a dataclass twin.
 """
 
 from __future__ import annotations
@@ -65,3 +82,37 @@ class ExactDivisionError(DisckitError):
     """An exact division left a remainder; internal invariant violation."""
 
     exit_code = 5
+
+
+def check_int(value, what: str) -> None:
+    """Refuse a count argument that is not an int; a bool is refused too."""
+    if type(value) is not int:
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
+class Record:
+    """An immutable record of the fields named in _fields (see the module docstring)."""
+
+    _fields: tuple[str, ...] = ()
+    _set = object.__setattr__
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -39,9 +39,8 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ExactDivisionError, ParameterError
+from .errors import ExactDivisionError, ParameterError, Record, check_int
 from .rings import QQ, ZZ, MultiPoly, PolynomialRing, Ring, RingHom
 from .resultants import (
     SylvesterSpec,
@@ -52,27 +51,31 @@ from .resultants import (
 from .unipoly import UniPoly
 
 
-@dataclass(frozen=True)
-class ChartId:
+class ChartId(Record):
     """Affine chart label: which coefficient is pinned, and which patch."""
 
-    dehom_section: int
-    affine_chart: int
+    _fields = ("dehom_section", "affine_chart")
 
-    def __post_init__(self):
-        if self.affine_chart not in (0, 1):
-            raise ParameterError(f"affine chart must be 0 or 1, got {self.affine_chart}")
-        if self.dehom_section < 0:
+    def __init__(self, dehom_section: int, affine_chart: int):
+        check_int(dehom_section, "the pinned coefficient index")
+        if type(affine_chart) is not int or affine_chart not in (0, 1):  # a bool is refused too
+            raise ParameterError(f"affine chart must be 0 or 1, got {affine_chart!r}")
+        if dehom_section < 0:
             raise ParameterError("the pinned coefficient index must be nonnegative")
+        self._set("dehom_section", dehom_section)
+        self._set("affine_chart", affine_chart)
 
 
-@dataclass(frozen=True)
-class IdealGens:
-    ring: Ring
-    gens: tuple[MultiPoly, ...]
+class IdealGens(Record):
+    _fields = ("ring", "gens")
+
+    def __init__(self, ring: Ring, gens: tuple[MultiPoly, ...]):
+        self._set("ring", ring)
+        self._set("gens", gens)
 
 
 def _check_chart(d: int, chart: ChartId):
+    check_int(d, "the form degree")
     if d < 1:
         raise ParameterError(f"the form degree must be at least 1, got {d}")
     if chart.dehom_section > d:
@@ -108,6 +111,7 @@ def generic_section(d: int, chart: ChartId, base: Ring = ZZ) -> UniPoly:
 
 def _check_jet_order(d: int, l: int, chart: ChartId):
     _check_chart(d, chart)
+    check_int(l, "the jet order")
     if not 0 <= l <= d:
         raise ParameterError(f"jet order must satisfy 0 <= l <= d, got l={l}, d={d}")
 
@@ -142,6 +146,8 @@ def incidence_ideal(d: int, l: int, chart: ChartId) -> IdealGens:
 
 
 def _check_level(d: int, l: int):
+    check_int(d, "the form degree")
+    check_int(l, "the level")
     if not 1 <= l <= d:
         raise ParameterError(f"level must satisfy 1 <= l <= d, got l={l}, d={d}")
 
@@ -156,7 +162,9 @@ def discriminant_ideal(d: int, l: int, chart: ChartId | None = None) -> IdealGen
     degree, not once per chart and level; every call returns freshly
     built generators.
     """
-    chart = chart if chart is not None else ChartId(d, 0)
+    if chart is None:
+        check_int(d, "the form degree")
+        chart = ChartId(d, 0)
     _check_chart(d, chart)
     _check_level(d, l)
     f = generic_section(d, chart, ZZ)
@@ -193,14 +201,14 @@ def homogeneous_classical_discriminant(d: int) -> MultiPoly:
     the irreducible classical discriminant with the sign fixed so that
     d = 2 gives 4*y0*y2 - y1^2.
     """
+    check_int(d, "the form degree")
     if d < 2:
         raise ParameterError(f"the form degree must be at least 2, got {d}")
     raw = _generic_raw_discriminant(d)
     return raw.exact_div(raw.ring.variable(f"y{d}").value)
 
 
-@dataclass(frozen=True)
-class ChartRelation:
+class ChartRelation(Record):
     """How one level generator in patch 1 relates to its patch-0 mate.
 
     category is one of:
@@ -213,11 +221,15 @@ class ChartRelation:
       "unrelated" none of the above (never observed; would be a bug)
     """
 
-    j: int
-    category: str
-    factor: str | None
-    direction: str | None
-    relabel_holds: bool
+    _fields = ("j", "category", "factor", "direction", "relabel_holds")
+
+    def __init__(self, j: int, category: str, factor: str | None, direction: str | None,
+                 relabel_holds: bool):
+        self._set("j", j)
+        self._set("category", category)
+        self._set("factor", factor)
+        self._set("direction", direction)
+        self._set("relabel_holds", relabel_holds)
 
 
 def _try_exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly | None:
@@ -240,6 +252,7 @@ def chart_consistency(d: int, l: int, i: int) -> list[ChartRelation]:
     the report is empty.
     """
     _check_chart(d, ChartId(i, 0))
+    check_int(l, "the level")
     if l == 0:
         return []
     P = discriminant_ideal(d, l, ChartId(i, 0)).gens

@@ -39,10 +39,16 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, DisckitError, ParameterError, UnsupportedRingError
+from .errors import (
+    BudgetError,
+    DisckitError,
+    ParameterError,
+    Record,
+    UnsupportedRingError,
+    check_int,
+)
 from .jets import ChartId, _check_level, discriminant_ideal
 from .rings import GF, PrimeField
 from .unipoly import UniPoly, _deriv_mod, _gcd_mod, _mul_mod, _trim
@@ -88,6 +94,7 @@ def has_root_of_multiplicity(f: UniPoly, m: int) -> bool:
     characteristic to exceed deg f so the derivative chain is faithful.
     The zero polynomial has no such answer and raises ParameterError.
     """
+    check_int(m, "the multiplicity")
     ring = f.coeff_ring
     if not isinstance(ring, PrimeField):
         raise UnsupportedRingError(
@@ -131,8 +138,7 @@ def _eval_terms(terms, point: tuple[int, ...], q: int) -> int:
 Point = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """Outcome of one exhaustive locus comparison over F_q.
 
     Mismatch entries are coefficient tuples (u_0, ..., u_{d-1}) of
@@ -142,15 +148,22 @@ class VerifyReport:
     the required root; mismatches is their union.
     """
 
-    d: int
-    l: int
-    q: int
-    chart: ChartId
-    ideal_zero_count: int
-    mult_root_count: int
-    mismatches: tuple[Point, ...]
-    soundness_mismatches: tuple[Point, ...]
-    completeness_mismatches: tuple[Point, ...]
+    _fields = ("d", "l", "q", "chart", "ideal_zero_count", "mult_root_count", "mismatches",
+               "soundness_mismatches", "completeness_mismatches")
+
+    def __init__(self, d: int, l: int, q: int, chart: ChartId, ideal_zero_count: int,
+                 mult_root_count: int, mismatches: tuple[Point, ...],
+                 soundness_mismatches: tuple[Point, ...],
+                 completeness_mismatches: tuple[Point, ...]):
+        self._set("d", d)
+        self._set("l", l)
+        self._set("q", q)
+        self._set("chart", chart)
+        self._set("ideal_zero_count", ideal_zero_count)
+        self._set("mult_root_count", mult_root_count)
+        self._set("mismatches", mismatches)
+        self._set("soundness_mismatches", soundness_mismatches)
+        self._set("completeness_mismatches", completeness_mismatches)
 
 
 def _classify(point: Point, compiled, m: int, q: int) -> tuple[bool, bool]:
@@ -495,6 +508,7 @@ def _plan_chunks(q: int, threads: int, work: int) -> list[range]:
 def _check_scan(d: int, l: int, q: int, budget: int) -> None:
     """Refuse a scan of F_q before any work: budget >= 1, a valid level,
     q a prime exceeding d, and q^d within the budget."""
+    check_int(budget, "the budget")
     if budget < 1:
         raise ParameterError(f"the budget must be at least 1, got {budget}")
     _check_level(d, l)
@@ -575,8 +589,7 @@ def verify_discriminant_locus(
     )
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(Record):
     """Point-count growth comparison across two field sizes.
 
     ratio is the observed count_q2/count_q1 (None when count_q1 = 0);
@@ -584,16 +597,22 @@ class GrowthReport:
     would show.
     """
 
-    d: int
-    l: int
-    q1: int
-    q2: int
-    count_q1: int
-    count_q2: int
-    ratio: Fraction | None
-    expected: Fraction
-    tolerance: int
-    within_tolerance: bool
+    _fields = ("d", "l", "q1", "q2", "count_q1", "count_q2", "ratio", "expected",
+               "tolerance", "within_tolerance")
+
+    def __init__(self, d: int, l: int, q1: int, q2: int, count_q1: int, count_q2: int,
+                 ratio: Fraction | None, expected: Fraction, tolerance: int,
+                 within_tolerance: bool):
+        self._set("d", d)
+        self._set("l", l)
+        self._set("q1", q1)
+        self._set("q2", q2)
+        self._set("count_q1", count_q1)
+        self._set("count_q2", count_q2)
+        self._set("ratio", ratio)
+        self._set("expected", expected)
+        self._set("tolerance", tolerance)
+        self._set("within_tolerance", within_tolerance)
 
 
 def dimension_growth_check(
@@ -613,6 +632,7 @@ def dimension_growth_check(
     Both fields pass the checks of verify_discriminant_locus before
     either is scanned.
     """
+    check_int(tolerance, "the tolerance")
     if tolerance < 1:
         raise ParameterError(f"the tolerance must be at least 1, got {tolerance}")
     if q2 <= q1:

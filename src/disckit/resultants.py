@@ -47,12 +47,11 @@ the reference the memoized R_n is tested against.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .errors import DisckitError, ExactDivisionError, ParameterError, RingMismatchError
+from .errors import DisckitError, ExactDivisionError, ParameterError, Record, RingMismatchError
 from .rings import (
     ZZ,
     MultiPoly,
@@ -68,17 +67,17 @@ from .rings import (
 from .unipoly import MAX_DEGREE, UniPoly, _rem_mod, _trim
 
 
-@dataclass(frozen=True)
-class SylvesterSpec:
+class SylvesterSpec(Record):
     """Declared degrees (m for the first polynomial, n for the second)."""
 
-    m: int
-    n: int
+    _fields = ("m", "n")
 
-    def __post_init__(self):
-        if type(self.m) is not int or type(self.n) is not int:  # a bool is refused too
+    def __init__(self, m: int, n: int):
+        self._set("m", m)
+        self._set("n", n)
+        if type(m) is not int or type(n) is not int:  # a bool is refused too
             raise ParameterError(f"declared degrees must be integers, got {self}")
-        if self.m < 0 or self.n < 0:
+        if m < 0 or n < 0:
             raise ParameterError(f"declared degrees must be nonnegative, got {self}")
 
 

@@ -819,7 +819,7 @@ class RingElement:
         return RingElement(self.ring, self.ring._neg(self.value))
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # a bool is refused too
             raise ParameterError(f"exponent must be a nonnegative integer, got {n!r}")
         return RingElement(self.ring, self.ring._pow(self.value, n))
 

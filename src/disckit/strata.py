@@ -27,16 +27,14 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .errors import ExactDivisionError
+from .errors import ExactDivisionError, Record
 from .rings import MultiPoly, PolynomialRing, Ring, RingElement, RingHom
 from .resultants import classify_discriminant, declared_degree, discriminant
 from .unipoly import UniPoly
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Record):
     """One locally closed piece of the base, with its verdict.
 
     inverted and quotiented are printed expressions: the stratum is the
@@ -46,12 +44,18 @@ class Stratum:
     meaning in the original base.
     """
 
-    inverted: tuple[str, ...]
-    quotiented: tuple[str, ...]
-    residual_poly: str
-    residual_degree: int
-    discriminant: str | None
-    verdict: str
+    _fields = ("inverted", "quotiented", "residual_poly", "residual_degree", "discriminant",
+               "verdict")
+
+    def __init__(self, inverted: tuple[str, ...], quotiented: tuple[str, ...],
+                 residual_poly: str, residual_degree: int, discriminant: str | None,
+                 verdict: str):
+        self._set("inverted", inverted)
+        self._set("quotiented", quotiented)
+        self._set("residual_poly", residual_poly)
+        self._set("residual_degree", residual_degree)
+        self._set("discriminant", discriminant)
+        self._set("verdict", verdict)
 
 
 def is_unit_localized(x: RingElement, inverted: Sequence[RingElement]) -> bool:

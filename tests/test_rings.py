@@ -61,6 +61,15 @@ def test_power_matches_repeated_product(ring):
     assert ring.zero**0 == ring.one
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, -1], ids=repr)
+@pytest.mark.parametrize("ring", (ZZ, QQ, GF(7), PolynomialRing(ZZ, ("u",))), ids=str)
+def test_an_exponent_must_be_a_nonnegative_int(ring, bad):
+    two = ring.one + ring.one
+    with pytest.raises(ParameterError, match="exponent must be a nonnegative integer") as caught:
+        two**bad
+    assert caught.value.exit_code == 3
+
+
 POW_RINGS = (
     ZZ, QQ, GF(2), GF(7),
     PolynomialRing(ZZ, ("x", "y")), PolynomialRing(QQ, ("u", "v")), PolynomialRing(GF(7), ("x",)),

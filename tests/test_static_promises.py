@@ -5,12 +5,12 @@ a standard-library module; its arithmetic is exact, so no float literal
 and no call of float appears; and its one setting outside the command
 line is DISCKIT_THREADS, the only environment variable it reads.  A
 command loads no module that it does not run: the process-pool machinery
-only when a scan starts a pool, and typing never.  Every disckit module
-is imported at the top of the module that uses it, never inside a
-function, and resultants, which jets builds on, imports nothing from
-jets.  Every module-level import outside __init__ (whose imports are its
-re-exports) is read somewhere as that import, not only as a local of the
-same name.
+only when a scan starts a pool, json only for a JSON rendering, and
+typing, dataclasses and inspect never.  Every disckit module is imported
+at the top of the module that uses it, never inside a function, and
+resultants, which jets builds on, imports nothing from jets.  Every
+module-level import outside __init__ (whose imports are its re-exports)
+is read somewhere as that import, not only as a local of the same name.
 """
 
 import ast
@@ -76,7 +76,7 @@ def test_disckit_modules_are_imported_at_module_level_only():
         inside += [(str(path.relative_to(SRC)), name)
                    for _, name, nested in _imports(tree) if nested]
     assert [name for _, name in inside if _is_disckit(name)] == []
-    assert inside == [("oracle.py", "concurrent.futures")]
+    assert inside == [("cli.py", "json"), ("oracle.py", "concurrent.futures")]
 
 
 def test_resultants_imports_nothing_from_jets():
@@ -236,6 +236,31 @@ def test_importing_disckit_loads_no_pool_machinery_and_no_typing():
     heavy = [name for name in loaded
              if name == "typing" or name.partition(".")[0] in ("concurrent", "multiprocessing")]
     assert heavy == []
+
+
+def test_importing_disckit_loads_no_dataclasses_and_no_inspect():
+    """The records are plain classes (errors.Record), so no dataclasses closure loads."""
+    loaded = _fresh_python(
+        "import sys\n"
+        "import disckit, disckit.cli\n"
+        "print('\\n'.join(sys.modules))\n"
+    ).split()
+    assert [name for name in ("dataclasses", "inspect", "ast", "dis", "json")
+            if name in loaded] == []
+
+
+def test_only_a_json_rendering_loads_json():
+    loaded = _fresh_python(
+        "import sys\n"
+        "from disckit import cli\n"
+        "print(cli.render(cli.CommandResult('ok', {'a': 1}), 'dims', 'plain'), end='')\n"
+        "print('json' in sys.modules)\n"
+        "print(cli.render(cli.CommandResult('ok', {'a': 1}), 'dims', 'json'), end='')\n"
+        "print('json' in sys.modules)\n"
+    )
+    assert loaded.splitlines()[0] == "a: 1"
+    assert loaded.splitlines()[1] == "False"
+    assert loaded.splitlines()[-1] == "True"
 
 
 def test_a_pooled_scan_in_a_fresh_process_matches_one_process(monkeypatch):

@@ -21,6 +21,15 @@ from disckit import (
 from conftest import SCALAR_RINGS, rand_element, rand_scalar, rand_unipoly
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, -1], ids=repr)
+@pytest.mark.parametrize("ring", (ZZ, QQ, GF(7), PolynomialRing(ZZ, ("u",))), ids=str)
+def test_an_exponent_must_be_a_nonnegative_int(ring, bad):
+    t = UniPoly(ring, "t", [ring.zero, ring.one])
+    with pytest.raises(ParameterError, match="exponent must be a nonnegative integer") as caught:
+        (t + 1) ** bad
+    assert caught.value.exit_code == 3
+
+
 def test_degree_sentinel():
     z = UniPoly.zero(ZZ, "t")
     assert z.degree is MINUS_INFINITY
