@@ -185,4 +185,5 @@ def complex_table(N: int, d: int, k: int) -> tuple[ComplexTerm, ...]:
         raise ParameterError(f"the table's {r + 1} terms may have {bits} bits in all, "
                              f"over the limit {MAX_TABLE_BITS}")
     head = ComplexTerm(twist=0, module_dim=1)
-    return (head,) + tuple(complex_term_rank(N, d, k, j) for j in range(1, r + 1))
+    return (head,) + tuple(ComplexTerm(twist=-j, module_dim=h_ext_jet_dual(N, d, k, j, N))
+                           for j in range(1, r + 1))

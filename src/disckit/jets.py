@@ -93,7 +93,6 @@ def chart_ring(d: int, chart: ChartId, base: Ring = ZZ) -> PolynomialRing:
 
 def generic_section(d: int, chart: ChartId, base: Ring = ZZ) -> UniPoly:
     """The universal section of the chart, as a polynomial in t or s."""
-    _check_chart(d, chart)
     ring = chart_ring(d, chart, base)
     i = chart.dehom_section
     var = "t" if chart.affine_chart == 0 else "s"

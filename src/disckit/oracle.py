@@ -571,11 +571,9 @@ def verify_discriminant_locus(
         )
     sound_miss: list[Point] = []
     complete_miss: list[Point] = []
-    for r in results:
+    for r in results:  # each chunk's lists are sorted, and chunks cover ascending u_0
         sound_miss.extend(r[2])
         complete_miss.extend(r[3])
-    sound_miss.sort()
-    complete_miss.sort()
     return VerifyReport(
         d,
         l,

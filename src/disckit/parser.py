@@ -236,12 +236,9 @@ class _Evaluator:
             parts.append(self.nat())
         acc = parts[-1]
         for x in reversed(parts[:-1]):
-            if x > 1:
-                if acc > 20 or x**acc > MAX_DEGREE:
-                    self.fail(f"exponent exceeds the limit {MAX_DEGREE}", self.tokens[self.pos - 1])
-                acc = x**acc
-            else:
-                acc = x**acc
+            if x > 1 and (acc > 20 or x**acc > MAX_DEGREE):
+                self.fail(f"exponent exceeds the limit {MAX_DEGREE}", self.tokens[self.pos - 1])
+            acc = x**acc
         return acc
 
     def nat(self) -> int:

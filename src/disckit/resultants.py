@@ -174,26 +174,22 @@ def _det_raw(rows: list[list], ring: Ring) -> RingElement:
     """det_fraction_free on raw values of ring; the rows are consumed."""
     if not rows:
         return ring.one
-    if ring.modulus is not None or isinstance(ring, RationalRing):
-        return RingElement(ring, _det_scalar(rows, ring))
+    p = ring.modulus
+    if p is not None:
+        return RingElement(ring, _det_mod(rows, p) if p else _det_int(rows))
+    if isinstance(ring, RationalRing):
+        scaled = [_clear_fractions(row) for row in rows]
+        det = _det_int([row for row, _ in scaled])
+        return RingElement(ring, Fraction(det, prod(s for _, s in scaled)))
     constants = _constant_rows(rows)
     if constants is not None:
-        return RingElement(ring, ring._const(_det_scalar(constants, ring.base)))
+        return RingElement(ring, ring._const(_det_raw(constants, ring.base).value))
     if isinstance(ring.base, RationalRing):
         cleared = [clear_denominators(row) for row in rows]
         det = _det_packed([row for row, _ in cleared]).terms
         total = prod(s for _, s in cleared)
         return RingElement(ring, MultiPoly(ring, {e: Fraction(c, total) for e, c in det.items()}))
     return RingElement(ring, _det_packed(rows))
-
-
-def _det_scalar(rows: list[list], ring: Ring):
-    """The raw determinant over ZZ, QQ or Fp; the rows are consumed."""
-    p = ring.modulus
-    if p is not None:
-        return _det_mod(rows, p) if p else _det_int(rows)
-    scaled = [_clear_fractions(row) for row in rows]
-    return Fraction(_det_int([row for row, _ in scaled]), prod(s for _, s in scaled))
 
 
 def _constants(values: list[MultiPoly]) -> list | None:

@@ -83,14 +83,20 @@ def _is_prime(p: int) -> bool:
 class Ring:
     """Descriptor of a coefficient ring; subclasses implement raw-value ops.
 
-    The raw-value protocol (underscore methods: _coerce, _add, _neg, _sub,
-    _mul, _pow, _is_one, _is_unit, _exact_div, _sign_mag) operates on the
-    plain Python values listed in the module docstring.  The raw value
-    itself answers two questions without its ring: it is falsy exactly
-    when it is zero, and str() prints it.  User code works with RingElement
-    wrappers obtained from element()/zero/one.  modulus is 0 when raw
-    values are plain ints (ZZ), p when they are residues mod the prime p
-    (Fp(p)), and None when they are not ints.
+    The raw-value protocol (underscore methods) operates on the plain
+    Python values listed in the module docstring.  A subclass supplies
+    _add, _neg, _mul and _is_unit; _coerce(value), the raw value of a
+    plain Python value (RingMismatchError if it has none); _exact_div(a,
+    b), a / b when b divides a exactly (ExactDivisionError otherwise);
+    and _sign_mag(a), a (sign, magnitude string) pair for term printing,
+    where residues and multi-term polynomials have sign +1 and a
+    multi-term magnitude is parenthesised.  _sub, _pow and _is_one have
+    defaults below.  The raw value itself answers two questions without
+    its ring: it is falsy exactly when it is zero, and str() prints it.
+    User code works with RingElement wrappers obtained from
+    element()/zero/one.  modulus is 0 when raw values are plain ints
+    (ZZ), p when they are residues mod the prime p (Fp(p)), and None
+    when they are not ints.
     """
 
     modulus: int | None = None
@@ -118,21 +124,8 @@ class Ring:
 
     # raw-value protocol -------------------------------------------------
 
-    def _coerce(self, value):
-        """The raw value of a plain Python value; RingMismatchError if it has none."""
-        raise NotImplementedError
-
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
     def _sub(self, a, b):
         return self._add(a, self._neg(b))
-
-    def _mul(self, a, b):
-        raise NotImplementedError
 
     def _pow(self, a, n: int):
         """a^n for an int n >= 0 by square-and-multiply; a^0 is one, also for a = 0."""
@@ -148,24 +141,11 @@ class Ring:
     def _is_one(self, a) -> bool:
         return a == 1
 
-    def _is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    def _exact_div(self, a, b):
-        """a / b when b divides a exactly; ExactDivisionError otherwise."""
-        raise NotImplementedError
-
-    def _sign_mag(self, a) -> tuple[int, str]:
-        """Split a into (sign, magnitude string) for term printing.
-
-        Residues and multi-term polynomials have sign +1; a multi-term
-        magnitude is parenthesised.
-        """
-        raise NotImplementedError
-
 
 class _NumberRing(Ring):
-    """Arithmetic shared by ZZ and QQ, whose raw values are Python numbers."""
+    """ZZ and QQ, whose raw values are Python numbers; each is named by its class's name."""
+
+    name: str
 
     def _add(self, a, b):
         return a + b
@@ -182,8 +162,20 @@ class _NumberRing(Ring):
     def _sign_mag(self, a):
         return (1 if a >= 0 else -1), str(abs(a))
 
+    def __eq__(self, other):
+        return other.__class__ is self.__class__
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __str__(self):
+        return self.name
+
+    __repr__ = __str__
+
 
 class IntegerRing(_NumberRing):
+    name = "ZZ"
     modulus = 0
 
     def _coerce(self, value):
@@ -204,19 +196,10 @@ class IntegerRing(_NumberRing):
             raise ExactDivisionError(f"{a} is not divisible by {b} in ZZ")
         return q
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("ZZ")
-
-    def __str__(self):
-        return "ZZ"
-
-    __repr__ = __str__
-
 
 class RationalRing(_NumberRing):
+    name = "QQ"
+
     def _coerce(self, value):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
@@ -229,17 +212,6 @@ class RationalRing(_NumberRing):
         if b == 0:
             raise ExactDivisionError("division by zero in QQ")
         return a / b
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    def __str__(self):
-        return "QQ"
-
-    __repr__ = __str__
 
 
 class PrimeField(Ring):
@@ -327,12 +299,17 @@ class PolynomialRing(Ring):
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
 
-    def variable(self, name: str) -> "RingElement":
+    def _position(self, name: str) -> int:
+        """The index of the variable name in names; ParameterError if there is none."""
         i = self._index.get(name)
         if i is None:
             raise ParameterError(
                 f"{self} has no variable {name!r}; its variables are {', '.join(self.names)}"
             )
+        return i
+
+    def variable(self, name: str) -> "RingElement":
+        i = self._position(name)
         exps = (0,) * i + (1,) + (0,) * (len(self.names) - 1 - i)
         return RingElement(self, MultiPoly(self, {exps: self.base.coerce(1)}))
 
@@ -438,12 +415,11 @@ class MultiPoly:
     is graded lexicographic on the declared variable order.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolynomialRing, terms: dict):
         self.ring = ring
         self.terms = terms
-        self._hash = None
 
     # construction helpers ------------------------------------------------
 
@@ -474,14 +450,14 @@ class MultiPoly:
         return max(sum(e) for e in self.terms)
 
     def degree_in(self, name: str) -> int:
-        i = self.ring.names.index(name)
+        i = self.ring._position(name)
         if not self.terms:
             return 0
         return max(e[i] for e in self.terms)
 
     def coefficient_of(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of name**power, as a polynomial in the same ring."""
-        i = self.ring.names.index(name)
+        i = self.ring._position(name)
         out = {}
         for exps, coeff in self.terms.items():
             if exps[i] == power:
@@ -576,10 +552,7 @@ class MultiPoly:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            items = tuple(sorted(self.terms.items()))
-            self._hash = hash((self.ring, items))
-        return self._hash
+        return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     # printing -------------------------------------------------------------
 

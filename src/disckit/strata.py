@@ -2,15 +2,15 @@
 
 Given P in A[t] of declared degree d, the spectrum of A breaks into
 locally closed strata on which Spec(A[t]/P) -> Spec A is finite etale
-of a known degree, or visibly ramified.  Each level of the recursion
-works on one declared degree:
+of a known degree, or visibly ramified.  main1_strata loops over
+the degrees, one leading coefficient at a time:
 
   * let a be the (declared) leading coefficient; where a is invertible
     the cover has rank d and its discriminant b decides etale (b a
     unit) versus ramified (b = 0), splitting the stratum along b when
     neither holds;
-  * where a vanishes the degree drops, so the recursion continues with
-    a eliminated.  Elimination is by substitution and only applies
+  * where a vanishes the degree drops, so the loop continues with a
+    eliminated.  Elimination is by substitution and only applies
     when a is linear in some variable with a unit coefficient; other
     shapes (an integer like 2, a quadric like u^2) would need genuine
     quotient-ring arithmetic and are reported as unsupported strata
@@ -162,90 +162,50 @@ def main1_strata(
     A caller that already holds b = discriminant(P, degree) may pass it;
     it is used only when the declared degree is the actual one, since a
     padded top level works at the actual degree.
+
+    No inversion survives an elimination, which works on the closed
+    complement of a: each stratum inverts at most its level's a and b.
     """
     d = declared_degree(P, degree, "the polynomial")
-    return _strata(P, d, (), (), b if d == P.degree else None)
-
-
-def _strata(
-    P: UniPoly,
-    d: int,
-    inv_report: tuple[str, ...],
-    quo_report: tuple[str, ...],
-    b: RingElement | None = None,
-) -> list[Stratum]:
-    # No inversion survives a descent: descents happen on the closed
-    # complement of every previously inverted element, so the live
-    # localization visible here is always trivial.  Inverted elements
-    # accumulate only on the leaf strata cut out by _split_on_discriminant.
-    if P.is_zero():
-        return [
-            Stratum(inv_report, quo_report, str(P), d, None,
-                    "unsupported: residual polynomial is zero")
-        ]
-    d = P.degree  # identically-zero top coefficients contribute no strata
-    if d == 0:
-        c = P.coefficient(0)
-        if c.is_unit():
-            return [Stratum(inv_report, quo_report, str(P), 0, None, "etale of degree 0")]
-        out = [
-            Stratum(inv_report + (str(c),), quo_report, str(P), 0, None,
-                    "etale of degree 0")
-        ]
-        out.extend(_descend(P, 0, c, inv_report, quo_report))
-        return out
-
-    a = P.coefficient(d)
-    if a.is_unit():
-        return _split_on_discriminant(P, d, inv_report, quo_report, (), b)
-    out = _split_on_discriminant(
-        P, d, inv_report + (str(a),), quo_report, (a,), b
-    )
-    out.extend(_descend(P, d, a, inv_report, quo_report))
+    if d != P.degree:
+        b = None
+    quotiented: tuple[str, ...] = ()
+    out: list[Stratum] = []
+    while not P.is_zero():
+        d = P.degree  # identically-zero top coefficients contribute no strata
+        a = P.coefficient(d)
+        if a.is_unit():
+            return out + _level(P, d, (), quotiented, b)
+        out += _level(P, d, (a,), quotiented, b)
+        step = _eliminable(a)
+        if step is None:
+            out.append(Stratum((), quotiented + (str(a),), str(P), d, None,
+                               f"unsupported: cannot eliminate {a} by substitution"))
+            return out
+        name, smaller, image = step
+        P = P.map_coefficients(RingHom(a.ring, smaller, {name: image}))
+        quotiented += (str(a),)
+        d, b = max(d - 1, 0), None
+    out.append(Stratum((), quotiented, str(P), d, None, "unsupported: residual polynomial is zero"))
     return out
 
 
-def _split_on_discriminant(
-    P: UniPoly,
-    d: int,
-    inv_report: tuple[str, ...],
-    quo_report: tuple[str, ...],
-    inv_live: tuple[RingElement, ...],
-    b: RingElement | None,
-) -> list[Stratum]:
-    """The strata of P at degree d; b is discriminant(P, d) when the caller has it."""
+def _level(P: UniPoly, d: int, inverted: tuple[RingElement, ...], quotiented: tuple[str, ...],
+           b: RingElement | None) -> list[Stratum]:
+    """The strata of P at its degree d, on the locus where every element of
+    inverted is a unit; b is discriminant(P, d) when the caller has it.
+    A constant P has no discriminant and is etale of degree 0."""
+    inv, poly = tuple(map(str, inverted)), str(P)
+    if d == 0:
+        return [Stratum(inv, quotiented, poly, 0, None, "etale of degree 0")]
     if b is None:
         b = discriminant(P, d)
-    poly, disc = str(P), str(b)
-    if is_unit_localized(b, inv_live):
-        return [Stratum(inv_report, quo_report, poly, d, disc, f"etale of degree {d}")]
+    disc = str(b)
+    if is_unit_localized(b, inverted):
+        return [Stratum(inv, quotiented, poly, d, disc, f"etale of degree {d}")]
     if b.is_zero():
-        return [Stratum(inv_report, quo_report, poly, d, disc, "ramified")]
+        return [Stratum(inv, quotiented, poly, d, disc, "ramified")]
     return [
-        Stratum(inv_report + (disc,), quo_report, poly, d, disc, f"etale of degree {d}"),
-        Stratum(inv_report, quo_report + (disc,), poly, d, disc, "ramified"),
+        Stratum(inv + (disc,), quotiented, poly, d, disc, f"etale of degree {d}"),
+        Stratum(inv, quotiented + (disc,), poly, d, disc, "ramified"),
     ]
-
-
-def _descend(
-    P: UniPoly,
-    d: int,
-    a: RingElement,
-    inv_report: tuple[str, ...],
-    quo_report: tuple[str, ...],
-) -> list[Stratum]:
-    step = _eliminable(a)
-    if step is None:
-        return [
-            Stratum(inv_report, quo_report + (str(a),), str(P), d, None,
-                    f"unsupported: cannot eliminate {a} by substitution")
-        ]
-    name, smaller, image = step
-    hom = RingHom(a.ring, smaller, {name: image})
-    new_P = P.map_coefficients(hom)
-    return _strata(
-        new_P,
-        max(d - 1, 0),
-        inv_report,
-        quo_report + (str(a),),
-    )

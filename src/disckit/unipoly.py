@@ -25,6 +25,7 @@ from .errors import (
     ParameterError,
     RingMismatchError,
     UnsupportedRingError,
+    check_int,
 )
 from .rings import (
     PolynomialRing,
@@ -344,6 +345,7 @@ class UniPoly:
 
     @classmethod
     def monomial(cls, coeff_ring: Ring, var: str, k: int, c=1) -> "UniPoly":
+        check_int(k, "the monomial exponent")
         if k < 0:
             raise ParameterError("monomial exponent must be nonnegative")
         return cls(coeff_ring, var, (0,) * k + (c,))

@@ -9,6 +9,8 @@ import concurrent.futures
 import functools
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from importlib import resources
@@ -285,6 +287,18 @@ def test_dims_single_value(capsys):
     }
 
 
+def test_python_m_disckit_prints_what_cli_main_prints(capsys):
+    argv = ["dims", "--N", "1", "--d", "4", "--k", "1", "--j", "1"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "disckit", *argv], env=env,
+                          capture_output=True, check=False)
+    code, out, err = run(argv, capsys)
+    assert (proc.returncode, code) == (0, 0)
+    assert proc.stdout == out.encode()
+    assert proc.stderr == err.encode() == b""
+
+
 def test_dims_higher_cohomology_vanishes(capsys):
     env = run_json(
         ["dims", "--N", "1", "--d", "3", "--k", "1", "--j", "1", "--i", "1"], capsys
@@ -334,7 +348,7 @@ def test_dims_refuses_oversized_counts_before_computing(argv, monkeypatch, capsy
             raise AssertionError(f"C({n}, {k}) was computed")
         return comb(n, k)
 
-    monkeypatch.setattr(dims, "complex_term_rank", no_term)
+    monkeypatch.setattr(dims, "h_ext_jet_dual", no_term)
     monkeypatch.setattr(math, "comb", small_comb)
     start = time.perf_counter()
     code, out, err = run(["dims", *argv], capsys)

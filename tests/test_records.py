@@ -315,6 +315,7 @@ COUNT_CALLS = {
         lambda: has_root_of_multiplicity(UniPoly(GF(7), "t", [0, 0, 1]), 2.0),
     "dimension_growth_check(3, 2, 5, 7, tolerance=2.0)":
         lambda: dimension_growth_check(3, 2, 5, 7, tolerance=2.0),
+    "UniPoly.monomial(ZZ, t, True)": lambda: UniPoly.monomial(ZZ, "t", True),
 }
 
 

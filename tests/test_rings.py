@@ -284,6 +284,19 @@ def test_multipoly_degree_queries():
     assert ring.zero.value.total_degree() is None
 
 
+@pytest.mark.parametrize("query", [
+    lambda p: p.degree_in("z"),
+    lambda p: p.coefficient_of("z", 1),
+], ids=["degree_in", "coefficient_of"])
+def test_multipoly_queries_refuse_a_name_the_ring_lacks(query):
+    ring = PolynomialRing(ZZ, ("a", "b"))
+    p = ring.variable("a").value
+    with pytest.raises(ParameterError, match=r"ZZ\[a,b\] has no variable 'z'; its variables are a, b"):
+        query(p)
+    with pytest.raises(ParameterError, match=r"ZZ\[a,b\] has no variable 'z'"):
+        ring.variable("z")
+
+
 def test_printing_graded_lex_descending():
     ring = PolynomialRing(ZZ, ("u0", "u1"))
     u0, u1 = ring.variable("u0"), ring.variable("u1")

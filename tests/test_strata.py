@@ -81,6 +81,22 @@ def test_unsupported_zero_residual():
     assert strata[1].residual_poly == "0"
 
 
+def as_tuples(strata):
+    return [tuple(getattr(s, name) for name in s._fields) for s in strata]
+
+
+def test_identically_zero_discriminant_is_ramified():
+    # the perfect square has b = 0 on the whole base: one ramified stratum, nothing split
+    assert as_tuples(strata_of("t^2 + 2*u*t + u^2", "QQ[u]")) == [
+        ((), (), "t^2 + 2*u*t + u^2", 2, "0", "ramified"),
+    ]
+    # with the leading coefficient inverted, then eliminated down to the zero residual
+    assert as_tuples(strata_of("u*(t+1)^2", "QQ[u,v]")) == [
+        (("u",), (), "u*t^2 + 2*u*t + u", 2, "0", "ramified"),
+        ((), ("u",), "0", 1, None, "unsupported: residual polynomial is zero"),
+    ]
+
+
 def test_constant_sections():
     assert strata_of("7", "QQ") == [Stratum((), (), "7", 0, None, "etale of degree 0")]
     strata = strata_of("u", "QQ[u]", 0)
