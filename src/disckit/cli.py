@@ -1,10 +1,10 @@
 """Command line for the toolkit.
 
-Every subcommand produces a CommandResult; --format picks between a
-plain key/value rendering and a JSON envelope validated by the shipped
-schema (disckit/cli_result_v1).  Both renderings are pure functions of
-the payload, so output is byte-identical across runs and worker
-counts.
+Every subcommand's payload goes out in a CommandResult; --format picks
+between a plain key/value rendering and a JSON envelope validated by the
+shipped schema (disckit/cli_result_v1).  Both renderings are pure
+functions of the payload, so output is byte-identical across runs and
+worker counts.
 
 Exit codes: 0 success, 2 input syntax, 3 ring or parameter problems,
 4 enumeration budget exceeded, 5 internal errors.
@@ -97,6 +97,7 @@ def render(result: CommandResult, command: str, fmt: str) -> str:
 
 
 # ----- subcommand handlers ---------------------------------------------------
+# Each returns the payload of a successful run; _run builds the envelope.
 
 def _payload(value):
     """A report as payload: Record -> dict of its fields, tuple -> list, Fraction -> str."""
@@ -107,14 +108,14 @@ def _payload(value):
     return str(value) if isinstance(value, Fraction) else value
 
 
-def cmd_resultant(args) -> CommandResult:
+def cmd_resultant(args) -> dict:
     ring = parse_ring(args.ring)
     f = parse_poly(args.f, ring, args.var)
     g = parse_poly(args.g, ring, args.var)
     m = declared_degree(f, args.deg_f, "f")
     n = declared_degree(g, args.deg_g, "g")
     value = resultant(f, g, SylvesterSpec(m, n))
-    payload = {
+    return {
         "ring": str(ring),
         "var": args.var,
         "f": str(f),
@@ -123,42 +124,40 @@ def cmd_resultant(args) -> CommandResult:
         "deg_g": n,
         "resultant": str(value),
     }
-    return CommandResult("ok", payload)
 
 
-def cmd_discriminant(args) -> CommandResult:
+def _family(args) -> tuple:
+    """(polynomial, declared degree, shared payload) of a discriminant or etale request."""
     ring = parse_ring(args.ring)
     p = parse_poly(args.poly, ring, args.var)
     degree = declared_degree(p, args.degree, "the polynomial")
+    return p, degree, {"ring": str(ring), "var": args.var, "poly": str(p), "degree": degree}
+
+
+def cmd_discriminant(args) -> dict:
+    p, degree, payload = _family(args)
     verdict, value = classify_discriminant(p, degree)
-    payload = {
-        "ring": str(ring),
-        "var": args.var,
-        "poly": str(p),
-        "degree": degree,
-        "discriminant": str(value),
-        "classification": verdict,
-    }
-    return CommandResult("ok", payload)
+    payload["discriminant"] = str(value)
+    payload["classification"] = verdict
+    return payload
 
 
-def cmd_disc_ideal(args) -> CommandResult:
+def cmd_disc_ideal(args) -> dict:
     if args.homogeneous:
         if args.l != 1:
             raise ParameterError("--homogeneous is only defined at level l = 1")
         gen = homogeneous_classical_discriminant(args.d)
-        payload = {
+        return {
             "d": args.d,
             "l": 1,
             "homogeneous": True,
             "ring": str(gen.ring),
             "gens": [str(gen)],
         }
-        return CommandResult("ok", payload)
     i = args.i if args.i is not None else args.d
     chart = ChartId(i, args.chart)
     ideal = discriminant_ideal(args.d, args.l, chart)
-    payload = {
+    return {
         "d": args.d,
         "l": args.l,
         "homogeneous": False,
@@ -166,33 +165,24 @@ def cmd_disc_ideal(args) -> CommandResult:
         "ring": str(ideal.ring),
         "gens": [str(g) for g in ideal.gens],
     }
-    return CommandResult("ok", payload)
 
 
-def cmd_etale(args) -> CommandResult:
-    ring = parse_ring(args.ring)
-    p = parse_poly(args.poly, ring, args.var)
-    degree = declared_degree(p, args.degree, "the polynomial")
+def cmd_etale(args) -> dict:
+    p, degree, payload = _family(args)
     verdict, b = etale_verdict(p, degree)
-    payload = {
-        "ring": str(ring),
-        "var": args.var,
-        "poly": str(p),
-        "degree": degree,
-        "discriminant": str(b),
-        "verdict": verdict,
-    }
+    payload["discriminant"] = str(b)
+    payload["verdict"] = verdict
     if args.strata:
         payload["strata"] = _payload(main1_strata(p, degree, b))
-    return CommandResult("ok", payload)
+    return payload
 
 
-def cmd_dims(args) -> CommandResult:
+def cmd_dims(args) -> dict:
     if args.table:
         if args.j is not None or args.i is not None:
             raise ParameterError("--table does not combine with --j/--i")
         table = complex_table(args.N, args.d, args.k)
-        payload = {
+        return {
             "N": args.N,
             "d": args.d,
             "k": args.k,
@@ -200,21 +190,19 @@ def cmd_dims(args) -> CommandResult:
             "twists": [term.twist for term in table],
             "module_dims": [term.module_dim for term in table],
         }
-        return CommandResult("ok", payload)
     if args.j is None:
         raise ParameterError("pass --j (and optionally --i), or --table")
     i = args.i if args.i is not None else 0
     value = h_ext_jet(args.N, args.d, args.k, args.j, i)
-    report = DimReport(args.N, args.d, args.k, args.j, i, value, "ext_jet")
-    return CommandResult("ok", _payload(report))
+    return _payload(DimReport(args.N, args.d, args.k, args.j, i, value, "ext_jet"))
 
 
-def cmd_verify(args) -> CommandResult:
+def cmd_verify(args) -> dict:
     if args.q2 is not None:
         report = dimension_growth_check(args.d, args.l, args.q, args.q2, budget=args.budget)
     else:
         report = verify_discriminant_locus(args.d, args.l, args.q, budget=args.budget)
-    return CommandResult("ok", _payload(report))
+    return _payload(report)
 
 
 # ----- argument wiring --------------------------------------------------------
@@ -260,6 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     reuses the same one; callers must not add to it.
     """
     common = _format_parser()
+    family = _ArgumentParser(add_help=False)  # the polynomial of discriminant and etale
+    family.add_argument("poly")
+    family.add_argument("--ring", required=True)
+    family.add_argument("--var", default="t")
+    family.add_argument("--degree", type=int, default=None, help="declared degree")
 
     top = _ArgumentParser(
         prog="disckit",
@@ -277,12 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deg-g", type=int, default=None, help="declared degree of g")
     p.set_defaults(handler=cmd_resultant)
 
-    p = sub.add_parser("discriminant", parents=[common],
+    p = sub.add_parser("discriminant", parents=[common, family],
                        help="discriminant and separability classification")
-    p.add_argument("poly")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--var", default="t")
-    p.add_argument("--degree", type=int, default=None, help="declared degree")
     p.set_defaults(handler=cmd_discriminant)
 
     p = sub.add_parser("disc-ideal", parents=[common],
@@ -297,12 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="classical discriminant of the generic form (needs l = 1)")
     p.set_defaults(handler=cmd_disc_ideal)
 
-    p = sub.add_parser("etale", parents=[common],
+    p = sub.add_parser("etale", parents=[common, family],
                        help="etale/ramified verdict, optionally the full stratification")
-    p.add_argument("poly")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--var", default="t")
-    p.add_argument("--degree", type=int, default=None)
     p.add_argument("--strata", action="store_true", help="compute the full stratification")
     p.set_defaults(handler=cmd_etale)
 
@@ -368,7 +353,7 @@ def _run(argv: list[str] | None) -> int:
     command = args.command
     fmt = args.format
     try:
-        result = args.handler(args)
+        payload = args.handler(args)
     except Exception as exc:
         if isinstance(exc, InputSyntaxError):
             diagnostics = exc.caret_diagnostic().splitlines()
@@ -378,7 +363,7 @@ def _run(argv: list[str] | None) -> int:
             diagnostics = [f"internal error: {exc!r}"]
         sys.stderr.write(render(CommandResult("error", None, diagnostics), command, fmt))
         return exc.exit_code if isinstance(exc, DisckitError) else 5
-    sys.stdout.write(render(result, command, fmt))
+    sys.stdout.write(render(CommandResult("ok", payload), command, fmt))
     return 0
 
 

@@ -39,6 +39,7 @@ against.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import ExactDivisionError, ParameterError, Record, check_int
 from .rings import QQ, ZZ, MultiPoly, PolynomialRing, Ring, RingHom
@@ -122,8 +123,7 @@ def taylor_map(d: int, l: int, chart: ChartId) -> tuple[UniPoly, ...]:
     components = []
     deriv = f
     for j in range(l + 1):
-        scale = QQ.element(1).exact_div(QQ.element(math.factorial(j)))
-        components.append(deriv * scale)
+        components.append(deriv * Fraction(1, math.factorial(j)))
         deriv = deriv.derivative()
     return tuple(components)
 
@@ -263,7 +263,7 @@ def chart_consistency(d: int, l: int, i: int) -> list[ChartRelation]:
         target_ring,
         {f"u{k}": target_ring.variable(f"u{d - k}") for k in range(d + 1) if k != d - i},
     )
-    mirrored_images = [relabel(mirrored.ring.element(g)).value for g in mirrored.gens]
+    mirrored_images = [relabel(g).value for g in mirrored.gens]
 
     rows = []
     for j in range(l):

@@ -625,8 +625,8 @@ def dimension_growth_check(
 
     A variety of dimension d - l should scale its F_q point count like
     q^(d-l); the check compares count(q2)/count(q1) with (q2/q1)^(d-l)
-    up to the given multiplicative tolerance (at least 1), using exact
-    integer cross-multiplication so a zero count is handled honestly.
+    up to the given multiplicative tolerance (at least 1), comparing the
+    Fractions exactly; with a zero count it holds only if both are zero.
     Both fields pass the checks of verify_discriminant_locus before
     either is scanned.
     """
@@ -642,13 +642,8 @@ def dimension_growth_check(
     c1, c2 = r1.ideal_zero_count, r2.ideal_zero_count
     expected = Fraction(q2, q1) ** (d - l)
     observed = Fraction(c2, c1) if c1 else None
-    if c1 == 0 and c2 == 0:
-        within = True
-    elif c1 == 0 or c2 == 0:
-        within = False
+    if c1 and c2:
+        within = observed <= tolerance * expected and expected <= tolerance * observed
     else:
-        # c2/c1 <= tol*expected  and  expected <= tol*(c2/c1)
-        lhs_ok = c2 * expected.denominator <= tolerance * expected.numerator * c1
-        rhs_ok = expected.numerator * c1 <= tolerance * c2 * expected.denominator
-        within = lhs_ok and rhs_ok
+        within = c1 == c2
     return GrowthReport(d, l, q1, q2, c1, c2, observed, expected, tolerance, within)

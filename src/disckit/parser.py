@@ -16,9 +16,10 @@ syntax error, as is '/' applied to anything but two integer literals.
 All syntax errors carry a 1-based line and column.
 
 The source is cut into tokens by one compiled regex.  A token is a plain
-tuple (kind, text, offset), the offset being the index of its first
-character; line and column are computed from the offset only when an
-error is raised.
+tuple (kind, text, offset): the kind is the string messages name it by
+("number", "'+'", ...), a module constant compared by identity, and the
+offset the index of its first character; line and column are computed
+from the offset only when an error is raised.
 
 Every intermediate value is bounded before it is built: no integer
 literal may have more than MAX_DIGITS digits, no exponent and no total
@@ -46,7 +47,6 @@ a variable block: ZZ[b,c], Fp(7)[u0,u1].
 
 from __future__ import annotations
 
-import enum
 import operator
 import re
 from fractions import Fraction
@@ -97,20 +97,9 @@ def _monomial_height(c, k: int, ring: Ring) -> int:
     return max(abs(c.numerator).bit_length(), c.denominator.bit_length()) + (k + 1).bit_length()
 
 
-class TokenKind(enum.Enum):
-    NUMBER = "number"
-    IDENT = "identifier"
-    PLUS = "'+'"
-    MINUS = "'-'"
-    STAR = "'*'"
-    SLASH = "'/'"
-    CARET = "'^'"
-    LPAREN = "'('"
-    RPAREN = "')'"
-    EOF = "end of input"
-
-
-_NUMBER, _IDENT, _PLUS, _MINUS, _STAR, _SLASH, _CARET, _LPAREN, _RPAREN, _EOF = TokenKind
+_NUMBER, _IDENT, _EOF = "number", "identifier", "end of input"
+_PLUS, _MINUS, _STAR, _SLASH, _CARET = "'+'", "'-'", "'*'", "'/'", "'^'"
+_LPAREN, _RPAREN = "'('", "')'"
 
 # One alternative per token kind, each its own group, so a match's lastindex
 # names the kind (_KINDS).  Group 10 is any other character, an error.  The
@@ -174,19 +163,17 @@ class _Evaluator:
     def fail(self, message: str, tok: tuple | None = None):
         raise _syntax_error(self.src, message, (tok or self.tokens[self.pos])[2])
 
-    def expect(self, kind: TokenKind) -> tuple:
+    def expect(self, kind: str) -> tuple:
         tok = self.tokens[self.pos]
         if tok[0] is not kind:
-            self.fail(f"expected {kind.value}, found {self._describe(tok)}")
+            self.fail(f"expected {kind}, found {self._describe(tok)}")
         self.pos += 1
         return tok
 
     @staticmethod
     def _describe(tok: tuple) -> str:
         kind, text, _ = tok
-        if kind is _EOF:
-            return "end of input"
-        return f"{kind.value} {text!r}" if text else kind.value
+        return f"{kind} {text!r}" if kind is _NUMBER or kind is _IDENT else kind
 
     def parse(self) -> list:
         value = self.expr()

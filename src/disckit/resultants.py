@@ -167,29 +167,29 @@ def det_fraction_free(matrix: list[list[RingElement]], ring: Ring) -> RingElemen
     No Fraction arithmetic runs inside an elimination.  Only the
     determinant is wrapped again.
     """
-    return _det_raw([[ring.coerce(x) for x in row] for row in matrix], ring)
+    return RingElement(ring, _det_raw([[ring.coerce(x) for x in row] for row in matrix], ring))
 
 
-def _det_raw(rows: list[list], ring: Ring) -> RingElement:
-    """det_fraction_free on raw values of ring; the rows are consumed."""
+def _det_raw(rows: list[list], ring: Ring):
+    """The raw determinant of det_fraction_free, on raw values of ring; the rows are consumed."""
     if not rows:
-        return ring.one
+        return ring.coerce(1)
     p = ring.modulus
     if p is not None:
-        return RingElement(ring, _det_mod(rows, p) if p else _det_int(rows))
+        return _det_mod(rows, p) if p else _det_int(rows)
     if isinstance(ring, RationalRing):
         scaled = [_clear_fractions(row) for row in rows]
         det = _det_int([row for row, _ in scaled])
-        return RingElement(ring, Fraction(det, prod(s for _, s in scaled)))
+        return Fraction(det, prod(s for _, s in scaled))
     constants = _constant_rows(rows)
     if constants is not None:
-        return RingElement(ring, ring._const(_det_raw(constants, ring.base).value))
+        return ring._const(_det_raw(constants, ring.base))
     if isinstance(ring.base, RationalRing):
         cleared = [clear_denominators(row) for row in rows]
         det = _det_packed([row for row, _ in cleared]).terms
         total = prod(s for _, s in cleared)
-        return RingElement(ring, MultiPoly(ring, {e: Fraction(c, total) for e, c in det.items()}))
-    return RingElement(ring, _det_packed(rows))
+        return MultiPoly(ring, {e: Fraction(c, total) for e, c in det.items()})
+    return _det_packed(rows)
 
 
 def _constants(values: list[MultiPoly]) -> list | None:
@@ -435,25 +435,26 @@ def resultant(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = None) -> Ring
     if k and l:
         return ring.zero
     if ring.modulus is not None or isinstance(ring, RationalRing):
-        value = RingElement(ring, _resultant_scalar(f, g, ring))
+        value = _resultant_scalar(f, g, ring)
     else:
         cf = _constants(f)
         cg = _constants(g) if cf is not None else None
         if cg is None:
             value = _det_raw(_sylvester_rows(F, G, len(f) - 1, len(g) - 1), ring)
         else:
-            value = RingElement(ring, ring._const(_resultant_scalar(cf, cg, ring.base)))
+            value = ring._const(_resultant_scalar(cf, cg, ring.base))
     if k:
-        value = value * RingElement(ring, g[-1]) ** k
-        return -value if n * k % 2 else value
-    if l:
-        value = value * RingElement(ring, f[-1]) ** l
-    return value
+        value = ring._mul(value, ring._pow(g[-1], k))
+        value = ring._neg(value) if n * k % 2 else value
+    elif l:
+        value = ring._mul(value, ring._pow(f[-1], l))
+    return RingElement(ring, value)
 
 
 def _resultant_reference(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = None) -> RingElement:
     """The Sylvester determinant at the declared degrees; the reference resultant is tested against."""
-    return _det_raw(_sylvester_rows(F, G, *_declared_pair(F, G, spec)), F.coeff_ring)
+    rows = _sylvester_rows(F, G, *_declared_pair(F, G, spec))
+    return RingElement(F.coeff_ring, _det_raw(rows, F.coeff_ring))
 
 
 def _resultant_scalar(f: list, g: list, ring: Ring):
@@ -563,7 +564,7 @@ def bezout_certificate(
     cofactors = []
     for k in range(size):
         value = _det_raw([row[:-1] for i, row in enumerate(rows) if i != k], ring)
-        cofactors.append(value if (k + size - 1) % 2 == 0 else -value)
+        cofactors.append(value if (k + size - 1) % 2 == 0 else ring._neg(value))
     U = UniPoly(ring, F.var, [cofactors[n - 1 - e] for e in range(n)])
     V = UniPoly(ring, F.var, [cofactors[size - 1 - e] for e in range(m)])
     return U, V, resultant(F, G, spec)
@@ -652,7 +653,8 @@ def _generic_raw_discriminant_sylvester(n: int) -> MultiPoly:
 
 
 def _generic_discriminant_image(P: UniPoly, d: int) -> RingElement:
-    """Res_{d,d-1}(P, P') as the image of R_d under y_m -> coefficient m of P.
+    """Res_{d,d-1}(P, P') as the image of R_d under y_m -> coefficient m of P,
+    d the actual degree of P, so that P._raw holds the d + 1 images.
 
     R_d is a polynomial identity over ZZ, so the map is right over every
     coefficient ring, also when P' loses degree in characteristic p.
@@ -663,7 +665,7 @@ def _generic_discriminant_image(P: UniPoly, d: int) -> RingElement:
     """
     generic = _generic_raw_discriminant(d)
     ring = P.coeff_ring
-    images = [P.coefficient(m).value for m in range(d + 1)]
+    images = P._raw
     rational = isinstance(ring.base, RationalRing)
     if rational:
         images, scale = clear_denominators(images)

@@ -73,8 +73,8 @@ class _MinusInfinity:
 
 MINUS_INFINITY = _MinusInfinity()
 
-# The bound on every parsed degree and on every declared degree (see
-# parser and resultants.declared_degree).
+# The bound on every parsed degree, every declared degree (see parser and
+# resultants.declared_degree) and the degree of UniPoly.monomial and __pow__.
 MAX_DEGREE = 10**4
 
 
@@ -348,6 +348,8 @@ class UniPoly:
         check_int(k, "the monomial exponent")
         if k < 0:
             raise ParameterError("monomial exponent must be nonnegative")
+        if k > MAX_DEGREE:
+            raise ParameterError(f"degree {k} exceeds the limit {MAX_DEGREE}")
         return cls(coeff_ring, var, (0,) * k + (c,))
 
     # queries --------------------------------------------------------------
@@ -415,6 +417,9 @@ class UniPoly:
     def __pow__(self, n: int):
         if type(n) is not int or n < 0:  # a bool is refused too
             raise ParameterError(f"exponent must be a nonnegative integer, got {n!r}")
+        degree = n * max(len(self._raw) - 1, 0)  # 0 for a constant or zero, at any n
+        if degree > MAX_DEGREE:
+            raise ParameterError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
         return self._new(_pow(self._raw, n, self.coeff_ring))
 
     def __divmod__(self, other):

@@ -705,3 +705,35 @@ def test_parser_built_once_matches_fresh_parsers(capsys):
     assert usage == 2 and json.loads(usage_err)["status"] == "error"
     assert ok == 0 and "resultant: -3" in ok_out
     assert helped == ("exit", 0) and help_out.startswith("usage: disckit")
+
+
+HELP_USAGE = {
+    "discriminant": (
+        "usage: disckit discriminant [-h] [--format {plain,json}] --ring RING\n"
+        "                            [--var VAR] [--degree DEGREE]\n"
+        "                            poly\n"
+    ),
+    "etale": (
+        "usage: disckit etale [-h] [--format {plain,json}] --ring RING [--var VAR]\n"
+        "                     [--degree DEGREE] [--strata]\n"
+        "                     poly\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_USAGE))
+def test_help_usage_lines_of_the_polynomial_commands(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.split("\n\n")[0] + "\n" == HELP_USAGE[command]
+
+
+def test_a_syntax_error_names_the_operator_once(capsys):
+    code, out, err = run(["resultant", "t + * 2", "t", "--ring", "ZZ"], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == (
+        "error: expected a number, variable, or '(', found '*' (line 1, column 5)"
+    )

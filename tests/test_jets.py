@@ -455,3 +455,8 @@ def test_rank_table_values_and_additivity():
         rank_table(3, 4)
     with pytest.raises(ParameterError):
         rank_table(0, 0)
+
+
+def test_homogeneous_discriminant_needs_degree_two():
+    with pytest.raises(ParameterError, match="at least 2"):
+        homogeneous_classical_discriminant(1)

@@ -808,3 +808,10 @@ def test_a_point_dropped_from_m_alone_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_multiple_root_points", lambda *a: set(sorted(real(*a))[1:]))
     with pytest.raises(DisckitError):
         verify_discriminant_locus(3, 1, 5)
+
+
+def test_growth_with_two_zero_counts_is_within_tolerance():
+    rep = dimension_growth_check(2, 2, 3, 5)
+    assert (rep.count_q1, rep.count_q2) == (0, 0)
+    assert rep.ratio is None
+    assert rep.within_tolerance

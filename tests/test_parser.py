@@ -1,5 +1,6 @@
 """Expression parser tests: grammar, positions, rings, round trips."""
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from disckit import (
     parse_poly,
     parse_ring,
 )
+from disckit.parser import _parse_poly, _ReferenceParser
 from conftest import rand_element, rand_unipoly
 
 
@@ -266,3 +268,29 @@ def test_degree_bound_is_inclusive():
     ring = PolynomialRing(ZZ, ("u",))
     assert parse_poly("u^9999 * t", ring, "t").degree == 1
     assert parse_element("(u^100)^100", ring) == ring.variable("u") ** 10000
+
+
+def test_a_prime_past_the_supported_bound_is_refused():
+    with pytest.raises(ParameterError, match="exceeds the supported bound"):
+        parse_ring("Fp(2147483648)")
+
+
+
+@pytest.mark.parametrize(
+    "parse", [parse_poly, functools.partial(_parse_poly, _ReferenceParser)],
+    ids=["parse_poly", "reference"],
+)
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("t + * 2", "expected a number, variable, or '(', found '*'"),
+        ("t )", "unexpected ')'"),
+        ("(t", "expected ')', found end of input"),
+        ("t 2", "unexpected number '2'; use '*' for multiplication"),
+        ("t x", "unexpected identifier 'x'; use '*' for multiplication"),
+    ],
+)
+def test_messages_quote_only_numbers_and_names(parse, src, message):
+    with pytest.raises(InputSyntaxError) as info:
+        parse(src, ZZ, "t")
+    assert str(info.value) == message

@@ -176,8 +176,8 @@ def _samples():
     found = [
         cli.CommandResult("ok", {"a": [1, 2]}),
         cli.CommandResult("error", None, ["error: x"]),
-        cli.cmd_dims(cli.build_parser().parse_args(["dims", "--N", "1", "--d", "4", "--k", "1",
-                                                     "--j", "1"])),
+        cli.CommandResult("ok", cli.cmd_dims(cli.build_parser().parse_args(
+            ["dims", "--N", "1", "--d", "4", "--k", "1", "--j", "1"]))),
         dims.DimReport(1, 4, 1, 1, 0, 10, "ext_jet"),
         dims.complex_term_rank(1, 5, 1, 2),
         jets.ChartId(2, 1),

@@ -454,3 +454,29 @@ def test_mod_p_semantics_wrap():
     assert (f5.element(2) ** 4) == f5.element(1)
     inv = f5.one.exact_div(f5.element(3))
     assert inv * 3 == f5.one
+
+
+def test_zero_polynomial_has_degree_zero_in_each_variable():
+    assert PolynomialRing(QQ, ("u",)).zero.value.degree_in("u") == 0
+
+
+def test_comparing_with_a_string_is_false_not_an_error():
+    assert (ZZ.one == "1") is False
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: RingHom(ZZ, QQ, {"u": 1}), ParameterError),
+        (lambda: PrimeField(7.0), ParameterError),
+        (lambda: PolynomialRing(QQ, ("u",)).coerce(PolynomialRing(QQ, ("v",)).variable("v").value),
+         RingMismatchError),
+        (lambda: QQ.one.exact_div(0), ExactDivisionError),
+        (lambda: GF(7).one.exact_div(0), ExactDivisionError),
+    ],
+    ids=["scalar-domain-images", "float-characteristic", "foreign-polynomial",
+         "QQ-by-zero", "Fp-by-zero"],
+)
+def test_refusals_raise_their_error_class(call, error):
+    with pytest.raises(error):
+        call()

@@ -434,3 +434,10 @@ def test_no_stratum_quotients_a_unit_of_its_localization():
             product = product * parse_element(x, ring)
         for x in (parse_element(e, ring) for e in s.quotiented):
             assert not divides(x, product ** x.value.total_degree()), (s, x)
+
+
+def test_a_unit_among_the_inverted_elements_is_skipped():
+    ring = PolynomialRing(QQ, ("u",))
+    u = ring.variable("u")
+    assert not is_unit_localized(u, (ring.element(2),))
+    assert is_unit_localized(3 * u, (u, ring.element(2)))

@@ -253,3 +253,40 @@ def test_map_coefficients_var_collision_guard():
     f = UniPoly.monomial(src, "t", 2)
     with pytest.raises(ParameterError):
         f.map_coefficients(RingHom(src, src), var="s")
+
+
+def test_subtraction_from_a_constant_negates_the_difference():
+    t = UniPoly.monomial(ZZ, "t", 1)
+    f = 2 * t**2 - t + 5
+    assert 1 - f == -(f - 1)
+
+
+def test_minus_infinity_orders_and_absorbs():
+    assert not MINUS_INFINITY >= 0
+    assert MINUS_INFINITY >= MINUS_INFINITY
+    assert MINUS_INFINITY + 3 is MINUS_INFINITY
+
+
+def test_mixed_lines_and_rings_are_refused():
+    t = UniPoly.monomial(ZZ, "t", 1)
+    f = t**2 + 1
+    with pytest.raises(RingMismatchError):
+        unipoly_gcd(f, UniPoly.monomial(ZZ, "s", 1))
+    with pytest.raises(RingMismatchError):
+        f.evaluate(QQ.one)
+    with pytest.raises(RingMismatchError):
+        f.map_coefficients(RingHom(QQ, QQ))
+
+
+def test_monomial_and_power_refuse_a_degree_outside_zero_to_the_limit():
+    with pytest.raises(ParameterError, match="must be nonnegative"):
+        UniPoly.monomial(ZZ, "t", -1)
+    with pytest.raises(ParameterError, match="degree 10001 exceeds the limit 10000"):
+        UniPoly.monomial(ZZ, "t", 10**4 + 1)
+    t5000 = UniPoly.monomial(ZZ, "t", 5000)
+    with pytest.raises(ParameterError, match="degree 15000 exceeds the limit 10000"):
+        t5000 ** 3
+    assert UniPoly.monomial(ZZ, "t", 10**4).degree == 10**4
+    assert (t5000**2).degree == 10**4
+    assert UniPoly.constant(ZZ, "t", 2) ** 20000 == UniPoly.constant(ZZ, "t", 2**20000)
+    assert (UniPoly.zero(ZZ, "t") ** 10**6).is_zero()
