@@ -45,24 +45,11 @@ def _comb(n: int, k: int) -> int:
 class DimReport(Record):
     _fields = ("N", "d", "k", "j", "i", "value", "object")
 
-    def __init__(self, N: int, d: int, k: int, j: int, i: int, value: int, object: str):
-        self._set("N", N)
-        self._set("d", d)
-        self._set("k", k)
-        self._set("j", j)
-        self._set("i", i)
-        self._set("value", value)
-        self._set("object", object)
-
 
 class ComplexTerm(Record):
     """One term of the dual resolution complex: a twist and its rank."""
 
     _fields = ("twist", "module_dim")
-
-    def __init__(self, twist: int, module_dim: int):
-        self._set("twist", twist)
-        self._set("module_dim", module_dim)
 
 
 def dim_sym(n: int, dimV: int) -> int:
@@ -169,7 +156,7 @@ def complex_term_rank(N: int, d: int, k: int, j: int) -> ComplexTerm:
     check_int(j, "the term index")
     if not 1 <= j <= r:
         raise ParameterError(f"the term index must satisfy 1 <= j <= {r}, got j={j}")
-    return ComplexTerm(twist=-j, module_dim=h_ext_jet_dual(N, d, k, j, N))
+    return ComplexTerm(-j, h_ext_jet_dual(N, d, k, j, N))
 
 
 def complex_table(N: int, d: int, k: int) -> tuple[ComplexTerm, ...]:
@@ -184,6 +171,6 @@ def complex_table(N: int, d: int, k: int) -> tuple[ComplexTerm, ...]:
     if bits > MAX_TABLE_BITS:
         raise ParameterError(f"the table's {r + 1} terms may have {bits} bits in all, "
                              f"over the limit {MAX_TABLE_BITS}")
-    head = ComplexTerm(twist=0, module_dim=1)
-    return (head,) + tuple(ComplexTerm(twist=-j, module_dim=h_ext_jet_dual(N, d, k, j, N))
+    head = ComplexTerm(0, 1)
+    return (head,) + tuple(ComplexTerm(-j, h_ext_jet_dual(N, d, k, j, N))
                            for j in range(1, r + 1))

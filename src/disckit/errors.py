@@ -8,17 +8,18 @@ It also holds two small pieces that every module shares.  check_int
 refuses a count argument (a degree, level, index or budget) that is not
 an int: a bool is refused, and so is 2.0.  Record is the base of the
 report types (SylvesterSpec, ChartId, Stratum, CommandResult and the
-rest).  A record names its fields in _fields and spells its own
-__init__, which stores each field with self._set, that is
-object.__setattr__, as a frozen dataclass does; the fields live in
-__dict__ in field order, so vars() reads them.  Record supplies
-equality and hashing on the field tuple within one class, a repr in
-the format of the standard library's dataclasses, and assignment and
-deletion that raise AttributeError.  The one mutable record,
-CommandResult, puts object's __setattr__ and __delattr__ back and sets
-__hash__ = None, as a plain dataclass has it.  Records are not
-dataclasses because importing dataclasses, with the inspect it loads,
-took about a third of the package's import time;
+rest).  A record names its fields once, in _fields; Record's __init__
+binds positional then keyword values to them in __dict__, in field
+order, so vars() reads them, and refuses a missing, extra, unknown or
+repeated field with TypeError.  A record's conditions on its fields go
+in _check, which runs once they are stored.  Record supplies equality
+and hashing on the field tuple within one class, a repr in the format
+of the standard library's dataclasses, and assignment and deletion that
+raise AttributeError.  The one mutable record, CommandResult, keeps its
+own __init__ for its fresh default list, puts object's __setattr__ and
+__delattr__ back and sets __hash__ = None, as a plain dataclass has it.
+Records are not dataclasses because importing dataclasses, with the
+inspect it loads, took about a third of the package's import time;
 tests/test_records.py holds each record to a dataclass twin.
 """
 
@@ -94,7 +95,23 @@ class Record:
     """An immutable record of the fields named in _fields (see the module docstring)."""
 
     _fields: tuple[str, ...] = ()
-    _set = object.__setattr__
+    _check = None
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:
+            rest = fields[len(values):]
+            stray = named.keys() - rest
+            if stray:
+                raise TypeError(f"{self.__class__.__qualname__}() got unknown or repeated "
+                                f"fields {sorted(stray)}")
+            values += tuple([named[name] for name in rest if name in named])
+        if len(values) != len(fields):
+            raise TypeError(f"{self.__class__.__qualname__}() takes the fields {fields}, "
+                            f"got {len(values)} values")
+        self.__dict__.update(zip(fields, values))
+        if self._check is not None:
+            self._check()
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -72,9 +72,8 @@ class SylvesterSpec(Record):
 
     _fields = ("m", "n")
 
-    def __init__(self, m: int, n: int):
-        self._set("m", m)
-        self._set("n", n)
+    def _check(self):
+        m, n = self.m, self.n
         if type(m) is not int or type(n) is not int:  # a bool is refused too
             raise ParameterError(f"declared degrees must be integers, got {self}")
         if m < 0 or n < 0:

@@ -63,7 +63,7 @@ _MAX_PRIME = 2**31
 
 def check_name(name: str) -> None:
     """Raise ParameterError unless name can be a variable of a polynomial."""
-    if not _NAME_RE.match(name):
+    if type(name) is not str or not _NAME_RE.match(name):
         raise ParameterError(f"bad variable name {name!r}")
 
 

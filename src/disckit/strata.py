@@ -47,16 +47,6 @@ class Stratum(Record):
     _fields = ("inverted", "quotiented", "residual_poly", "residual_degree", "discriminant",
                "verdict")
 
-    def __init__(self, inverted: tuple[str, ...], quotiented: tuple[str, ...],
-                 residual_poly: str, residual_degree: int, discriminant: str | None,
-                 verdict: str):
-        self._set("inverted", inverted)
-        self._set("quotiented", quotiented)
-        self._set("residual_poly", residual_poly)
-        self._set("residual_degree", residual_degree)
-        self._set("discriminant", discriminant)
-        self._set("verdict", verdict)
-
 
 def is_unit_localized(x: RingElement, inverted: Sequence[RingElement]) -> bool:
     """Is x a unit once every element of inverted has an inverse?

@@ -37,6 +37,7 @@ from .rings import (
     _clear_fractions,
     _join_terms,
     _signed_term,
+    check_name,
 )
 
 
@@ -311,6 +312,7 @@ class UniPoly:
     __slots__ = ("coeff_ring", "var", "_raw", "_coeffs")
 
     def __init__(self, coeff_ring: Ring, var: str, coeffs: Iterable = ()):
+        check_name(var)
         if isinstance(coeff_ring, PolynomialRing) and var in coeff_ring.names:
             raise ParameterError(
                 f"main variable {var!r} collides with a coefficient variable"
@@ -465,7 +467,7 @@ class UniPoly:
             raise RingMismatchError(
                 f"map domain {hom.domain} does not match coefficient ring {self.coeff_ring}"
             )
-        return UniPoly(hom.codomain, var or self.var, [hom(c) for c in self._raw])
+        return UniPoly(hom.codomain, self.var if var is None else var, [hom(c) for c in self._raw])
 
     def monic(self) -> "UniPoly":
         if self.is_zero():

@@ -17,9 +17,11 @@ from disckit import (
     ZZ,
     ChartId,
     ParameterError,
+    PolynomialRing,
     RingHom,
     SylvesterSpec,
     UniPoly,
+    bezout_certificate,
     chart_consistency,
     chart_ring,
     discriminant_ideal,
@@ -344,6 +346,29 @@ def test_generic_discriminant_memo_is_bounded_and_lazy():
 )
 def test_bezout_discriminant_matches_sylvester_reference(n):
     assert _generic_raw_discriminant(n) == _generic_raw_discriminant_sylvester(n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_each_generator_is_a_combination_of_consecutive_derivatives(d):
+    """P_j = U*f^(j) + V*f^(j+1) on every chart, so the generators vanish where f has
+    a root of multiplicity j+2: U and V are the Bezout cofactors of the generic
+    (a, a') of degree n = d-j, mapped by y_m -> coefficient m of f^(j)."""
+    cofactors = {}
+    for n in range(1, d + 1):
+        ring = PolynomialRing(ZZ, tuple(f"y{m}" for m in range(n + 1)))
+        a = UniPoly(ring, "t", [ring.variable(f"y{m}") for m in range(n + 1)])
+        cofactors[n] = bezout_certificate(a, a.derivative())[:2]
+    for chart in [ChartId(i, patch) for i in range(d + 1) for patch in (0, 1)]:
+        deriv = generic_section(d, chart)
+        for j, P in enumerate(discriminant_ideal(d, d, chart).gens):
+            nxt = deriv.derivative()
+            U, V = cofactors[d - j]
+            images = {f"y{m}": deriv.coefficient(m) for m in range(d - j + 1)}
+            hom = RingHom(U.coeff_ring, deriv.coeff_ring, images)
+            combination = (U.map_coefficients(hom, deriv.var) * deriv
+                           + V.map_coefficients(hom, deriv.var) * nxt)
+            assert combination == UniPoly(deriv.coeff_ring, deriv.var, [P]), (chart, j)
+            deriv = nxt
 
 
 def _integer_sylvester_value(ys):

@@ -135,6 +135,28 @@ def test_multiplicity_counts_roots_in_the_closure():
     assert not has_root_of_multiplicity(g, 3)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("coeffs", [[0, 0, 1], [0, 0, 1, 1]], ids=["t^2", "t^2(t+1)"])
+def test_multiplicity_up_to_and_past_the_degree(coeffs, m):
+    # every root lies in F_7, so trial division gives the answer
+    f = poly_over(7, coeffs)
+    assert max_rational_multiplicity(7, f) == 2
+    assert has_root_of_multiplicity(f, m) == (m <= 2)
+
+
+def test_a_multiplicity_above_the_degree_runs_no_gcd(monkeypatch):
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("no gcd is needed past the degree")
+
+    monkeypatch.setattr(oracle, "_gcd_mod", refuse)
+    assert not has_root_of_multiplicity(poly_over(7, [0, 0, 1]), 10**12)
+    assert not oracle._has_mult_root_ints([0, 0, 1], 3, 7)
+    assert calls == []
+
+
 def test_rational_multiplicity_is_a_lower_bound():
     rng = random.Random(7)
     for p in (7, 11):
@@ -227,6 +249,21 @@ def test_verify_quartic_level_two_is_sound_but_not_complete():
     # every mismatch is a coefficient tuple of the right shape
     for point in rep.mismatches:
         assert len(point) == 4 and all(0 <= x < 7 for x in point)
+
+
+@pytest.mark.parametrize("d, l, zeros, multiple", [
+    (1, 1, 0, 0),
+    (2, 1, 7, 7), (2, 2, 0, 0),
+    (3, 1, 49, 49), (3, 2, 7, 7), (3, 3, 0, 0),
+    (4, 1, 343, 343), (4, 2, 91, 49), (4, 3, 7, 7), (4, 4, 0, 0),
+    (5, 1, 2401, 2401), (5, 2, 511, 343), (5, 3, 133, 49), (5, 4, 7, 7), (5, 5, 0, 0),
+])
+def test_the_ideal_zero_set_contains_the_multiple_root_locus(d, l, zeros, multiple):
+    """M is inside Z everywhere over F_7, and Z is larger only at 2 <= l <= d-2."""
+    rep = verify_discriminant_locus(d, l, 7)
+    assert (rep.ideal_zero_count, rep.mult_root_count) == (zeros, multiple)
+    assert rep.soundness_mismatches == ()
+    assert len(rep.completeness_mismatches) == zeros - multiple
 
 
 def test_mismatch_directions_partition_the_union():

@@ -253,6 +253,27 @@ def test_a_record_refuses_assignment_and_deletion_as_its_twin_does(record):
     assert list(vars(record)) == list(record._fields)
 
 
+SAMPLE_OF = {type(r).__name__: r for r in SAMPLES}
+WRONG_FIELDS = {
+    "missing": lambda cls, fields, values: cls(values[0]),
+    "missing by name": lambda cls, fields, values: cls(**{fields[-1]: values[-1]}),
+    "extra positional": lambda cls, fields, values: cls(*values, values[0]),
+    "unknown keyword": lambda cls, fields, values: cls(*values, extra=1),
+    "given twice": lambda cls, fields, values: cls(*values, **{fields[0]: values[0]}),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_FIELDS.values(), ids=WRONG_FIELDS.keys())
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_wrong_set_of_fields_is_refused_as_by_the_twin(name, call):
+    record = SAMPLE_OF[name]
+    values = [getattr(record, field) for field in record._fields]
+    with pytest.raises(TypeError):
+        call(TWINS[name], record._fields, values)
+    with pytest.raises(TypeError):
+        call(RECORDS[name], record._fields, values)
+
+
 def test_command_result_defaults_to_a_fresh_list_of_diagnostics():
     a, b = cli.CommandResult("ok", {}), cli.CommandResult("ok", {})
     assert a.diagnostics == b.diagnostics == CommandResult("ok", {}).diagnostics == []

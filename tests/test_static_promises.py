@@ -20,6 +20,9 @@ import symtable
 import sys
 from pathlib import Path
 
+from disckit import cli
+from disckit.errors import Record
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "disckit"
 
 
@@ -247,6 +250,24 @@ def test_importing_disckit_loads_no_dataclasses_and_no_inspect():
     ).split()
     assert [name for name in ("dataclasses", "inspect", "ast", "dis", "json")
             if name in loaded] == []
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_only_the_mutable_record_spells_its_own_init():
+    """Every other record names its fields once, in _fields, and takes Record's __init__."""
+    records = {cls.__name__: cls for cls in _subclasses(Record)
+               if cls.__module__.partition(".")[0] == "disckit"}
+    assert sorted(records) == [
+        "ChartId", "ChartRelation", "CommandResult", "ComplexTerm", "DimReport", "GrowthReport",
+        "IdealGens", "Stratum", "SylvesterSpec", "VerifyReport",
+    ]
+    assert [cls for cls in records.values() if "__init__" in vars(cls)] == [cli.CommandResult]
+    assert not hasattr(Record, "_set")
 
 
 def test_only_a_json_rendering_loads_json():

@@ -255,6 +255,19 @@ def test_map_coefficients_var_collision_guard():
         f.map_coefficients(RingHom(src, src), var="s")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: UniPoly(ZZ, "", [0, 1]),
+    lambda: UniPoly(ZZ, "x+1", [0, 2]),
+    lambda: UniPoly(ZZ, 5, [0, 1]),
+    lambda: UniPoly.monomial(ZZ, "t", 1).map_coefficients(RingHom(ZZ, GF(2)), "1t"),
+    lambda: UniPoly.monomial(ZZ, "t", 1).map_coefficients(RingHom(ZZ, GF(2)), ""),
+], ids=["empty", "x+1", "int", "map to 1t", "map to empty"])
+def test_the_main_variable_must_be_a_name(build):
+    with pytest.raises(ParameterError, match="bad variable name") as caught:
+        build()
+    assert caught.value.exit_code == 3
+
+
 def test_subtraction_from_a_constant_negates_the_difference():
     t = UniPoly.monomial(ZZ, "t", 1)
     f = 2 * t**2 - t + 5
