@@ -28,12 +28,14 @@ kept in the memo of resultants (resultants._generic_raw_discriminant,
 capped at resultants.MAX_SYMBOLIC_DEGREE = 9, which also bounds d
 here); resultants.discriminant maps the same memo over every
 polynomial ring.  On every chart each coefficient of f^(j) is a
-constant or an integer multiple of one u_k, so each term of R_{d-j}
-maps to exactly one term, and the map runs on the monomial path of
-RingHom: packed exponent keys are added and coefficient powers
-multiplied, with no polynomial product.  The per-chart Sylvester
-determinants are kept as the reference the cached path is tested
-against.
+constant or an integer times one u_k, no u_k twice, so RingHom takes
+its coordinate path: each term of R_{d-j} maps to one term, its
+exponents selected from the term's own and its coefficient multiplied
+by powers of the constants, with no polynomial product or packed key.
+The relabelling of chart_consistency and the inclusion of
+incidence_ideal take it too (RingHom describes its other two paths).  The
+per-chart Sylvester determinants are kept as the reference the cached
+path is tested against.
 """
 
 from __future__ import annotations

@@ -33,8 +33,10 @@ The heavy symbolic work (Bareiss determinants and exact division) runs
 in a private packed-monomial kernel, _Packed, on dicts from one int per
 exponent vector to an int coefficient (a residue over Fp); MultiPoly is
 converted at the boundary, and QQ[vars] is first cleared to ZZ[vars].
-RingHom maps whose variable images are single terms run on the same
-exponent layout (_Layout), one output term per input term.
+RingHom maps whose variable images are single terms send each input term
+to one output term: a coordinate map (every image zero, a constant or
+c*x_k, no x_k hit twice) selects exponents from the plain tuple, and any
+other such map adds keys on the packed layout (_Layout).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
@@ -59,6 +62,10 @@ NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"  # ASCII only: the parser reads names b
 _NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 _MAX_PRIME = 2**31
+
+# The bound on every parsed or declared degree (parser, resultants.declared_degree)
+# and on the degree of UniPoly.monomial and of every power (both __pow__).
+MAX_DEGREE = 10**4
 
 
 def check_name(name: str) -> None:
@@ -575,6 +582,13 @@ def _exponent_range_within(inner: dict, outer: dict) -> bool:
     return True
 
 
+def _nonzero(acc: dict, p: int | None) -> dict:
+    """acc without its zero values; with p a prime, each value is reduced mod p first."""
+    if p:
+        return {k: r for k, v in acc.items() if (r := v % p)}
+    return {k: v for k, v in acc.items() if v}
+
+
 def _clear_fractions(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """([s*x for x in values] as ints, s), s the lcm of the denominators (1 for none)."""
     s = lcm(*(x.denominator for x in values))
@@ -680,11 +694,7 @@ class _Packed(_Layout):
             for e2, c2 in d.items():
                 e = e1 + e2
                 out[e] = get(e, 0) - c1 * c2
-        p = self.p
-        if not p:
-            out = {e: v for e, v in out.items() if v}
-        else:
-            out = {e: r for e, v in out.items() if (r := v % p)}
+        out = _nonzero(out, self.p)
         self.check_width(out)
         return out
 
@@ -794,6 +804,10 @@ class RingElement:
     def __pow__(self, n: int):
         if type(n) is not int or n < 0:  # a bool is refused too
             raise ParameterError(f"exponent must be a nonnegative integer, got {n!r}")
+        if isinstance(self.ring, PolynomialRing):
+            degree = n * (self.value.total_degree() or 0)  # 0 for a constant or zero, at any n
+            if degree > MAX_DEGREE:
+                raise ParameterError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
         return RingElement(self.ring, self.ring._pow(self.value, n))
 
     def exact_div(self, other) -> "RingElement":
@@ -828,6 +842,28 @@ class RingElement:
     __repr__ = __str__
 
 
+def _coordinate_plan(monomials: list, nvars: int):
+    """(select, scaled) if each image is zero, c_m or c_m * x_k, no x_k twice; else None.
+
+    monomials holds the (exponents, coefficient) of each image y_m, None
+    for zero.  select reads a term's image exponents off exps + (0,), and
+    scaled lists (m, c_m) for c_m != 1, a zero image as c_m = 0.
+    """
+    n = len(monomials)
+    source = [n] * nvars  # source[k] = m for y_m -> c_m * x_k, n (the appended 0) for none
+    scaled = []
+    for m, (exps, c) in enumerate(mono or ((), 0) for mono in monomials):
+        if any(exps):
+            if sum(exps) != 1 or source[k := exps.index(1)] != n:
+                return None
+            source[k] = m
+        if c != 1:
+            scaled.append((m, c))
+    if nvars == 1:  # itemgetter of one index returns the entry, not a 1-tuple
+        return (lambda exps, k=source[0]: (exps[k],)), scaled
+    return operator.itemgetter(*source), scaled
+
+
 class RingHom:
     """Ring map described by a base-ring coercion plus variable images.
 
@@ -837,17 +873,21 @@ class RingHom:
     the codomain; omitted variables default to the same-named codomain
     variable when one exists.
 
-    Monomial path: when the codomain is a polynomial ring and every
-    variable image y_m -> c_m * x^(a_m) is a single term or zero (a
-    relabelling, an inclusion, a specialisation to constants, the jet
-    maps of jets.discriminant_ideal), each term c * prod y_m^(e_m) of
-    the argument has the single term c * prod c_m^(e_m) * x^(sum e_m a_m)
-    as image, or none when it meets a zero image.  __init__ detects this
-    once, and _map_monomial then adds packed exponent keys (sum e_m *
+    __init__ picks one of three paths, and __call__ takes it.  The
+    coordinate path serves maps whose images are all zero, a constant c_m
+    or c_m * x_k with no x_k hit twice (a relabelling, an inclusion, a
+    specialisation to constants, the jet maps of jets.discriminant_ideal):
+    _map_coordinates selects each term's exponents with one itemgetter
+    and multiplies in the c_m^(e_m) with c_m != 1.  The monomial path
+    serves the other maps whose images y_m -> c_m * x^(a_m) are single
+    terms or zero: the term c * prod y_m^(e_m) has the one term
+    c * prod c_m^(e_m) * x^(sum e_m a_m) as image, or none when it meets
+    a zero image, and _map_monomial adds packed exponent keys (sum e_m *
     key(a_m) in _Layout, the key layout of _Packed) and multiplies cached
-    coefficient powers, with no polynomial product.  Every other map runs
-    _map_general, which multiplies out cached powers of the images and
-    is the reference the monomial path is tested against.
+    coefficient powers, with no polynomial product.  Every other map,
+    such as the strata substitution u -> -r/c, runs _map_general, which
+    multiplies out cached powers of the images and is the reference both
+    other paths are tested against.
     """
 
     def __init__(self, domain: Ring, codomain: Ring, images: Mapping[str, object] | None = None):
@@ -870,11 +910,12 @@ class RingHom:
         self._scalar_domain = domain.base if isinstance(domain, PolynomialRing) else domain
         self._check_scalar_map()
         # (exponents, coefficient) of each variable image, None for a zero image
-        self._monomials = None
+        self._monomials = self._coordinates = None
         if self._images and isinstance(codomain, PolynomialRing):
             values = [self._images[name].value for name in domain.names]
             if all(len(v.terms) <= 1 for v in values):
                 self._monomials = [next(iter(v.terms.items()), None) for v in values]
+                self._coordinates = _coordinate_plan(self._monomials, len(codomain.names))
 
     def _check_scalar_map(self):
         src, dst = self._scalar_domain, self.codomain
@@ -888,7 +929,7 @@ class RingHom:
         raise UnsupportedRingError(f"no ring map from {src} into {dst_scalar}")
 
     def __call__(self, x) -> RingElement:
-        """Image of x, by the monomial path when it applies (see the class docstring)."""
+        """Image of x, by the path __init__ chose (see the class docstring)."""
         if isinstance(x, RingElement):
             if x.ring != self.domain:
                 raise RingMismatchError(f"element of {x.ring} fed to a map from {self.domain}")
@@ -897,9 +938,35 @@ class RingHom:
             raw = self.domain.coerce(x)
         if not isinstance(self.domain, PolynomialRing):
             return self.codomain.element(raw)
+        if self._coordinates is not None:
+            return self._map_coordinates(raw)
         if self._monomials is not None:
             return self._map_monomial(raw)
         return self._map_general(raw)
+
+    def _map_coordinates(self, raw: MultiPoly) -> RingElement:
+        """Image of raw by a coordinate map (see _coordinate_plan); mod p once per output term."""
+        dst = self.codomain
+        terms = raw.terms
+        select, scaled = self._coordinates
+        p = dst.base.modulus
+        rows = []  # (m, row) with row[e] = c_m^e up to the largest e_m in raw
+        for m, c in scaled:
+            row = [1]
+            for _ in range(max(map(operator.itemgetter(m), terms), default=0)):
+                row.append(row[-1] * c % p if p else row[-1] * c)
+            rows.append((m, row))
+        items = terms.items()
+        if self._scalar_domain != dst.base:
+            items = [(exps, dst.base.coerce(c)) for exps, c in items]
+        acc: dict = {}
+        for exps, c in items:  # a term that meets a zero image adds 0, dropped by _nonzero
+            for m, row in rows:
+                if e := exps[m]:
+                    c *= row[e]
+            key = select(exps + (0,))
+            acc[key] = acc[key] + c if key in acc else c
+        return RingElement(dst, MultiPoly(dst, _nonzero(acc, p)))
 
     def _map_monomial(self, raw: MultiPoly) -> RingElement:
         """Image of raw, each term sent to one packed term; every image is one term or zero.
@@ -948,11 +1015,7 @@ class RingHom:
                     acc[key] += c
                 else:
                     acc[key] = c
-        if p:
-            acc = {k: r for k, v in acc.items() if (r := v % p)}
-        else:
-            acc = {k: v for k, v in acc.items() if v}
-        return RingElement(dst, MultiPoly(dst, layout._unpack_terms(acc)))
+        return RingElement(dst, MultiPoly(dst, layout._unpack_terms(_nonzero(acc, p))))
 
     def _map_general(self, raw: MultiPoly) -> RingElement:
         """Image of raw, accumulated term by term into one raw dict.

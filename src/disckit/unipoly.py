@@ -28,6 +28,7 @@ from .errors import (
     check_int,
 )
 from .rings import (
+    MAX_DEGREE,
     PolynomialRing,
     PrimeField,
     RationalRing,
@@ -73,11 +74,6 @@ class _MinusInfinity:
 
 
 MINUS_INFINITY = _MinusInfinity()
-
-# The bound on every parsed degree, every declared degree (see parser and
-# resultants.declared_degree) and the degree of UniPoly.monomial and __pow__.
-MAX_DEGREE = 10**4
-
 
 # ----- the dense kernel on raw coefficient lists ------------------------------
 #

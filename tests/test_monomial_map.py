@@ -1,11 +1,14 @@
-"""The monomial path of RingHom against the general loop it bypasses.
+"""The coordinate and monomial paths of RingHom against the general loop.
 
-When every variable image is a single term or zero, RingHom sends each
-term to one term (RingHom._map_monomial); otherwise it multiplies out
+When every variable image is zero, a constant or c * x_k with no x_k hit
+twice, RingHom selects each term's exponents (RingHom._map_coordinates);
+when every image is a single term or zero otherwise, it adds packed
+exponent keys (RingHom._map_monomial); any other map multiplies out
 powers of the images (RingHom._map_general), which stays as the
-reference.  These tests compare the two on the jet maps of every chart,
-on the chart relabelling, on zero and factorial images and over ZZ, QQ
-and Fp, and pin which callers take which path.
+reference.  These tests compare the paths on the jet maps of every
+chart, on the chart relabelling, on zero, constant, scaled and factorial
+images, on a one-variable codomain and over ZZ, QQ and Fp, and pin which
+callers take which path.
 """
 
 import math
@@ -38,10 +41,21 @@ from conftest import rand_element, rand_scalar
 
 
 def both_paths(hom, x):
-    """(monomial image, general image) of x, after checking hom took the monomial path."""
+    """(fast image, general image) of x for a map whose images are single terms or zero.
+
+    The fast image is the one __call__ returns.  For a coordinate map it
+    comes from the coordinate path and is first checked against the
+    monomial path, so the three paths are compared.
+    """
     assert hom._monomials is not None
     raw = hom.domain.coerce(x)
-    return hom._map_monomial(raw), hom._map_general(raw)
+    fast = hom._map_monomial(raw)
+    if hom._coordinates is not None:
+        coordinate = hom._map_coordinates(raw)
+        assert coordinate == fast
+        fast = coordinate
+    assert hom(x) == fast
+    return fast, hom._map_general(raw)
 
 
 def charts(d):
@@ -62,6 +76,7 @@ def jet_maps(d, chart):
 def check_jet_maps(d, chart):
     gens = discriminant_ideal(d, d, chart).gens
     for j, (generic, hom) in enumerate(jet_maps(d, chart)):
+        assert hom._coordinates is not None
         fast, slow = both_paths(hom, generic)
         assert fast == slow, (d, chart, j)
         assert fast.value == gens[j]
@@ -92,6 +107,7 @@ def test_relabel_maps_agree(d):
             target,
             {f"u{k}": target.variable(f"u{d - k}") for k in range(d + 1) if k != d - i},
         )
+        assert relabel._coordinates is not None
         for g in mirrored.gens:
             fast, slow = both_paths(relabel, g)
             assert fast == slow
@@ -169,6 +185,71 @@ def test_random_monomial_images(src_base, dst_base):
             assert fast == slow
 
 
+def test_zero_constant_and_scaled_images_take_the_coordinate_path():
+    src = PolynomialRing(ZZ, ("u", "v", "w", "x"))
+    u, v, w, x = src.variables()
+    dst = PolynomialRing(ZZ, ("a", "b", "c"))
+    a, b, c = dst.variables()
+    hom = RingHom(src, dst, {"u": 0, "v": 5, "w": -3 * c, "x": a})
+    assert hom._coordinates is not None
+    f = 2 * u * v - v**2 * w + 7 * v * x**3 + w**2 * x - 4 * u**3 + 1
+    fast, slow = both_paths(hom, f)
+    assert fast == slow
+    assert str(fast) == "35*a^3 + 9*a*c^2 + 75*c + 1"
+    fast, slow = both_paths(hom, f - 1 - 7 * v * x**3 - w**2 * x + v**2 * w)
+    assert fast == slow == dst.zero
+    assert both_paths(hom, src.zero) == (dst.zero, dst.zero)
+
+
+@pytest.mark.parametrize("images,expected", [
+    (lambda a: {"u": a, "v": 3}, "3*a^2 - 6*a + 10"),
+    (lambda a: {"u": 2 * a, "v": -1}, "-4*a^2 + 4*a + 2"),
+    (lambda a: {"u": 0, "v": a}, "a^2 + 1"),
+    (lambda a: {"u": 2, "v": 5}, "26"),
+], ids=["identity", "scaled", "zero", "constants"])
+def test_a_codomain_with_one_variable(images, expected):
+    """select must give a 1-tuple: itemgetter of one index would give a bare int."""
+    src = PolynomialRing(ZZ, ("u", "v"))
+    u, v = src.variables()
+    dst = PolynomialRing(ZZ, ("a",))
+    hom = RingHom(src, dst, images(dst.variable("a")))
+    assert hom._coordinates is not None
+    fast, slow = both_paths(hom, u**2 * v - 2 * u * v + v**2 + 1)
+    assert fast == slow
+    assert str(fast) == expected
+    assert all(type(e) is tuple and len(e) == 1 for e in fast.value.terms)
+
+
+@pytest.mark.parametrize(
+    "src_base,dst_base",
+    [(ZZ, ZZ), (QQ, QQ), (GF(7), GF(7)), (ZZ, QQ), (ZZ, GF(7)), (QQ, GF(11)), (ZZ, GF(2))],
+    ids=str,
+)
+@pytest.mark.parametrize("ncod", [1, 2, 4])
+def test_random_coordinate_images(src_base, dst_base, ncod):
+    """Each variable goes to zero, a constant or a scaled codomain variable, none hit twice."""
+    rng = random.Random(1203 + ncod)
+    src = PolynomialRing(src_base, ("u", "v", "w", "x"))
+    dst = PolynomialRing(dst_base, tuple("abcd"[:ncod]))
+    for _ in range(30):
+        free = list(dst.variables())
+        rng.shuffle(free)
+        images = {}
+        for name in src.names:
+            scale = rand_scalar(rng, dst_base).value
+            kind = rng.choice(["zero", "constant", "variable", "variable"])
+            if kind == "variable" and free:
+                images[name] = free.pop() * scale
+            else:
+                images[name] = 0 if kind == "zero" else scale
+        hom = RingHom(src, dst, images)
+        assert hom._coordinates is not None
+        for _ in range(5):
+            x = rand_element(rng, src, terms=6, max_exp=5)
+            fast, slow = both_paths(hom, x)
+            assert fast == slow
+
+
 def test_wide_exponents_leave_the_byte_layout():
     """An output exponent over 127 needs fields wider than a byte."""
     src = PolynomialRing(ZZ, ("u", "v"))
@@ -197,12 +278,16 @@ def test_non_invertible_denominator_still_raises():
     src = PolynomialRing(QQ, ("u",))
     dst = PolynomialRing(GF(7), ("u",))
     hom = RingHom(src, dst)
-    assert hom._monomials is not None
+    assert hom._coordinates is not None
     x = src.variable("u") * Fraction(1, 7) + 1
     with pytest.raises(ParameterError):
         hom(x)
+    for path in (hom._map_coordinates, hom._map_monomial, hom._map_general):
+        with pytest.raises(ParameterError):
+            path(x.value)
+    # each input term is coerced, also one that meets a zero image
     with pytest.raises(ParameterError):
-        hom._map_general(x.value)
+        RingHom(src, dst, {"u": 0})(x)
     with pytest.raises(ParameterError):
         RingHom(src, dst, {"u": Fraction(3, 14)})
     with pytest.raises(UnsupportedRingError):
@@ -218,33 +303,56 @@ def test_the_memoised_generic_discriminant_is_not_changed():
     assert _generic_raw_discriminant(6) is generic
 
 
-@pytest.fixture
-def no_general_loop(monkeypatch):
+PATHS = ("_map_coordinates", "_map_monomial", "_map_general")
+
+
+def only_path(monkeypatch, keep):
+    """Make every RingHom path but keep raise; return the raw arguments keep is called with."""
+    calls = []
+    taken = getattr(RingHom, keep)
+
+    def record(self, raw):
+        calls.append(raw)
+        return taken(self, raw)
+
     def fail(self, raw):
-        raise AssertionError("the general loop was called")
+        raise AssertionError(f"a path other than {keep} was taken")
 
-    monkeypatch.setattr(RingHom, "_map_general", fail)
+    for name in PATHS:
+        monkeypatch.setattr(RingHom, name, record if name == keep else fail)
+    return calls
 
 
-def test_jet_and_chart_maps_take_the_monomial_path(no_general_loop):
+def test_jet_and_chart_maps_take_the_coordinate_path(monkeypatch):
+    calls = only_path(monkeypatch, "_map_coordinates")
     assert len(discriminant_ideal(5, 5, ChartId(2, 1)).gens) == 5
     assert len(chart_consistency(4, 4, 1)) == 4
     assert len(incidence_ideal(4, 2, ChartId(0, 1)).gens) == 3
+    assert calls
     ring = PolynomialRing(QQ, ("u", "v"))
     u, v = ring.variables()
     name, smaller, image = strata._eliminable(u + 3 * v**2 - v)
     assert (name, str(smaller), str(image)) == ("u", "QQ[v]", "-3*v^2 + v")
 
 
+def test_shared_and_higher_degree_images_take_the_monomial_path(monkeypatch):
+    src = PolynomialRing(ZZ, ("u", "v"))
+    u, v = src.variables()
+    dst = PolynomialRing(ZZ, ("w", "z"))
+    w, z = dst.variables()
+    x = 3 * u**2 * v - u * v**2 + 5 * v - 1
+    shared = RingHom(src, dst, {"u": w, "v": w})  # u, v -> w: not injective
+    square = RingHom(src, dst, {"u": 2 * w**2, "v": z})  # an image of degree 2
+    assert shared._coordinates is None and square._coordinates is None
+    expected = [shared._map_general(x.value), square._map_general(x.value)]
+    calls = only_path(monkeypatch, "_map_monomial")
+    assert [shared(x), square(x)] == expected
+    assert [str(e) for e in expected] == ["2*w^3 + 5*w - 1", "12*w^4*z - 2*w^2*z^2 + 5*z - 1"]
+    assert len(calls) == 2
+
+
 def test_strata_substitution_of_a_sum_takes_the_general_loop(monkeypatch):
-    calls = []
-    general = RingHom._map_general
-
-    def record(self, raw):
-        calls.append(raw)
-        return general(self, raw)
-
-    monkeypatch.setattr(RingHom, "_map_general", record)
+    calls = only_path(monkeypatch, "_map_general")
     ring = PolynomialRing(QQ, ("u", "v"))
     u, v = ring.variables()
     # the leading coefficient u + v + 1 is eliminated by u -> -v - 1, a two-term image

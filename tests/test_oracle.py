@@ -251,16 +251,26 @@ def test_verify_quartic_level_two_is_sound_but_not_complete():
         assert len(point) == 4 and all(0 <= x < 7 for x in point)
 
 
-@pytest.mark.parametrize("d, l, zeros, multiple", [
-    (1, 1, 0, 0),
-    (2, 1, 7, 7), (2, 2, 0, 0),
-    (3, 1, 49, 49), (3, 2, 7, 7), (3, 3, 0, 0),
-    (4, 1, 343, 343), (4, 2, 91, 49), (4, 3, 7, 7), (4, 4, 0, 0),
-    (5, 1, 2401, 2401), (5, 2, 511, 343), (5, 3, 133, 49), (5, 4, 7, 7), (5, 5, 0, 0),
+# (q, d, l, |Z|, |M|): M has q^(d-l) points for l < d; the Z counts at d = 6
+# are pinned from the scan itself, as regression values.
+@pytest.mark.parametrize("q, d, l, zeros, multiple", [
+    (7, 1, 1, 0, 0),
+    (7, 2, 1, 7, 7), (7, 2, 2, 0, 0),
+    (7, 3, 1, 49, 49), (7, 3, 2, 7, 7), (7, 3, 3, 0, 0),
+    (7, 4, 1, 343, 343), (7, 4, 2, 91, 49), (7, 4, 3, 7, 7), (7, 4, 4, 0, 0),
+    (7, 5, 1, 2401, 2401), (7, 5, 2, 511, 343), (7, 5, 3, 133, 49), (7, 5, 4, 7, 7),
+    (7, 5, 5, 0, 0),
+    (7, 6, 1, 16807, 16807), (7, 6, 2, 4081, 2401), (7, 6, 3, 973, 343), (7, 6, 4, 343, 49),
+    (7, 6, 5, 7, 7), (7, 6, 6, 0, 0),
+    *[pytest.param(11, 6, l, zeros, multiple, marks=pytest.mark.slow) for l, zeros, multiple in [
+        (1, 161051, 161051), (2, 25641, 14641), (3, 4191, 1331), (4, 1001, 121), (5, 11, 11),
+        (6, 0, 0),
+    ]],
 ])
-def test_the_ideal_zero_set_contains_the_multiple_root_locus(d, l, zeros, multiple):
-    """M is inside Z everywhere over F_7, and Z is larger only at 2 <= l <= d-2."""
-    rep = verify_discriminant_locus(d, l, 7)
+def test_the_ideal_zero_set_contains_the_multiple_root_locus(q, d, l, zeros, multiple):
+    """M is inside Z everywhere over F_q, and Z is larger only at 2 <= l <= d-2."""
+    assert multiple == (q ** (d - l) if l < d else 0)
+    rep = verify_discriminant_locus(d, l, q)
     assert (rep.ideal_zero_count, rep.mult_root_count) == (zeros, multiple)
     assert rep.soundness_mismatches == ()
     assert len(rep.completeness_mismatches) == zeros - multiple

@@ -20,7 +20,8 @@ from disckit import (
     UniPoly,
     UnsupportedRingError,
 )
-from disckit.rings import _clear_fractions
+from disckit import rings, unipoly
+from disckit.rings import Ring, _clear_fractions
 from conftest import SCALAR_RINGS, rand_element, rand_scalar
 
 ALL_RINGS = SCALAR_RINGS + (
@@ -68,6 +69,27 @@ def test_an_exponent_must_be_a_nonnegative_int(ring, bad):
     with pytest.raises(ParameterError, match="exponent must be a nonnegative integer") as caught:
         two**bad
     assert caught.value.exit_code == 3
+
+
+
+def test_a_polynomial_power_past_the_degree_limit_is_refused_before_any_work(monkeypatch):
+    """n * total degree above MAX_DEGREE raises, as UniPoly.__pow__ and the parser do."""
+    ring = PolynomialRing(ZZ, ("u", "v"))
+    u, v = ring.variables()
+    assert (u * v) ** 5000 == u**5000 * v**5000  # total degree 10^4, at the limit
+    assert ring.zero ** 10**9 == ring.zero  # a constant or zero has degree 0 at any n
+    assert (ring.one + 1) ** 20000 == ring.element(2**20000)
+    assert unipoly.MAX_DEGREE == rings.MAX_DEGREE == 10**4
+
+    def fail(self, a, n):
+        raise AssertionError("Ring._pow ran")
+
+    monkeypatch.setattr(Ring, "_pow", fail)
+    for base, n, degree in [(u + 1, 10**4 + 1, 10**4 + 1), (u * v + 1, 5001, 10002),
+                            (u + 1, 10**9, 10**9)]:
+        with pytest.raises(ParameterError, match=f"degree {degree} exceeds the limit 10000") as caught:
+            base**n
+        assert caught.value.exit_code == 3
 
 
 POW_RINGS = (

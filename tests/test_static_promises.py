@@ -11,6 +11,9 @@ at the top of the module that uses it, never inside a function, and
 resultants, which jets builds on, imports nothing from jets.  Every
 module-level import outside __init__ (whose imports are its re-exports)
 is read somewhere as that import, not only as a local of the same name.
+No module but rings names a path of RingHom (_map_coordinates,
+_map_monomial, _map_general), so every ring map goes through
+RingHom.__call__.
 """
 
 import ast
@@ -213,6 +216,50 @@ def test_the_environment_census_sees_every_form_of_read():
     )
     assert _environment_reads(ast.parse(src)) == [
         (2, None), (3, "A"), (3, "B"), (3, "C"), (4, None), (4, None), (4, None)
+    ]
+
+
+
+MAP_PATHS = ("_map_coordinates", "_map_monomial", "_map_general")
+
+
+def _map_path_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) for each name, attribute, import or string constant that is a RingHom path."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if name in MAP_PATHS:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_only_rings_names_a_ring_map_path():
+    """Every map goes through RingHom.__call__, the one name the benchmark's tracer wraps."""
+    names = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        names += [(str(path.relative_to(SRC)), name) for _, name in _map_path_names(tree)]
+    assert {name for _, name in names} == set(MAP_PATHS)
+    assert {where for where, _ in names} == {"rings.py"}
+
+
+def test_the_map_path_census_sees_names_attributes_imports_and_strings():
+    src = (
+        "hom._map_general(raw)\nfrom .rings import _map_monomial\n"
+        "getattr(hom, '_map_coordinates')\nf = _map_general\n"
+        "'a _map_general in a sentence'\n"
+    )
+    assert _map_path_names(ast.parse(src)) == [
+        (1, "_map_general"), (2, "_map_monomial"), (3, "_map_coordinates"), (4, "_map_general")
     ]
 
 
