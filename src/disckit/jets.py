@@ -28,14 +28,14 @@ kept in the memo of resultants (resultants._generic_raw_discriminant,
 capped at resultants.MAX_SYMBOLIC_DEGREE = 9, which also bounds d
 here); resultants.discriminant maps the same memo over every
 polynomial ring.  On every chart each coefficient of f^(j) is a
-constant or an integer times one u_k, no u_k twice, so RingHom takes
-its coordinate path: each term of R_{d-j} maps to one term, its
-exponents selected from the term's own and its coefficient multiplied
-by powers of the constants, with no polynomial product or packed key.
-The relabelling of chart_consistency and the inclusion of
-incidence_ideal take it too (RingHom describes its other two paths).  The
-per-chart Sylvester determinants are kept as the reference the cached
-path is tested against.
+constant or an integer times one u_k, no u_k twice, so RingHom maps
+it as a coordinate map: each term of R_{d-j} maps to one term, its
+exponents selected from the term's own with no fix-up and its
+coefficient multiplied by powers of the constants, with no polynomial
+product.  The relabelling of chart_consistency and the inclusion of
+incidence_ideal are coordinate maps too (RingHom describes its two
+paths).  The per-chart Sylvester determinants are kept as the reference
+the cached path is tested against.
 """
 
 from __future__ import annotations

@@ -53,18 +53,11 @@ from fractions import Fraction
 
 from .errors import InputSyntaxError, ParameterError, RingMismatchError
 from .rings import GF, NAME_PATTERN, QQ, ZZ, PolynomialRing, Ring, RingElement, check_name
-from .unipoly import MAX_DEGREE, UniPoly, _add, _mul, _neg, _pow, _sub, _trim
+from .unipoly import MAX_DEGREE, UniPoly, _add, _degree, _mul, _neg, _pow, _sub, _trim
 
 MAX_DIGITS = 4300  # CPython's default int-string limit
 _MAX_HEIGHT_BITS = 10**5
 _MAX_NESTING = 100  # five frames a level, far inside the default limit of 1000
-
-
-def _degree(coeffs: list, ring: Ring) -> int:
-    """Total degree of a parsed raw list, main variable included (0 for zero)."""
-    if isinstance(ring, PolynomialRing):
-        return max((k + (c.total_degree() or 0) for k, c in enumerate(coeffs)), default=0)
-    return max(len(coeffs) - 1, 0)
 
 
 def _height(coeffs: list, ring: Ring) -> int:

@@ -33,10 +33,10 @@ The heavy symbolic work (Bareiss determinants and exact division) runs
 in a private packed-monomial kernel, _Packed, on dicts from one int per
 exponent vector to an int coefficient (a residue over Fp); MultiPoly is
 converted at the boundary, and QQ[vars] is first cleared to ZZ[vars].
-RingHom maps whose variable images are single terms send each input term
-to one output term: a coordinate map (every image zero, a constant or
-c*x_k, no x_k hit twice) selects exponents from the plain tuple, and any
-other such map adds keys on the packed layout (_Layout).
+RingHom maps whose variable images are single terms or zero send each
+input term to at most one output term, its exponents selected from the
+plain tuple with a fix-up for each image weight that selection cannot
+give; every other map multiplies out powers of its images.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ _NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 _MAX_PRIME = 2**31
 
-# The bound on every parsed or declared degree (parser, resultants.declared_degree)
-# and on the degree of UniPoly.monomial and of every power (both __pow__).
+# The bound on every parsed or declared degree and on every power and UniPoly.monomial.
 MAX_DEGREE = 10**4
 
 
@@ -72,6 +71,12 @@ def check_name(name: str) -> None:
     """Raise ParameterError unless name can be a variable of a polynomial."""
     if type(name) is not str or not _NAME_RE.match(name):
         raise ParameterError(f"bad variable name {name!r}")
+
+
+def check_degree(degree: int) -> None:
+    """Raise ParameterError for a power or monomial of total degree above MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise ParameterError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
 
 
 def _is_prime(p: int) -> bool:
@@ -606,49 +611,19 @@ def clear_denominators(polys: Sequence[MultiPoly]) -> tuple[list[MultiPoly], int
     return [MultiPoly(twin, dict(zip(f.terms, ints))) for f in polys], s
 
 
-class _Layout:
-    """Exponent vectors packed into ints of k fields of `width` bits.
-
-    (e_1, ..., e_k) becomes one int, e_1 in the most significant field,
-    and the width is chosen so that no exponent up to `bound` sets the
-    top bit of its field.  Then multiplying monomials is one int
-    addition and int order is the lexicographic monomial order.
-    """
-
-    def __init__(self, nvars: int, bound: int):
-        self.width = w = bound.bit_length() + 1
-        self._nvars = nvars
-        self._mask = (1 << w) - 1
-        self._shifts = range(w * (nvars - 1), -1, -w)
-
-    def _key(self, exps) -> int:
-        key = 0
-        for x in exps:
-            key = (key << self.width) | x
-        return key
-
-    def _exponents(self, key: int) -> tuple[int, ...]:
-        return tuple([(key >> s) & self._mask for s in self._shifts])
-
-    def _unpack_terms(self, packed: dict) -> dict:
-        """{exponent vector: c} for the items of packed."""
-        if self.width == 8:  # one field per byte: one C call per key
-            n = self._nvars
-            return {tuple(key.to_bytes(n, "big")): c for key, c in packed.items()}
-        exponents = self._exponents
-        return {exponents(key): c for key, c in packed.items()}
-
-
-class _Packed(_Layout):
+class _Packed:
     """Packed-monomial arithmetic in ZZ[vars] or Fp[vars] at one field width.
 
-    Monomials are keys of _Layout.  The top bit of each field is a guard
-    bit that no exponent up to `cap` = 2^(width-1) - 1 reaches, and the
-    width is chosen so that no exponent met by the caller's computation
-    exceeds the cap.  Then d divides e iff ((e | G) - d) & G == G for the
-    guard mask G: every field of e | G is at least its guard, so the
-    subtraction borrows across no field, and a field keeps its guard iff
-    e_i >= d_i.
+    An exponent vector (e_1, ..., e_k) is packed into one int of k fields
+    of `width` bits, e_1 in the most significant field, so multiplying
+    monomials is one int addition and int order is the lexicographic
+    monomial order.  The top bit of each field is a guard bit that no
+    exponent up to `cap` = 2^(width-1) - 1 reaches, and the width is
+    chosen so that no exponent up to `bound`, the most the caller's
+    computation meets, exceeds the cap.  Then d divides e iff
+    ((e | G) - d) & G == G for the guard mask G: every field of e | G is
+    at least its guard, so the subtraction borrows across no field, and a
+    field keeps its guard iff e_i >= d_i.
 
     A packed value is a dict from packed monomials to nonzero ints:
     integers over ZZ, residues in [0, p) over Fp(p).  p is the base
@@ -659,19 +634,35 @@ class _Packed(_Layout):
     def __init__(self, ring: PolynomialRing, bound: int):
         if ring.base.modulus is None:
             raise UnsupportedRingError(f"the packed kernel needs ZZ or Fp coefficients, got {ring}")
-        super().__init__(len(ring.names), bound)
         self.ring = ring
         self.p = ring.base.modulus
-        self.cap = (1 << (self.width - 1)) - 1
-        ones = self._key((1,) * len(ring.names))
-        self.guard = ones << (self.width - 1)
+        nvars = len(ring.names)
+        self.width = w = bound.bit_length() + 1
+        self._mask = (1 << w) - 1
+        self._shifts = range(w * (nvars - 1), -1, -w)
+        self.cap = (1 << (w - 1)) - 1
+        ones = self._key((1,) * nvars)
+        self.guard = ones << (w - 1)
         self.caps = ones * self.cap
+
+    def _key(self, exps) -> int:
+        key = 0
+        for x in exps:
+            key = (key << self.width) | x
+        return key
+
+    def _exponents(self, key: int) -> tuple[int, ...]:
+        return tuple([(key >> s) & self._mask for s in self._shifts])
 
     def pack(self, poly: MultiPoly) -> dict:
         return {self._key(exps): c for exps, c in poly.terms.items()}
 
     def unpack(self, packed: dict) -> MultiPoly:
-        return MultiPoly(self.ring, self._unpack_terms(packed))
+        if self.width == 8:  # one field per byte: one C call per key
+            n = len(self.ring.names)
+            return MultiPoly(self.ring, {tuple(k.to_bytes(n, "big")): c for k, c in packed.items()})
+        exponents = self._exponents
+        return MultiPoly(self.ring, {exponents(key): c for key, c in packed.items()})
 
     def _field_max(self, packed: dict) -> int:
         """The packed vector of the largest exponent of each variable."""
@@ -805,9 +796,7 @@ class RingElement:
         if type(n) is not int or n < 0:  # a bool is refused too
             raise ParameterError(f"exponent must be a nonnegative integer, got {n!r}")
         if isinstance(self.ring, PolynomialRing):
-            degree = n * (self.value.total_degree() or 0)  # 0 for a constant or zero, at any n
-            if degree > MAX_DEGREE:
-                raise ParameterError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
+            check_degree(n * (self.value.total_degree() or 0))  # 0 for a constant or zero, at any n
         return RingElement(self.ring, self.ring._pow(self.value, n))
 
     def exact_div(self, other) -> "RingElement":
@@ -842,26 +831,38 @@ class RingElement:
     __repr__ = __str__
 
 
-def _coordinate_plan(monomials: list, nvars: int):
-    """(select, scaled) if each image is zero, c_m or c_m * x_k, no x_k twice; else None.
+def _single_term_plan(values: list, nvars: int):
+    """(pick, scaled, fixups, zeros) for images y_m -> c_m * x^(a_m), each one term or zero.
 
-    monomials holds the (exponents, coefficient) of each image y_m, None
-    for zero.  select reads a term's image exponents off exps + (0,), and
-    scaled lists (m, c_m) for c_m != 1, a zero image as c_m = 0.
+    values holds the raw image of each y_m.  pick reads a term's output
+    exponents off exps + (0,): x_k takes e_m from the first image m with
+    weight 1 in x_k (the appended 0 when there is none).  fixups lists
+    (m, k, w) for every other weight w of an image m in x_k, which adds
+    w * e_m to x_k.  scaled lists (m, c_m) for c_m != 1.  zeros is None
+    without a zero image, else a getter of the tuple of their exponents
+    (the first read twice, so that one zero image gives a tuple too).
     """
-    n = len(monomials)
-    source = [n] * nvars  # source[k] = m for y_m -> c_m * x_k, n (the appended 0) for none
-    scaled = []
-    for m, (exps, c) in enumerate(mono or ((), 0) for mono in monomials):
-        if any(exps):
-            if sum(exps) != 1 or source[k := exps.index(1)] != n:
-                return None
-            source[k] = m
+    n = len(values)
+    source = [n] * nvars
+    scaled, fixups, zeros = [], [], []
+    for m, value in enumerate(values):
+        if not value:
+            zeros.append(m)
+            continue
+        (exps, c), = value.terms.items()
         if c != 1:
             scaled.append((m, c))
-    if nvars == 1:  # itemgetter of one index returns the entry, not a 1-tuple
-        return (lambda exps, k=source[0]: (exps[k],)), scaled
-    return operator.itemgetter(*source), scaled
+        if sum(exps) == 1 and source[k := exps.index(1)] == n:  # c_m * x_k, the common case
+            source[k] = m
+        elif any(exps):
+            for k, w in enumerate(exps):
+                if w == 1 and source[k] == n:
+                    source[k] = m
+                elif w:
+                    fixups.append((m, k, w))
+    # itemgetter of one index returns the entry, not a 1-tuple: one variable takes a slice
+    pick = operator.itemgetter(*source if nvars > 1 else [slice(source[0], source[0] + 1)])
+    return pick, scaled, fixups, operator.itemgetter(*zeros, zeros[0]) if zeros else None
 
 
 class RingHom:
@@ -873,21 +874,19 @@ class RingHom:
     the codomain; omitted variables default to the same-named codomain
     variable when one exists.
 
-    __init__ picks one of three paths, and __call__ takes it.  The
-    coordinate path serves maps whose images are all zero, a constant c_m
-    or c_m * x_k with no x_k hit twice (a relabelling, an inclusion, a
-    specialisation to constants, the jet maps of jets.discriminant_ideal):
-    _map_coordinates selects each term's exponents with one itemgetter
-    and multiplies in the c_m^(e_m) with c_m != 1.  The monomial path
-    serves the other maps whose images y_m -> c_m * x^(a_m) are single
-    terms or zero: the term c * prod y_m^(e_m) has the one term
-    c * prod c_m^(e_m) * x^(sum e_m a_m) as image, or none when it meets
-    a zero image, and _map_monomial adds packed exponent keys (sum e_m *
-    key(a_m) in _Layout, the key layout of _Packed) and multiplies cached
-    coefficient powers, with no polynomial product.  Every other map,
+    __init__ picks one of two paths, and __call__ takes it.  When every
+    image is zero or one term y_m -> c_m * x^(a_m), the term
+    c * prod y_m^(e_m) has the one term c * prod c_m^(e_m) * x^(sum e_m a_m)
+    as image, or none when it meets a zero image: _map_single_terms
+    selects each term's output exponents by the plan of
+    _single_term_plan and multiplies in the c_m^(e_m) with c_m != 1, with
+    no polynomial product.  A coordinate map (every image zero, a constant
+    or c_m * x_k, no x_k hit twice: a relabelling, an inclusion, a
+    specialisation to constants, the jet maps of jets.discriminant_ideal)
+    needs no fix-up, so its selection is one itemgetter.  Every other map,
     such as the strata substitution u -> -r/c, runs _map_general, which
-    multiplies out cached powers of the images and is the reference both
-    other paths are tested against.
+    multiplies out cached powers of the images and is the reference the
+    single-term path is tested against.
     """
 
     def __init__(self, domain: Ring, codomain: Ring, images: Mapping[str, object] | None = None):
@@ -909,13 +908,11 @@ class RingHom:
             raise ParameterError("variable images supplied for a scalar domain")
         self._scalar_domain = domain.base if isinstance(domain, PolynomialRing) else domain
         self._check_scalar_map()
-        # (exponents, coefficient) of each variable image, None for a zero image
-        self._monomials = self._coordinates = None
+        self._plan = None
         if self._images and isinstance(codomain, PolynomialRing):
             values = [self._images[name].value for name in domain.names]
             if all(len(v.terms) <= 1 for v in values):
-                self._monomials = [next(iter(v.terms.items()), None) for v in values]
-                self._coordinates = _coordinate_plan(self._monomials, len(codomain.names))
+                self._plan = _single_term_plan(values, len(codomain.names))
 
     def _check_scalar_map(self):
         src, dst = self._scalar_domain, self.codomain
@@ -938,84 +935,57 @@ class RingHom:
             raw = self.domain.coerce(x)
         if not isinstance(self.domain, PolynomialRing):
             return self.codomain.element(raw)
-        if self._coordinates is not None:
-            return self._map_coordinates(raw)
-        if self._monomials is not None:
-            return self._map_monomial(raw)
+        if self._plan is not None:
+            return self._map_single_terms(raw)
         return self._map_general(raw)
 
-    def _map_coordinates(self, raw: MultiPoly) -> RingElement:
-        """Image of raw by a coordinate map (see _coordinate_plan); mod p once per output term."""
-        dst = self.codomain
-        terms = raw.terms
-        select, scaled = self._coordinates
-        p = dst.base.modulus
-        rows = []  # (m, row) with row[e] = c_m^e up to the largest e_m in raw
-        for m, c in scaled:
-            row = [1]
-            for _ in range(max(map(operator.itemgetter(m), terms), default=0)):
-                row.append(row[-1] * c % p if p else row[-1] * c)
-            rows.append((m, row))
-        items = terms.items()
-        if self._scalar_domain != dst.base:
-            items = [(exps, dst.base.coerce(c)) for exps, c in items]
-        acc: dict = {}
-        for exps, c in items:  # a term that meets a zero image adds 0, dropped by _nonzero
-            for m, row in rows:
-                if e := exps[m]:
-                    c *= row[e]
-            key = select(exps + (0,))
-            acc[key] = acc[key] + c if key in acc else c
-        return RingElement(dst, MultiPoly(dst, _nonzero(acc, p)))
+    def _map_single_terms(self, raw: MultiPoly) -> RingElement:
+        """Image of raw by the plan of _single_term_plan; mod p once per output term.
 
-    def _map_monomial(self, raw: MultiPoly) -> RingElement:
-        """Image of raw, each term sent to one packed term; every image is one term or zero.
-
-        The field width covers sum_m (largest e_m in raw) * (largest
-        exponent of image m), the most any output exponent can reach.
-        Over Fp the coefficients are reduced once per output term.
+        With fix-ups, one loop of steps (m, row, k, w) multiplies in the
+        c_m^(e_m) and adds the fix-ups, reading each e_m once: the first
+        fix-up of an image carries its row, a scaled image with none is a
+        step of weight 0.
         """
         dst = self.codomain
-        terms = raw.terms
-        if not terms:
-            return RingElement(dst, MultiPoly(dst, {}))
-        monomials = self._monomials
-        highest = list(map(max, zip(*terms)))
-        bound = sum(e * max(m[0]) for e, m in zip(highest, monomials) if m)
-        layout = _Layout(len(dst.names), max(bound, 127))  # byte-wide fields unpack fastest
-        p = dst.base.modulus
-        # tables[m][e] = (packed exponents, coefficient) of image m to the power e
-        tables = []
-        for top, m in zip(highest, monomials):
-            if m is None:
-                tables.append(None)
-                continue
-            step, c = layout._key(m[0]), m[1]
-            row = [None, (step, c)]  # row[0] is never read: a zero exponent is skipped
-            for _ in range(top - 1):
-                key, v = row[-1]
-                row.append((key + step, v * c % p if p else v * c))
-            tables.append(row)
-        scalar = dst.base
-        items = terms.items()
-        if self._scalar_domain != scalar:
-            items = [(exps, scalar.coerce(c)) for exps, c in items]
+        pick, scaled, fixups, zeros = self._plan
+        p, power = dst.base.modulus, dst.base._pow
+        rows = {m: [1, c] for m, c in scaled}  # rows[m][e] = c_m^e, grown on demand
+        items = raw.terms.items()
+        if self._scalar_domain != dst.base:
+            items = [(exps, dst.base.coerce(c)) for exps, c in items]
+        if zeros:  # after the coercion, so QQ -> Fp raises on a dropped term too
+            items = [(exps, c) for exps, c in items if not any(zeros(exps))]
         acc: dict = {}
-        for exps, c in items:
-            key = 0
-            for row, e in zip(tables, exps):
-                if e:
-                    if row is None:
-                        break
-                    k, v = row[e]
-                    key += k
-                    c *= v
-            else:
-                if key in acc:
-                    acc[key] += c
-                else:
-                    acc[key] = c
-        return RingElement(dst, MultiPoly(dst, layout._unpack_terms(_nonzero(acc, p))))
+        if not fixups:
+            rows = list(rows.items())
+            for exps, c in items:
+                for m, row in rows:
+                    if e := exps[m]:
+                        try:
+                            c *= row[e]
+                        except IndexError:
+                            row += [power(row[1], i) for i in range(len(row), e + 1)]
+                            c *= row[e]
+                key = pick(exps + (0,))
+                acc[key] = acc[key] + c if key in acc else c
+        else:
+            steps = [(m, rows.pop(m, None), k, w) for m, k, w in fixups]
+            steps += [(m, row, 0, 0) for m, row in rows.items()]
+            for exps, c in items:
+                out = list(pick(exps + (0,)))
+                for m, row, k, w in steps:
+                    if e := exps[m]:
+                        if row:
+                            try:
+                                c *= row[e]
+                            except IndexError:
+                                row += [power(row[1], i) for i in range(len(row), e + 1)]
+                                c *= row[e]
+                        out[k] += w * e
+                key = tuple(out)
+                acc[key] = acc[key] + c if key in acc else c
+        return RingElement(dst, MultiPoly(dst, _nonzero(acc, p)))
 
     def _map_general(self, raw: MultiPoly) -> RingElement:
         """Image of raw, accumulated term by term into one raw dict.

@@ -38,6 +38,7 @@ from .rings import (
     _clear_fractions,
     _join_terms,
     _signed_term,
+    check_degree,
     check_name,
 )
 
@@ -233,6 +234,13 @@ def _mul(a: list, b: list, ring: Ring) -> list:
     return out
 
 
+def _degree(a: list, ring: Ring) -> int:
+    """Total degree of a raw list, main variable included (0 for zero)."""
+    if isinstance(ring, PolynomialRing):
+        return max((k + (c.total_degree() or 0) for k, c in enumerate(a)), default=0)
+    return max(len(a) - 1, 0)
+
+
 def _pow(a: list, n: int, ring: Ring) -> list:
     """a^n by square-and-multiply; a^0 = 1, also for a = 0.
 
@@ -346,8 +354,8 @@ class UniPoly:
         check_int(k, "the monomial exponent")
         if k < 0:
             raise ParameterError("monomial exponent must be nonnegative")
-        if k > MAX_DEGREE:
-            raise ParameterError(f"degree {k} exceeds the limit {MAX_DEGREE}")
+        # k alone past the limit is refused before c is coerced, whatever c is
+        check_degree(k if k > MAX_DEGREE else k + _degree([coeff_ring.coerce(c)], coeff_ring))
         return cls(coeff_ring, var, (0,) * k + (c,))
 
     # queries --------------------------------------------------------------
@@ -415,9 +423,7 @@ class UniPoly:
     def __pow__(self, n: int):
         if type(n) is not int or n < 0:  # a bool is refused too
             raise ParameterError(f"exponent must be a nonnegative integer, got {n!r}")
-        degree = n * max(len(self._raw) - 1, 0)  # 0 for a constant or zero, at any n
-        if degree > MAX_DEGREE:
-            raise ParameterError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
+        check_degree(n * _degree(self._raw, self.coeff_ring))  # 0 for a constant or zero, at any n
         return self._new(_pow(self._raw, n, self.coeff_ring))
 
     def __divmod__(self, other):

@@ -252,7 +252,7 @@ def test_verify_quartic_level_two_is_sound_but_not_complete():
 
 
 # (q, d, l, |Z|, |M|): M has q^(d-l) points for l < d; the Z counts at d = 6
-# are pinned from the scan itself, as regression values.
+# and at q = 11, 13 are pinned from the scan itself, as regression values.
 @pytest.mark.parametrize("q, d, l, zeros, multiple", [
     (7, 1, 1, 0, 0),
     (7, 2, 1, 7, 7), (7, 2, 2, 0, 0),
@@ -260,6 +260,18 @@ def test_verify_quartic_level_two_is_sound_but_not_complete():
     (7, 4, 1, 343, 343), (7, 4, 2, 91, 49), (7, 4, 3, 7, 7), (7, 4, 4, 0, 0),
     (7, 5, 1, 2401, 2401), (7, 5, 2, 511, 343), (7, 5, 3, 133, 49), (7, 5, 4, 7, 7),
     (7, 5, 5, 0, 0),
+    (11, 1, 1, 0, 0),
+    (11, 2, 1, 11, 11), (11, 2, 2, 0, 0),
+    (11, 3, 1, 121, 121), (11, 3, 2, 11, 11), (11, 3, 3, 0, 0),
+    (11, 4, 1, 1331, 1331), (11, 4, 2, 231, 121), (11, 4, 3, 11, 11), (11, 4, 4, 0, 0),
+    (11, 5, 1, 14641, 14641), (11, 5, 2, 2431, 1331), (11, 5, 3, 561, 121), (11, 5, 4, 11, 11),
+    (11, 5, 5, 0, 0),
+    (13, 1, 1, 0, 0),
+    (13, 2, 1, 13, 13), (13, 2, 2, 0, 0),
+    (13, 3, 1, 169, 169), (13, 3, 2, 13, 13), (13, 3, 3, 0, 0),
+    (13, 4, 1, 2197, 2197), (13, 4, 2, 325, 169), (13, 4, 3, 13, 13), (13, 4, 4, 0, 0),
+    (13, 5, 1, 28561, 28561), (13, 5, 2, 4069, 2197), (13, 5, 3, 637, 169), (13, 5, 4, 13, 13),
+    (13, 5, 5, 0, 0),
     (7, 6, 1, 16807, 16807), (7, 6, 2, 4081, 2401), (7, 6, 3, 973, 343), (7, 6, 4, 343, 49),
     (7, 6, 5, 7, 7), (7, 6, 6, 0, 0),
     *[pytest.param(11, 6, l, zeros, multiple, marks=pytest.mark.slow) for l, zeros, multiple in [

@@ -11,9 +11,8 @@ at the top of the module that uses it, never inside a function, and
 resultants, which jets builds on, imports nothing from jets.  Every
 module-level import outside __init__ (whose imports are its re-exports)
 is read somewhere as that import, not only as a local of the same name.
-No module but rings names a path of RingHom (_map_coordinates,
-_map_monomial, _map_general), so every ring map goes through
-RingHom.__call__.
+No module but rings names a path of RingHom (_map_single_terms,
+_map_general), so every ring map goes through RingHom.__call__.
 """
 
 import ast
@@ -220,7 +219,7 @@ def test_the_environment_census_sees_every_form_of_read():
 
 
 
-MAP_PATHS = ("_map_coordinates", "_map_monomial", "_map_general")
+MAP_PATHS = ("_map_single_terms", "_map_general")
 
 
 def _map_path_names(tree: ast.AST) -> list[tuple[int, str]]:
@@ -254,12 +253,12 @@ def test_only_rings_names_a_ring_map_path():
 
 def test_the_map_path_census_sees_names_attributes_imports_and_strings():
     src = (
-        "hom._map_general(raw)\nfrom .rings import _map_monomial\n"
-        "getattr(hom, '_map_coordinates')\nf = _map_general\n"
-        "'a _map_general in a sentence'\n"
+        "hom._map_general(raw)\nfrom .rings import _map_single_terms\n"
+        "getattr(hom, '_map_single_terms')\nf = _map_general\n"
+        "'a _map_general in a sentence'\nhom._map_monomial(raw)\n"
     )
     assert _map_path_names(ast.parse(src)) == [
-        (1, "_map_general"), (2, "_map_monomial"), (3, "_map_coordinates"), (4, "_map_general")
+        (1, "_map_general"), (2, "_map_single_terms"), (3, "_map_single_terms"), (4, "_map_general")
     ]
 
 

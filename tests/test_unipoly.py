@@ -11,6 +11,7 @@ from disckit import (
     QQ,
     ZZ,
     ExactDivisionError,
+    InputSyntaxError,
     ParameterError,
     PolynomialRing,
     RingHom,
@@ -18,6 +19,8 @@ from disckit import (
     UniPoly,
     unipoly_gcd,
 )
+from disckit import unipoly
+from disckit.parser import parse_poly
 from conftest import SCALAR_RINGS, rand_element, rand_scalar, rand_unipoly
 
 
@@ -303,3 +306,49 @@ def test_monomial_and_power_refuse_a_degree_outside_zero_to_the_limit():
     assert (t5000**2).degree == 10**4
     assert UniPoly.constant(ZZ, "t", 2) ** 20000 == UniPoly.constant(ZZ, "t", 2**20000)
     assert (UniPoly.zero(ZZ, "t") ** 10**6).is_zero()
+
+
+def test_a_coefficient_degree_counts_toward_the_limit_before_any_work(monkeypatch):
+    """The degree of a power or a monomial includes that of its coefficients in ZZ[u]."""
+    ring = PolynomialRing(ZZ, ("u",))
+    u = ring.variable("u")
+
+    def fail(*args):
+        raise AssertionError("unipoly._pow ran")
+
+    monkeypatch.setattr(unipoly, "_pow", fail)
+    with pytest.raises(ParameterError, match="degree 15003 exceeds the limit 10000") as caught:
+        UniPoly(ring, "t", [0, u**5000]) ** 3
+    assert caught.value.exit_code == 3
+    with pytest.raises(ParameterError, match="degree 10001 exceeds the limit 10000"):
+        UniPoly.monomial(ring, "t", 5001, u**5000)
+    assert UniPoly.monomial(ring, "t", 5000, u**5000).coefficient(5000) == u**5000
+
+
+@pytest.mark.parametrize("c", ["junk", 1.5, GF(7).element(3)], ids=repr)
+def test_a_monomial_exponent_past_the_limit_is_refused_before_its_coefficient_is_read(c):
+    """The degree error comes first, whatever c is, as unipoly.MAX_DEGREE bounds k alone."""
+    with pytest.raises(ParameterError, match="degree 10001 exceeds the limit 10000"):
+        UniPoly.monomial(ZZ, "t", unipoly.MAX_DEGREE + 1, c)
+
+
+@pytest.mark.parametrize("ring", [PolynomialRing(ZZ, ("u",)), PolynomialRing(GF(7), ("u", "v")), QQ],
+                         ids=str)
+def test_a_power_and_the_parser_agree_on_the_degree_limit(ring):
+    """UniPoly ** n refuses exactly the powers parse_poly refuses, with the same degree."""
+    coeffs = ["u^{a}", "u^{a}*v"] if "v" in getattr(ring, "names", ()) else ["u^{a}", "2"]
+    if ring == QQ:
+        coeffs = ["3", "1/2"]
+    for coeff in coeffs:
+        for a in (0, 1, 1999, 3333, 4999):
+            for k, n in [(1, 2), (1, 3), (2, 2), (3000, 3), (2001, 5)]:
+                src = f"({coeff.format(a=a)}*t^{k} + 1)"
+                base = parse_poly(src, ring, "t")
+                try:
+                    expected = parse_poly(f"{src}^{n}", ring, "t")
+                except InputSyntaxError as exc:
+                    degree = str(exc).split(" exceeds")[0]
+                    with pytest.raises(ParameterError, match=f"^{degree} exceeds the limit 10000$"):
+                        base**n
+                else:
+                    assert base**n == expected
