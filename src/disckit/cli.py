@@ -1,10 +1,10 @@
 """Command line for the toolkit.
 
-Every subcommand's payload goes out in a CommandResult; --format picks
-between a plain key/value rendering and a JSON envelope validated by the
-shipped schema (disckit/cli_result_v1).  Both renderings are pure
-functions of the payload, so output is byte-identical across runs and
-worker counts.
+Every subcommand's payload goes out through render, with a status and
+diagnostic lines; --format picks between a plain key/value rendering and
+a JSON envelope validated by the shipped schema (disckit/cli_result_v1).
+Both renderings are pure functions of those fields, so output is
+byte-identical across runs and worker counts.
 
 Exit codes: 0 success, 2 input syntax, 3 ring or parameter problems,
 4 enumeration budget exceeded, 5 internal errors.
@@ -26,19 +26,6 @@ from .resultants import SylvesterSpec, classify_discriminant, declared_degree, r
 from .strata import etale_verdict, main1_strata
 
 SCHEMA_ID = "disckit/cli_result_v1"
-
-
-class CommandResult(Record):
-    _fields = ("status", "payload", "diagnostics")
-    # the one mutable record, and so unhashable
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, status: str, payload: dict | None, diagnostics: list[str] | None = None):
-        self.status = status
-        self.payload = payload
-        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def _render_plain(value, indent: int = 0) -> list[str]:
@@ -76,28 +63,27 @@ def _plain_scalar(x) -> str:
     return str(x)
 
 
-def render(result: CommandResult, command: str, fmt: str) -> str:
+def render(command: str, fmt: str, status: str, payload: dict | None,
+           diagnostics=()) -> str:
+    """The envelope of one run: status, payload (None on error) and diagnostic lines."""
     if fmt == "json":
         import json  # only here: a plain rendering never loads it
 
         envelope = {
             "schema": SCHEMA_ID,
             "command": command,
-            "status": result.status,
-            "payload": result.payload,
-            "diagnostics": result.diagnostics,
+            "status": status,
+            "payload": payload,
+            "diagnostics": diagnostics,  # a tuple prints as a list
         }
         return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    lines: list[str] = []
-    if result.payload is not None:
-        lines.extend(_render_plain(result.payload))
-    for diag in result.diagnostics:
-        lines.append(diag)
+    lines = [] if payload is None else _render_plain(payload)
+    lines.extend(diagnostics)
     return "\n".join(lines) + "\n" if lines else ""
 
 
 # ----- subcommand handlers ---------------------------------------------------
-# Each returns the payload of a successful run; _run builds the envelope.
+# Each returns the payload of a successful run; _run renders the envelope.
 
 def _payload(value):
     """A report as payload: Record -> dict of its fields, tuple -> list, Fraction -> str."""
@@ -347,8 +333,7 @@ def _run(argv: list[str] | None) -> int:
         command = argv[0] if argv and argv[0] in parser.commands else None
         if command is None or _requested_format(argv[1:]) != "json":
             argparse.ArgumentParser.error(exc.parser, str(exc))
-        result = CommandResult("error", None, [f"error: {exc}"])
-        sys.stderr.write(render(result, command, "json"))
+        sys.stderr.write(render(command, "json", "error", None, [f"error: {exc}"]))
         return 2
     command = args.command
     fmt = args.format
@@ -361,9 +346,9 @@ def _run(argv: list[str] | None) -> int:
             diagnostics = [f"error: {exc}"]
         else:  # an internal bug
             diagnostics = [f"internal error: {exc!r}"]
-        sys.stderr.write(render(CommandResult("error", None, diagnostics), command, fmt))
+        sys.stderr.write(render(command, fmt, "error", None, diagnostics))
         return exc.exit_code if isinstance(exc, DisckitError) else 5
-    sys.stdout.write(render(CommandResult("ok", payload), command, fmt))
+    sys.stdout.write(render(command, fmt, "ok", payload))
     return 0
 
 

@@ -7,20 +7,18 @@ for exceeded enumeration budgets, 5 for internal invariant violations.
 It also holds two small pieces that every module shares.  check_int
 refuses a count argument (a degree, level, index or budget) that is not
 an int: a bool is refused, and so is 2.0.  Record is the base of the
-report types (SylvesterSpec, ChartId, Stratum, CommandResult and the
-rest).  A record names its fields once, in _fields; Record's __init__
+report types (SylvesterSpec, ChartId, Stratum and the rest).  A record
+names its fields once, in _fields; Record's __init__, the only one,
 binds positional then keyword values to them in __dict__, in field
 order, so vars() reads them, and refuses a missing, extra, unknown or
 repeated field with TypeError.  A record's conditions on its fields go
 in _check, which runs once they are stored.  Record supplies equality
 and hashing on the field tuple within one class, a repr in the format
 of the standard library's dataclasses, and assignment and deletion that
-raise AttributeError.  The one mutable record, CommandResult, keeps its
-own __init__ for its fresh default list, puts object's __setattr__ and
-__delattr__ back and sets __hash__ = None, as a plain dataclass has it.
-Records are not dataclasses because importing dataclasses, with the
-inspect it loads, took about a third of the package's import time;
-tests/test_records.py holds each record to a dataclass twin.
+raise AttributeError, so every record is immutable.  Records are not
+dataclasses because importing dataclasses, with the inspect it loads,
+took about a third of the package's import time; tests/test_records.py
+holds each record to a dataclass twin.
 """
 
 from __future__ import annotations

@@ -94,12 +94,7 @@ def generic_section(d: int, chart: ChartId, base: Ring = ZZ) -> UniPoly:
     ring = chart_ring(d, chart, base)
     i = chart.dehom_section
     var = "t" if chart.affine_chart == 0 else "s"
-    coeffs = []
-    for k in range(d + 1):
-        if k == i:
-            coeffs.append(ring.one)
-        else:
-            coeffs.append(ring.variable(f"u{k}"))
+    coeffs = [ring.one if k == i else ring.variable(f"u{k}") for k in range(d + 1)]
     if chart.affine_chart == 1:
         # in the s-patch the coefficient of s^(d-k) is u_k
         coeffs.reverse()
@@ -113,16 +108,19 @@ def _check_jet_order(d: int, l: int, chart: ChartId):
         raise ParameterError(f"jet order must satisfy 0 <= l <= d, got l={l}, d={d}")
 
 
+def _derivatives(f: UniPoly, count: int) -> list[UniPoly]:
+    """[f, f', ..., f^(count-1)] for count >= 1, with no derivative past the last."""
+    ladder = [f]
+    while len(ladder) < count:
+        ladder.append(ladder[-1].derivative())
+    return ladder
+
+
 def taylor_map(d: int, l: int, chart: ChartId) -> tuple[UniPoly, ...]:
     """Truncated Taylor components [f, f'/1!, ..., f^(l)/l!] over QQ."""
     _check_jet_order(d, l, chart)
-    f = generic_section(d, chart, QQ)
-    components = []
-    deriv = f
-    for j in range(l + 1):
-        components.append(deriv * Fraction(1, math.factorial(j)))
-        deriv = deriv.derivative()
-    return tuple(components)
+    ladder = _derivatives(generic_section(d, chart, QQ), l + 1)
+    return tuple(deriv * Fraction(1, math.factorial(j)) for j, deriv in enumerate(ladder))
 
 
 def incidence_ideal(d: int, l: int, chart: ChartId) -> IdealGens:
@@ -132,12 +130,8 @@ def incidence_ideal(d: int, l: int, chart: ChartId) -> IdealGens:
     flat = PolynomialRing(ZZ, f.coeff_ring.names + (f.var,))
     include = RingHom(f.coeff_ring, flat)
     t = flat.variable(f.var)
-    gens = []
-    deriv = f
-    for _ in range(l + 1):
-        gen = sum((include(c) * t**k for k, c in enumerate(deriv.coeffs)), flat.zero)
-        gens.append(gen.value)
-        deriv = deriv.derivative()
+    gens = [sum((include(c) * t**k for k, c in enumerate(deriv.coeffs)), flat.zero).value
+            for deriv in _derivatives(f, l + 1)]
     return IdealGens(flat, tuple(gens))
 
 
@@ -169,11 +163,8 @@ def discriminant_ideal(d: int, l: int, chart: ChartId | None = None) -> IdealGen
     _check_chart(d, chart)
     _check_level(d, l)
     f = generic_section(d, chart, ZZ)
-    gens = []
-    deriv = f
-    for j in range(l):
-        gens.append(_generic_discriminant_image(deriv, d - j).value)
-        deriv = deriv.derivative()
+    gens = [_generic_discriminant_image(deriv, d - j).value
+            for j, deriv in enumerate(_derivatives(f, l))]
     return IdealGens(f.coeff_ring, tuple(gens))
 
 
@@ -182,13 +173,9 @@ def _discriminant_ideal_sylvester(d: int, l: int, chart: ChartId) -> IdealGens:
     _check_chart(d, chart)
     _check_level(d, l)
     f = generic_section(d, chart, ZZ)
-    gens = []
-    deriv = f
-    for j in range(l):
-        nxt = deriv.derivative()
-        value = resultant(deriv, nxt, SylvesterSpec(d - j, d - j - 1))
-        gens.append(value.value)
-        deriv = nxt
+    ladder = _derivatives(f, l + 1)
+    gens = [resultant(ladder[j], ladder[j + 1], SylvesterSpec(d - j, d - j - 1)).value
+            for j in range(l)]
     return IdealGens(f.coeff_ring, tuple(gens))
 
 

@@ -164,9 +164,20 @@ def det_fraction_free(matrix: list[list[RingElement]], ring: Ring) -> RingElemen
       its base ring, and its determinant is wrapped as a constant.
 
     No Fraction arithmetic runs inside an elimination.  Only the
-    determinant is wrapped again.
+    determinant is wrapped again.  A matrix that is not square raises
+    ParameterError before any work.
     """
-    return RingElement(ring, _det_raw([[ring.coerce(x) for x in row] for row in matrix], ring))
+    return RingElement(ring, _det_raw(_square_raw(matrix, ring), ring))
+
+
+def _square_raw(matrix: list[list], ring: Ring) -> list[list]:
+    """The raw entries in ring of a square matrix; any other shape raises ParameterError first."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        lengths = sorted({len(row) for row in matrix})
+        raise ParameterError(f"a determinant needs a square matrix, got {n} rows "
+                             f"of {lengths} entries")
+    return [[ring.coerce(x) for x in row] for row in matrix]
 
 
 def _det_raw(rows: list[list], ring: Ring):
@@ -180,8 +191,12 @@ def _det_raw(rows: list[list], ring: Ring):
         scaled = [_clear_fractions(row) for row in rows]
         det = _det_int([row for row, _ in scaled])
         return Fraction(det, prod(s for _, s in scaled))
-    constants = _constant_rows(rows)
-    if constants is not None:
+    constants = []
+    for row in rows:
+        if (values := _constants(row)) is None:
+            break
+        constants.append(values)
+    else:
         return ring._const(_det_raw(constants, ring.base))
     if isinstance(ring.base, RationalRing):
         cleared = [clear_denominators(row) for row in rows]
@@ -199,17 +214,6 @@ def _constants(values: list[MultiPoly]) -> list | None:
         if c is None:
             return None
         out.append(c)
-    return out
-
-
-def _constant_rows(rows: list[list[MultiPoly]]) -> list[list] | None:
-    """The base values of the rows when every entry is a constant, else None."""
-    out = []
-    for row in rows:
-        values = _constants(row)
-        if values is None:
-            return None
-        out.append(values)
     return out
 
 
@@ -351,11 +355,7 @@ def _det_fraction_free_reference(matrix: list[list[RingElement]], ring: Ring) ->
     sign = 1
     prev = ring.one
     for k in range(n - 1):
-        pivot_row = None
-        for r in range(k, n):
-            if not work[r][k].is_zero():
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(k, n) if not work[r][k].is_zero()), None)
         if pivot_row is None:
             return ring.zero
         if pivot_row != k:
@@ -382,25 +382,26 @@ MAX_COFACTOR_SIZE = 8
 def det_cofactor(matrix: list[list[RingElement]], ring: Ring) -> RingElement:
     """Division-free cofactor expansion; exponential, for cross-checks only.
 
-    A matrix of more than MAX_COFACTOR_SIZE rows raises ParameterError.
+    The entries are read as det_fraction_free reads them.  A matrix of
+    more than MAX_COFACTOR_SIZE rows raises ParameterError.
     """
     n = len(matrix)
     if n > MAX_COFACTOR_SIZE:
         raise ParameterError(
             f"cofactor expansion of a {n} x {n} matrix exceeds the limit {MAX_COFACTOR_SIZE}"
         )
-    if n == 0:
-        return ring.one
-    if n == 1:
-        return matrix[0][0]
-    total = ring.zero
-    for i in range(n):
-        head = matrix[i][0]
-        if head.is_zero():
+    return RingElement(ring, _cofactor_raw(_square_raw(matrix, ring), ring))
+
+
+def _cofactor_raw(rows: list[list], ring: Ring):
+    """The raw determinant of det_cofactor, expanded along the first column."""
+    total = ring.coerce(0) if rows else ring.coerce(1)
+    for i, row in enumerate(rows):
+        if not row[0]:
             continue
-        minor = [row[1:] for r, row in enumerate(matrix) if r != i]
-        term = head * det_cofactor(minor, ring)
-        total = total + term if i % 2 == 0 else total - term
+        minor = [r[1:] for k, r in enumerate(rows) if k != i]
+        term = ring._mul(row[0], _cofactor_raw(minor, ring))
+        total = ring._add(total, term) if i % 2 == 0 else ring._sub(total, term)
     return total
 
 

@@ -19,8 +19,10 @@ domain, so zero is also the only nilpotent.
 
 Ring.coerce checks a RingElement's ring and refuses a bool, and ZZ, QQ
 and Fp(p) supply only _coerce for plain values (PolynomialRing.coerce also
-embeds its base ring); Ring._pow is the one power of a raw value
-(square-and-multiply; a**n on ZZ and QQ, pow(a, n, p) on Fp(p)).
+embeds its base ring).  _power is the one square-and-multiply loop,
+under a given product and one: Ring._pow runs it on raw values and
+unipoly._pow on raw coefficient lists, while ZZ and QQ take a**n and
+Fp(p) takes pow(a, n, p).
 
 Ring.modulus names the rings with a plain-int path (0 on ZZ, p on Fp(p),
 None otherwise), and every int kernel dispatches on it; QQ reaches the ZZ
@@ -77,6 +79,18 @@ def check_degree(degree: int) -> None:
     """Raise ParameterError for a power or monomial of total degree above MAX_DEGREE."""
     if degree > MAX_DEGREE:
         raise ParameterError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
+
+
+def _power(a, n: int, mul, one):
+    """a^n for an int n >= 0 by square-and-multiply under the product mul; a^0 is one."""
+    result = None
+    while n:
+        if n & 1:
+            result = a if result is None else mul(result, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return one if result is None else result
 
 
 def _is_prime(p: int) -> bool:
@@ -140,15 +154,8 @@ class Ring:
         return self._add(a, self._neg(b))
 
     def _pow(self, a, n: int):
-        """a^n for an int n >= 0 by square-and-multiply; a^0 is one, also for a = 0."""
-        result = None
-        while n:
-            if n & 1:
-                result = a if result is None else self._mul(result, a)
-            n >>= 1
-            if n:
-                a = self._mul(a, a)
-        return self.coerce(1) if result is None else result
+        """a^n for an int n >= 0; a^0 is one, also for a = 0."""
+        return _power(a, n, self._mul, self.coerce(1))
 
     def _is_one(self, a) -> bool:
         return a == 1
@@ -300,6 +307,8 @@ class PolynomialRing(Ring):
             )
         if not isinstance(base, Ring):
             raise UnsupportedRingError(f"unsupported base ring {base!r}")
+        if isinstance(names, str):  # else "ab" would be read as the names a and b
+            raise ParameterError(f"pass the variable names as a sequence, not the str {names!r}")
         names = tuple(names)
         if not names:
             raise ParameterError("a polynomial ring needs at least one variable")

@@ -37,6 +37,7 @@ from .rings import (
     RingHom,
     _clear_fractions,
     _join_terms,
+    _power,
     _signed_term,
     check_degree,
     check_name,
@@ -242,21 +243,14 @@ def _degree(a: list, ring: Ring) -> int:
 
 
 def _pow(a: list, n: int, ring: Ring) -> list:
-    """a^n by square-and-multiply; a^0 = 1, also for a = 0.
+    """a^n by the square-and-multiply of rings._power; a^0 = 1, also for a = 0.
 
     A monomial c*t^k, a constant included, is raised as the shift
     t^(k*n) of c^n (ring._pow).
     """
     if a and not any(a[:-1]):
         return [ring.coerce(0)] * ((len(a) - 1) * n) + [ring._pow(a[-1], n)]
-    result = None
-    while n:
-        if n & 1:
-            result = a if result is None else _mul(result, a, ring)
-        n >>= 1
-        if n:
-            a = _mul(a, a, ring)
-    return [ring.coerce(1)] if result is None else result
+    return _power(a, n, lambda x, y: _mul(x, y, ring), [ring.coerce(1)])
 
 
 def _deriv(a: list, ring: Ring) -> list:

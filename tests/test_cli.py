@@ -357,6 +357,27 @@ def test_dims_refuses_oversized_counts_before_computing(argv, monkeypatch, capsy
     assert "over the limit" in err
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_an_internal_error_exits_5_with_its_repr_on_stderr(fmt, monkeypatch, capsys):
+    """An exception that is not a DisckitError is a bug: exit 5 and nothing on stdout."""
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    # The cached parser holds the handlers, so the failure goes in a function one calls.
+    monkeypatch.setattr(cli, "complex_table", boom)
+    argv = ["dims", "--N", "1", "--d", "4", "--k", "1", "--table", "--format", fmt]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (5, "")
+    diagnostic = "internal error: RuntimeError('boom')"
+    if fmt == "plain":
+        assert err == diagnostic + "\n"
+        return
+    envelope = json.loads(err)
+    jsonschema.validate(envelope, SCHEMA)
+    assert envelope == {"schema": cli.SCHEMA_ID, "command": "dims", "status": "error",
+                        "payload": None, "diagnostics": [diagnostic]}
+
+
 # ----- verify -------------------------------------------------------------------
 
 def test_verify_json(capsys):

@@ -309,6 +309,26 @@ def test_cached_ideal_matches_sylvester_reference_degree6():
     assert discriminant_ideal(6, 6, chart) == _discriminant_ideal_sylvester(6, 6, chart)
 
 
+@pytest.mark.parametrize("d, l", [(1, 1), (3, 2), (4, 4)])
+def test_each_ladder_stops_at_the_last_derivative_it_uses(d, l, monkeypatch):
+    """Up to f^(l) for the jets and the reference, up to f^(l-1) for the ideal."""
+    chart = ChartId(d, 0)
+    discriminant_ideal(d, l, chart)  # the memoized R_n are built before the count starts
+    calls = []
+    derivative = UniPoly.derivative
+
+    def counted(f):
+        calls.append(f)
+        return derivative(f)
+
+    monkeypatch.setattr(UniPoly, "derivative", counted)
+    for build, taken in ((taylor_map, l), (incidence_ideal, l), (discriminant_ideal, l - 1),
+                         (_discriminant_ideal_sylvester, l)):
+        calls.clear()
+        build(d, l, chart)
+        assert len(calls) == taken, build.__name__
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_homogeneous_discriminant_matches_direct_sylvester_quotient(d):
     raw = _generic_raw_discriminant_sylvester(d)

@@ -1,16 +1,15 @@
 """The report records against dataclass twins, and the integer check on counts.
 
-Every report type (SylvesterSpec, ChartId, Stratum, CommandResult and the
-rest) is a disckit.errors.Record.  Each is held here to a @dataclass twin
-of the same name, the form these types had before, which is the
-reference: the same repr, equality, hash or unhashability, refusal to
-assign or delete (CommandResult, a plain dataclass, allows both),
-defaults, validations, vars() and command-line payload.  Counts (degrees,
-levels, indices, budgets) must be ints, not floats or bools.
+Every report type (SylvesterSpec, ChartId, Stratum and the rest) is a
+disckit.errors.Record.  Each is held here to a frozen @dataclass twin of
+the same name, the form these types had before, which is the reference:
+the same repr, equality, hash, refusal to assign or delete, validations,
+vars() and command-line payload.  Counts (degrees, levels, indices,
+budgets) must be ints, not floats or bools.
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -39,13 +38,6 @@ from disckit import cli, dims, jets, oracle, resultants, strata
 from disckit.errors import Record
 
 # ----- the twins: the records as they were written with dataclasses ---------
-
-
-@dataclass
-class CommandResult:
-    status: str
-    payload: dict | None
-    diagnostics: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -143,8 +135,8 @@ class Stratum:
 
 RECORDS = {
     cls.__name__: cls
-    for cls in (cli.CommandResult, dims.DimReport, dims.ComplexTerm, jets.ChartId,
-                jets.IdealGens, jets.ChartRelation, oracle.VerifyReport, oracle.GrowthReport,
+    for cls in (dims.DimReport, dims.ComplexTerm, jets.ChartId, jets.IdealGens,
+                jets.ChartRelation, oracle.VerifyReport, oracle.GrowthReport,
                 resultants.SylvesterSpec, strata.Stratum)
 }
 TWINS = {name: globals()[name] for name in RECORDS}
@@ -174,10 +166,6 @@ def _samples():
     base = PolynomialRing(ZZ, ("u",))
     P = UniPoly(base, "t", [base.zero, base.one, base.variable("u")])  # u*t^2 + t
     found = [
-        cli.CommandResult("ok", {"a": [1, 2]}),
-        cli.CommandResult("error", None, ["error: x"]),
-        cli.CommandResult("ok", cli.cmd_dims(cli.build_parser().parse_args(
-            ["dims", "--N", "1", "--d", "4", "--k", "1", "--j", "1"]))),
         dims.DimReport(1, 4, 1, 1, 0, 10, "ext_jet"),
         dims.complex_term_rank(1, 5, 1, 2),
         jets.ChartId(2, 1),
@@ -216,13 +204,7 @@ def test_a_record_behaves_as_its_dataclass_twin(record):
     assert record == again == by_name and not record != again
     assert (record == twin) is (twin == record) is False
     assert record.__eq__(object()) is NotImplemented
-    if cls is cli.CommandResult:
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(record)
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(twin)
-    else:
-        assert hash(record) == hash(twin) == hash(again)
+    assert hash(record) == hash(twin) == hash(again)
     assert list(vars(record)) == list(record._fields)
     assert {name: _twin(value) for name, value in vars(record).items()} == vars(twin)
     assert repr(cli._payload(record)) == repr(_payload_reference(twin))  # keys in order too
@@ -230,17 +212,7 @@ def test_a_record_behaves_as_its_dataclass_twin(record):
 
 @pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)
 def test_a_record_refuses_assignment_and_deletion_as_its_twin_does(record):
-    if type(record) is cli.CommandResult:  # a copy, since SAMPLES is shared
-        record = cli.CommandResult(record.status, record.payload, list(record.diagnostics))
     twin = _twin(record)
-    if type(record) is cli.CommandResult:
-        for r in (record, twin):
-            r.extra = 1
-            r.status = "changed"
-            del r.extra
-        assert repr(record) == repr(twin)
-        assert list(vars(record)) == list(record._fields)
-        return
     before = repr(record)
     for name in (record._fields[0], "extra"):
         for act in (lambda r: setattr(r, name, 1), lambda r: delattr(r, name)):
@@ -272,14 +244,6 @@ def test_a_wrong_set_of_fields_is_refused_as_by_the_twin(name, call):
         call(TWINS[name], record._fields, values)
     with pytest.raises(TypeError):
         call(RECORDS[name], record._fields, values)
-
-
-def test_command_result_defaults_to_a_fresh_list_of_diagnostics():
-    a, b = cli.CommandResult("ok", {}), cli.CommandResult("ok", {})
-    assert a.diagnostics == b.diagnostics == CommandResult("ok", {}).diagnostics == []
-    assert a.diagnostics is not b.diagnostics
-    a.diagnostics.append("note")
-    assert b.diagnostics == [] and a != b
 
 
 def test_unequal_fields_make_unequal_records():

@@ -13,6 +13,7 @@ from disckit import (
     ZZ,
     ParameterError,
     PolynomialRing,
+    RingElement,
     RingHom,
     RingMismatchError,
     SylvesterSpec,
@@ -245,6 +246,52 @@ def test_cofactor_expansion_is_capped():
     with pytest.raises(ParameterError, match="exceeds the limit 8") as info:
         det_cofactor(identity(size + 1), ZZ)
     assert info.value.exit_code == 3
+
+
+SQUARE_RINGS = (ZZ, GF(7), PolynomialRing(ZZ, ("a",)))
+NOT_SQUARE = {
+    "2x3": [[1, 2, 3], [4, 5, 6]],
+    "3x2": [[1, 2], [3, 4], [5, 6]],
+    "ragged": [[1, 2], [3]],
+}
+
+
+@pytest.mark.parametrize("det", (det_fraction_free, det_cofactor), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("ring", SQUARE_RINGS, ids=str)
+@pytest.mark.parametrize("rows", NOT_SQUARE.values(), ids=NOT_SQUARE.keys())
+def test_a_matrix_that_is_not_square_is_refused_before_an_entry_is_read(rows, ring, det,
+                                                                       monkeypatch):
+    matrix = [[ring.element(v) for v in row] for row in rows]
+
+    def fail(value):
+        raise AssertionError("an entry was read")
+
+    monkeypatch.setattr(ring, "coerce", fail)
+    with pytest.raises(ParameterError, match="needs a square matrix") as caught:
+        det(matrix, ring)
+    assert caught.value.exit_code == 3
+
+
+@pytest.mark.parametrize("det", (det_fraction_free, det_cofactor), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("ring", SQUARE_RINGS, ids=str)
+def test_the_empty_matrix_is_square_over_every_ring(ring, det):
+    assert det([], ring) == ring.one
+
+
+@pytest.mark.parametrize("ring", (ZZ, QQ, GF(7), PolynomialRing(ZZ, ("a",))), ids=str)
+def test_det_cofactor_reads_its_entries_as_det_fraction_free_does(ring):
+    """Ints are coerced into ring, and the determinant is always a RingElement of ring."""
+    for rows in ([[5]], [[1, 2], [3, 4]], [[0, 2, 1], [1, 0, 3], [4, 1, 0]]):
+        for matrix in (rows, [[ring.element(v) for v in row] for row in rows]):
+            value = det_cofactor(matrix, ring)
+            assert type(value) is RingElement and value.ring == ring
+            assert value == det_fraction_free(matrix, ring)
+    for det in (det_fraction_free, det_cofactor):
+        with pytest.raises(RingMismatchError):
+            det([[GF(3).element(1)]], ring)
+        if ring == QQ:
+            with pytest.raises(RingMismatchError):
+                det([[ZZ.element(5)]], ring)
 
 
 # ----- matrices of constants over polynomial rings -----------------------------

@@ -108,6 +108,27 @@ def test_raw_power_matches_repeated_raw_product(ring):
             acc = ring._mul(acc, a)
 
 
+def test_one_square_and_multiply_loop_serves_ring_values_and_coefficient_lists(monkeypatch):
+    """rings._power runs under the product and one it is given, which need not commute."""
+    for n in range(12):
+        assert rings._power("ab", n, lambda x, y: x + y, "") == "ab" * n
+    calls = []
+    real = rings._power
+
+    def counted(a, n, mul, one):
+        calls.append(n)
+        return real(a, n, mul, one)
+
+    monkeypatch.setattr(rings, "_power", counted)
+    monkeypatch.setattr(unipoly, "_power", counted)
+    ring = PolynomialRing(ZZ, ("u",))
+    u = ring.variable("u")
+    assert (u + 1) ** 3 == u * u * u + 3 * u * u + 3 * u + 1
+    t = UniPoly.monomial(ZZ, "t", 1)
+    assert (t + 1) ** 4 == UniPoly(ZZ, "t", [1, 4, 6, 4, 1])
+    assert calls == [3, 4]
+
+
 @pytest.mark.parametrize("ring", SCALAR_RINGS, ids=str)
 def test_coerce_errors_are_shared_by_the_scalar_rings(ring):
     other = GF(3)
@@ -232,6 +253,16 @@ def test_polynomial_ring_validation():
         PolynomialRing(inner, ("v",))
     with pytest.raises(ParameterError):
         PolynomialRing(ZZ, ("u",)).variable("w")
+
+
+@pytest.mark.parametrize("names", ["ab", "u0", "u", ""])
+def test_a_str_of_variable_names_is_refused(names):
+    """A str is not read one character at a time: "ab" is not the names a and b."""
+    with pytest.raises(ParameterError, match="as a sequence, not the str") as caught:
+        PolynomialRing(ZZ, names)
+    assert caught.value.exit_code == 3
+    if names:
+        assert PolynomialRing(ZZ, [names]).names == (names,)
 
 
 def test_variable_looks_up_its_index_without_scanning_the_names():
