@@ -73,6 +73,8 @@ class IdealGens(Record):
 
 
 def _check_chart(d: int, chart: ChartId):
+    if not isinstance(chart, ChartId):
+        raise ParameterError(f"a chart must be a ChartId, got {chart!r}")
     check_int(d, "the form degree")
     if d < 1:
         raise ParameterError(f"the form degree must be at least 1, got {d}")

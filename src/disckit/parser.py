@@ -52,7 +52,7 @@ import re
 from fractions import Fraction
 
 from .errors import InputSyntaxError, ParameterError, RingMismatchError
-from .rings import GF, NAME_PATTERN, QQ, ZZ, PolynomialRing, Ring, RingElement, check_name
+from .rings import GF, NAME_PATTERN, QQ, ZZ, PolynomialRing, Ring, RingElement, check_name, check_ring
 from .unipoly import MAX_DEGREE, UniPoly, _add, _degree, _mul, _neg, _pow, _sub, _trim
 
 MAX_DIGITS = 4300  # CPython's default int-string limit
@@ -147,6 +147,7 @@ class _Evaluator:
     """
 
     def __init__(self, src: str, ring: Ring):
+        check_ring(ring)
         self.src = src
         self.tokens = tokenize(src)
         self.pos = 0

@@ -47,7 +47,6 @@ the reference the memoized R_n is tested against.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from itertools import combinations
 from math import prod
 
@@ -60,9 +59,10 @@ from .rings import (
     Ring,
     RingElement,
     RingHom,
-    _clear_fractions,
     _Packed,
-    clear_denominators,
+    check_ring,
+    from_integral,
+    to_integral,
 )
 from .unipoly import MAX_DEGREE, UniPoly, _rem_mod, _trim
 
@@ -151,27 +151,26 @@ def det_fraction_free(matrix: list[list[RingElement]], ring: Ring) -> RingElemen
     """Determinant by elimination on plain values; the matrix is unwrapped once.
 
     - ZZ: Bareiss on Python ints; every division is checked to be exact.
-    - QQ: row i is multiplied by s_i, the lcm of its entries'
-      denominators (1 for an all-zero row); the integer determinant of
-      the scaled rows is divided by the product of the s_i.
     - Fp: Gaussian elimination mod p, one inverse per pivot.
     - ZZ[vars], Fp[vars]: Bareiss on packed-monomial dicts of ints
       (rings._Packed) at a width that holds every intermediate.
-    - QQ[vars]: each row scaled to ZZ[vars] by rings.clear_denominators,
-      then the ZZ[vars] path; each coefficient of the determinant is
-      divided by the product of the scales.
+    - QQ and QQ[vars]: rings.to_integral scales row i into ZZ or ZZ[vars]
+      by s_i, the lcm of its denominators (1 for an all-zero row); the
+      determinant of the scaled rows there is divided by the product of
+      the s_i (rings.from_integral).
     - A matrix of constants over a polynomial ring takes the path of
       its base ring, and its determinant is wrapped as a constant.
 
     No Fraction arithmetic runs inside an elimination.  Only the
-    determinant is wrapped again.  A matrix that is not square raises
-    ParameterError before any work.
+    determinant is wrapped again.  Before any work, a ring that is not a
+    Ring raises UnsupportedRingError, a matrix that is not square ParameterError.
     """
     return RingElement(ring, _det_raw(_square_raw(matrix, ring), ring))
 
 
 def _square_raw(matrix: list[list], ring: Ring) -> list[list]:
-    """The raw entries in ring of a square matrix; any other shape raises ParameterError first."""
+    """The raw entries in ring of a square matrix; a bad ring or any other shape raises first."""
+    check_ring(ring)
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         lengths = sorted({len(row) for row in matrix})
@@ -187,23 +186,19 @@ def _det_raw(rows: list[list], ring: Ring):
     p = ring.modulus
     if p is not None:
         return _det_mod(rows, p) if p else _det_int(rows)
-    if isinstance(ring, RationalRing):
-        scaled = [_clear_fractions(row) for row in rows]
-        det = _det_int([row for row, _ in scaled])
-        return Fraction(det, prod(s for _, s in scaled))
-    constants = []
-    for row in rows:
-        if (values := _constants(row)) is None:
-            break
-        constants.append(values)
-    else:
-        return ring._const(_det_raw(constants, ring.base))
-    if isinstance(ring.base, RationalRing):
-        cleared = [clear_denominators(row) for row in rows]
-        det = _det_packed([row for row, _ in cleared]).terms
-        total = prod(s for _, s in cleared)
-        return MultiPoly(ring, {e: Fraction(c, total) for e, c in det.items()})
-    return _det_packed(rows)
+    if isinstance(ring, PolynomialRing):
+        constants = []
+        for row in rows:
+            if (values := _constants(row)) is None:
+                break
+            constants.append(values)
+        else:
+            return ring._const(_det_raw(constants, ring.base))
+        if ring.base.modulus is not None:
+            return _det_packed(rows)
+    cleared = [to_integral(row, ring) for row in rows]
+    det = _det_raw([row for _, row, _ in cleared], cleared[0][0])
+    return from_integral([det], prod(s for _, _, s in cleared), ring)[0]
 
 
 def _constants(values: list[MultiPoly]) -> list | None:
@@ -460,14 +455,14 @@ def _resultant_reference(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = No
 def _resultant_scalar(f: list, g: list, ring: Ring):
     """The raw Res_{deg f, deg g} of two nonzero raw lists over ZZ, QQ or Fp.
 
-    Over QQ, with s*F and t*G cleared to ZZ by rings._clear_fractions,
+    Over QQ, with s*F and t*G scaled into ZZ by rings.to_integral,
     Res(F, G) = Res(s*F, t*G) / (s^deg G * t^deg F).
     """
     p = ring.modulus
     if p is not None:
         return _resultant_mod(f, g, p) if p else _resultant_int(f, g)
-    (f, s), (g, t) = _clear_fractions(f), _clear_fractions(g)
-    return Fraction(_resultant_int(f, g), s ** (len(g) - 1) * t ** (len(f) - 1))
+    (_, f, s), (_, g, t) = to_integral(f, ring), to_integral(g, ring)
+    return from_integral([_resultant_int(f, g)], s ** (len(g) - 1) * t ** (len(f) - 1), ring)[0]
 
 
 def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
@@ -658,22 +653,18 @@ def _generic_discriminant_image(P: UniPoly, d: int) -> RingElement:
 
     R_d is a polynomial identity over ZZ, so the map is right over every
     coefficient ring, also when P' loses degree in characteristic p.
-    Over QQ[vars] the coefficients are first cleared to s*P over ZZ[vars]
-    (rings.clear_denominators), so the map runs on ints, and R_d is
-    homogeneous of degree 2d-1: the image is divided by s^(2d-1).
+    Over QQ[vars] the coefficients are scaled by one s to s*P over ZZ[vars]
+    (rings.to_integral), so the map runs on ints, and R_d is homogeneous
+    of degree 2d-1: the image is divided back by s^(2d-1) (from_integral).
     The image is a fresh polynomial; the memoized R_d is never handed out.
     """
     generic = _generic_raw_discriminant(d)
     ring = P.coeff_ring
-    images = P._raw
-    rational = isinstance(ring.base, RationalRing)
-    if rational:
-        images, scale = clear_denominators(images)
-    image = RingHom(generic.ring, images[0].ring, dict(zip(generic.ring.names, images)))(generic)
-    if not rational:
-        return image
-    total = scale ** (2 * d - 1)
-    return RingElement(ring, MultiPoly(ring, {e: Fraction(c, total) for e, c in image.value.terms.items()}))
+    if not isinstance(ring.base, RationalRing):
+        return RingHom(generic.ring, ring, dict(zip(generic.ring.names, P._raw)))(generic)
+    twin, images, s = to_integral(P._raw, ring)
+    image = RingHom(generic.ring, twin, dict(zip(generic.ring.names, images)))(generic)
+    return RingElement(ring, from_integral([image.value], s ** (2 * d - 1), ring)[0])
 
 
 # The largest degree discriminant maps R_d for.  One discriminant cold, in

@@ -25,8 +25,8 @@ unipoly._pow on raw coefficient lists, while ZZ and QQ take a**n and
 Fp(p) takes pow(a, n, p).
 
 Ring.modulus names the rings with a plain-int path (0 on ZZ, p on Fp(p),
-None otherwise), and every int kernel dispatches on it; QQ reaches the ZZ
-path through _clear_fractions.
+None otherwise), and every int kernel dispatches on it; QQ and QQ[vars]
+reach them through to_integral and come back through from_integral.
 
 Everything is immutable and every operation is a pure function, so
 values can be shared freely between threads.
@@ -34,7 +34,7 @@ values can be shared freely between threads.
 The heavy symbolic work (Bareiss determinants and exact division) runs
 in a private packed-monomial kernel, _Packed, on dicts from one int per
 exponent vector to an int coefficient (a residue over Fp); MultiPoly is
-converted at the boundary, and QQ[vars] is first cleared to ZZ[vars].
+converted at the boundary, and QQ[vars] is first scaled to ZZ[vars].
 RingHom maps whose variable images are single terms or zero send each
 input term to at most one output term, its exponents selected from the
 plain tuple with a fix-up for each image weight that selection cannot
@@ -79,6 +79,12 @@ def check_degree(degree: int) -> None:
     """Raise ParameterError for a power or monomial of total degree above MAX_DEGREE."""
     if degree > MAX_DEGREE:
         raise ParameterError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
+
+
+def check_ring(ring) -> None:
+    """Raise UnsupportedRingError unless ring is a Ring."""
+    if not isinstance(ring, Ring):
+        raise UnsupportedRingError(f"unsupported ring {ring!r}")
 
 
 def _power(a, n: int, mul, one):
@@ -305,8 +311,7 @@ class PolynomialRing(Ring):
             raise UnsupportedRingError(
                 "polynomial rings do not nest; flatten the variables instead"
             )
-        if not isinstance(base, Ring):
-            raise UnsupportedRingError(f"unsupported base ring {base!r}")
+        check_ring(base)
         if isinstance(names, str):  # else "ab" would be read as the names a and b
             raise ParameterError(f"pass the variable names as a sequence, not the str {names!r}")
         names = tuple(names)
@@ -555,10 +560,10 @@ class MultiPoly:
         leaves a rational one; that quotient divided by g is the answer.
         """
         if isinstance(self.ring.base, RationalRing):
-            (num, den), _ = clear_denominators((self, divisor))
+            _, (num, den), _ = to_integral((self, divisor), self.ring)
             g = gcd(*den.terms.values())
             quotient = num._exact_div_packed(den._new({e: c // g for e, c in den.terms.items()}))
-            return self._new({e: Fraction(c, g) for e, c in quotient.terms.items()})
+            return from_integral([quotient], g, self.ring)[0]
         bound = max(max(e) for e in itertools.chain(self.terms, divisor.terms))
         kernel = _Packed(self.ring, bound)
         return kernel.unpack(kernel.exact_div(kernel.pack(self), kernel.pack(divisor)))
@@ -603,21 +608,23 @@ def _nonzero(acc: dict, p: int | None) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
-def _clear_fractions(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """([s*x for x in values] as ints, s), s the lcm of the denominators (1 for none)."""
+def to_integral(values: Sequence, ring: Ring) -> tuple[Ring, list, int]:
+    """(twin, [s*x for x in values], s) for raw values of ring, QQ or QQ[vars]:
+    twin is ZZ or ZZ[vars], and s the lcm of every coefficient denominator (1 for none)."""
+    if isinstance(ring, PolynomialRing):
+        twin = PolynomialRing(ZZ, ring.names)
+        s = lcm(*(c.denominator for f in values for c in f.terms.values()))
+        return twin, [MultiPoly(twin, {e: c.numerator * (s // c.denominator)
+                                       for e, c in f.terms.items()}) for f in values], s
     s = lcm(*(x.denominator for x in values))
-    return [x.numerator * (s // x.denominator) for x in values], s
+    return ZZ, [x.numerator * (s // x.denominator) for x in values], s
 
 
-def clear_denominators(polys: Sequence[MultiPoly]) -> tuple[list[MultiPoly], int]:
-    """([s*f for f in polys] in ZZ[vars], s) for polys over QQ[vars].
-
-    s is the lcm of every coefficient denominator (1 if all polys are 0).
-    """
-    ints, s = _clear_fractions([c for f in polys for c in f.terms.values()])
-    twin = PolynomialRing(ZZ, polys[0].ring.names)
-    ints = iter(ints)  # zip stops at the end of f.terms before it takes from ints
-    return [MultiPoly(twin, dict(zip(f.terms, ints))) for f in polys], s
+def from_integral(values: Sequence, s: int, ring: Ring) -> list:
+    """[x / s for x in values] in ring, QQ or QQ[vars], for values over its twin (to_integral)."""
+    if isinstance(ring, PolynomialRing):
+        return [MultiPoly(ring, {e: Fraction(c, s) for e, c in f.terms.items()}) for f in values]
+    return [Fraction(c, s) for c in values]
 
 
 class _Packed:
@@ -637,7 +644,7 @@ class _Packed:
     A packed value is a dict from packed monomials to nonzero ints:
     integers over ZZ, residues in [0, p) over Fp(p).  p is the base
     ring's modulus, 0 over ZZ.  QQ[vars], whose modulus is None, is
-    refused; callers clear its denominators first (clear_denominators).
+    refused; callers scale it to ZZ[vars] first (to_integral).
     """
 
     def __init__(self, ring: PolynomialRing, bound: int):
@@ -899,6 +906,8 @@ class RingHom:
     """
 
     def __init__(self, domain: Ring, codomain: Ring, images: Mapping[str, object] | None = None):
+        check_ring(domain)
+        check_ring(codomain)
         self.domain = domain
         self.codomain = codomain
         self._images: dict[str, RingElement] = {}

@@ -18,7 +18,6 @@ Karatsuba), and the product is unpacked.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 
 from .errors import (
     ExactDivisionError,
@@ -35,12 +34,14 @@ from .rings import (
     Ring,
     RingElement,
     RingHom,
-    _clear_fractions,
     _join_terms,
     _power,
     _signed_term,
     check_degree,
     check_name,
+    check_ring,
+    from_integral,
+    to_integral,
 )
 
 
@@ -89,10 +90,10 @@ MINUS_INFINITY = _MinusInfinity()
 # entries are residues in [0, p) and each output coefficient is reduced
 # once, or 0 over ZZ, where nothing is reduced.  A product with a one-term
 # operand scales the other operand in every ring.  Over QQ, other products
-# clear denominators and run on the ZZ path; otherwise, over QQ and polynomial
-# rings, whose modulus is None, the ring's raw operations are used.  Every
-# supported ring is an integral domain, so a product of trimmed lists is
-# trimmed.
+# cross to the ZZ path and back through rings.to_integral and from_integral;
+# otherwise, over QQ and polynomial rings, whose modulus is None, the ring's
+# raw operations are used.  Every supported ring is an integral domain, so a
+# product of trimmed lists is trimmed.
 
 # Products whose shorter operand has at least this many coefficients go
 # through Kronecker substitution, shorter ones through the schoolbook loop:
@@ -222,9 +223,8 @@ def _mul(a: list, b: list, ring: Ring) -> list:
         return []
     if isinstance(ring, RationalRing):
         # a*b = (s*a)(t*b)/(s*t) for s, t the lcms of the denominators
-        (a, s), (b, t) = _clear_fractions(a), _clear_fractions(b)
-        st = s * t
-        return [Fraction(c, st) for c in _mul_mod(a, b, 0)]
+        (_, a, s), (_, b, t) = to_integral(a, ring), to_integral(b, ring)
+        return from_integral(_mul_mod(a, b, 0), s * t, ring)
     add, mul = ring._add, ring._mul
     out = [ring.coerce(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -310,6 +310,7 @@ class UniPoly:
     __slots__ = ("coeff_ring", "var", "_raw", "_coeffs")
 
     def __init__(self, coeff_ring: Ring, var: str, coeffs: Iterable = ()):
+        check_ring(coeff_ring)
         check_name(var)
         if isinstance(coeff_ring, PolynomialRing) and var in coeff_ring.names:
             raise ParameterError(

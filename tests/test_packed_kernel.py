@@ -212,7 +212,7 @@ def test_exponent_range_refusals_pack_nothing(base, monkeypatch):
         raise AssertionError("the packed kernel ran")
 
     monkeypatch.setattr(rings, "_Packed", no_packing)
-    monkeypatch.setattr(rings, "clear_denominators", no_packing)
+    monkeypatch.setattr(rings, "to_integral", no_packing)
     # highest exponents: v, u^4 and u^2 exceed; lowest: u*v and u exceed
     for num, den in ((u, v), (u**3 * v, u**4), (u * v + 1, u**2), (u + v, u * v), (v + 1, u + v)):
         with pytest.raises(ExactDivisionError, match="exponent range"):

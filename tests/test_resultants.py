@@ -32,7 +32,7 @@ from disckit import (
 from disckit import resultants
 from disckit.parser import MAX_DEGREE
 from disckit.resultants import _det_packed, _resultant_reference, declared_degree
-from disckit.rings import MultiPoly, clear_denominators
+from disckit.rings import from_integral, to_integral
 from conftest import rand_element, rand_scalar, rand_unipoly
 
 
@@ -304,13 +304,12 @@ CONSTANT_RINGS = (
 
 
 def _det_packed_reference(rows, ring):
-    """_det_packed on the raw rows, over QQ[vars] on rows cleared to ZZ[vars]."""
+    """_det_packed on the raw rows, over QQ[vars] on rows scaled to ZZ[vars]."""
     if ring.base != QQ:
         return _det_packed(rows)
-    cleared = [clear_denominators(row) for row in rows]
-    total = math.prod(s for _, s in cleared)
-    det = _det_packed([row for row, _ in cleared])
-    return MultiPoly(ring, {e: Fraction(c, total) for e, c in det.terms.items()})
+    cleared = [to_integral(row, ring) for row in rows]
+    det = _det_packed([row for _, row, _ in cleared])
+    return from_integral([det], math.prod(s for _, _, s in cleared), ring)[0]
 
 
 @pytest.mark.parametrize("ring", CONSTANT_RINGS, ids=str)

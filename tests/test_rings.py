@@ -1,5 +1,6 @@
 """Ring tower tests: axioms, coercion, exact division, and printing."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,9 +20,14 @@ from disckit import (
     RingMismatchError,
     UniPoly,
     UnsupportedRingError,
+    det_cofactor,
+    det_fraction_free,
+    discriminant_ideal,
+    generic_section,
+    parse_poly,
 )
 from disckit import rings, unipoly
-from disckit.rings import Ring, _clear_fractions
+from disckit.rings import Ring, from_integral, to_integral
 from conftest import SCALAR_RINGS, rand_element, rand_scalar
 
 ALL_RINGS = SCALAR_RINGS + (
@@ -494,10 +500,63 @@ def test_modulus_names_the_int_path():
         assert PolynomialRing(base, ("u",)).modulus is None
 
 
-def test_clear_fractions_scales_by_the_lcm_of_the_denominators():
-    assert _clear_fractions([Fraction(1, 2), Fraction(-2, 3), Fraction(0)]) == ([3, -4, 0], 6)
-    assert _clear_fractions([Fraction(5)]) == ([5], 1)
-    assert _clear_fractions([]) == ([], 1)
+def test_to_integral_scales_by_the_lcm_of_the_denominators():
+    assert to_integral([Fraction(1, 2), Fraction(-2, 3), Fraction(0)], QQ) == (ZZ, [3, -4, 0], 6)
+    assert to_integral([Fraction(5)], QQ) == (ZZ, [5], 1)
+    assert to_integral([], QQ) == (ZZ, [], 1)
+
+
+QQ_UV = PolynomialRing(QQ, ("u", "v"))
+
+
+def _boundary_cases(ring):
+    """Lists of raw values of ring: empty, zeros, integral, shared and large coprime denominators."""
+    big = [2**61 - 1, 2**89 - 1, 2**107 - 1]  # Mersenne primes
+    scalars = [
+        [], [Fraction(0)], [Fraction(0), Fraction(0)], [Fraction(3), Fraction(-7)],
+        [Fraction(1, 2), Fraction(1, 3), Fraction(0)], [Fraction(5, 6), Fraction(-7, 4)],
+        [Fraction(1, q) for q in big] + [Fraction(-(2**200) + 1, big[0])],
+    ]
+    if ring == QQ:
+        return scalars
+    u, v = ring.variables()
+    zero = ring.zero.value
+    polys = [[], [zero], [zero, zero], [(3 * u - 7 * v).value, ring.one.value]]
+    for values in scalars[4:]:
+        polys.append([(c * u**k * v + 1).value for k, c in enumerate(values)] + [zero])
+        polys.append([sum((c * u**k for k, c in enumerate(values)), v).value])
+    return polys
+
+
+@pytest.mark.parametrize("ring", (QQ, QQ_UV), ids=str)
+def test_the_rational_boundary_round_trips(ring):
+    twin_ring = ZZ if ring == QQ else PolynomialRing(ZZ, ("u", "v"))
+    for values in _boundary_cases(ring):
+        twin, ints, s = to_integral(values, ring)
+        assert twin == twin_ring
+        if ring == QQ:
+            assert all(type(x) is int for x in ints)
+            coeffs = [[x] for x in values]
+        else:
+            assert all(x.ring == twin_ring for x in ints)
+            assert all(type(c) is int for x in ints for c in x.terms.values())
+            coeffs = [list(x.terms.values()) for x in values]
+        # s is the least one scale that clears every value
+        assert s == math.lcm(*(c.denominator for cs in coeffs for c in cs))
+        assert from_integral(ints, s, ring) == values
+        assert all(type(x) is type(y) for x, y in zip(from_integral(ints, s, ring), values))
+
+
+@pytest.mark.parametrize("ring", (QQ, QQ_UV), ids=str)
+def test_from_integral_divides_by_the_given_integer(ring):
+    twin, ints, s = to_integral([ring.element(Fraction(1, 2)).value, ring.zero.value], ring)
+    assert s == 2
+    assert from_integral(ints, 6, ring) == [ring.element(Fraction(1, 6)).value, ring.zero.value]
+    assert from_integral(ints, -1, ring) == [ring.element(-1).value, ring.zero.value]
+    assert from_integral([], 5, ring) == []
+    x = ring.element(4).value if ring == QQ else (4 * twin.variable("u")).value
+    want = ring.element(Fraction(2, 3)) * (1 if ring == QQ else ring.variable("u"))
+    assert from_integral([x], 6, ring) == [want.value]
 
 
 def test_mod_p_semantics_wrap():
@@ -533,3 +592,25 @@ def test_comparing_with_a_string_is_false_not_an_error():
 def test_refusals_raise_their_error_class(call, error):
     with pytest.raises(error):
         call()
+
+
+WRONG_TYPES = {
+    # each call has a second fault that a later check would report: the type check runs first
+    "det_fraction_free": (lambda: det_fraction_free([[1, 2]], "ZZ"), UnsupportedRingError),
+    "det_cofactor": (lambda: det_cofactor([[1, 2]], "ZZ"), UnsupportedRingError),
+    "UniPoly": (lambda: UniPoly("ZZ", "1t", [1]), UnsupportedRingError),
+    "parse_poly": (lambda: parse_poly("t+", "ZZ", "t"), UnsupportedRingError),
+    "RingHom codomain": (lambda: RingHom(ZZ, "QQ"), UnsupportedRingError),
+    "RingHom domain": (lambda: RingHom("ZZ", QQ, {"u": 1}), UnsupportedRingError),
+    "PolynomialRing base": (lambda: PolynomialRing("ZZ", "u"), UnsupportedRingError),
+    "discriminant_ideal": (lambda: discriminant_ideal(0, 1, (2, 0)), ParameterError),
+    "generic_section": (lambda: generic_section(0, (2, 0)), ParameterError),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_TYPES)
+def test_a_ring_or_chart_of_the_wrong_type_exits_3_before_any_work(name):
+    call, error = WRONG_TYPES[name]
+    with pytest.raises(error, match="unsupported ring|must be a ChartId") as info:
+        call()
+    assert info.value.exit_code == 3

@@ -8,7 +8,10 @@ command loads no module that it does not run: the process-pool machinery
 only when a scan starts a pool, json only for a JSON rendering, and
 typing, dataclasses and inspect never.  Every disckit module is imported
 at the top of the module that uses it, never inside a function, and
-resultants, which jets builds on, imports nothing from jets.  Every
+resultants, which jets builds on, imports nothing from jets.  resultants
+and unipoly import nothing from fractions: a rational computation there
+crosses to the integer kernels and back through rings.to_integral and
+rings.from_integral, so neither module builds a Fraction.  Every
 module-level import outside __init__ (whose imports are its re-exports)
 is read somewhere as that import, not only as a local of the same name.
 No module but rings names a path of RingHom (_map_single_terms,
@@ -87,6 +90,25 @@ def test_resultants_imports_nothing_from_jets():
     tree = ast.parse((SRC / "resultants.py").read_text(encoding="utf-8"))
     names = [name for _, name, _ in _imports(tree)]
     assert names and not [name for name in names if name in (".jets", "disckit.jets")]
+
+
+def _fractions_imports(source: str) -> list[int]:
+    """The lines of source that import fractions or a name from it."""
+    return [line for line, name, _ in _imports(ast.parse(source)) if name == "fractions"]
+
+
+def test_resultants_and_unipoly_import_nothing_from_fractions():
+    for module in ("resultants.py", "unipoly.py"):
+        assert _fractions_imports((SRC / module).read_text(encoding="utf-8")) == [], module
+
+
+def test_the_fractions_census_sees_every_form_of_import():
+    src = (
+        "from fractions import Fraction\nfrom fractions import Fraction as F\n"
+        "import fractions\nimport fractionsx\nfrom .fractions import x\n"
+        "def f():\n    import fractions as q\n"
+    )
+    assert _fractions_imports(src) == [1, 2, 3, 7]
 
 
 def test_the_import_census_sees_nested_and_relative_imports():
