@@ -96,7 +96,7 @@ def generic_section(d: int, chart: ChartId, base: Ring = ZZ) -> UniPoly:
     ring = chart_ring(d, chart, base)
     i = chart.dehom_section
     var = "t" if chart.affine_chart == 0 else "s"
-    coeffs = [ring.one if k == i else ring.variable(f"u{k}") for k in range(d + 1)]
+    coeffs = [1 if k == i else ring.variable(f"u{k}") for k in range(d + 1)]
     if chart.affine_chart == 1:
         # in the s-patch the coefficient of s^(d-k) is u_k
         coeffs.reverse()

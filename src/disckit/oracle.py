@@ -54,7 +54,7 @@ from .errors import (
 )
 from .jets import ChartId, _check_level, discriminant_ideal
 from .rings import GF, PrimeField
-from .unipoly import UniPoly, _deriv_mod, _gcd_mod, _mul_mod, _trim
+from .unipoly import UniPoly, _deriv_mod, _gcd_mod, _mul_mod, _trim, check_unipoly
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -66,6 +66,7 @@ def coeffs_mod(P: UniPoly, p: int) -> list[int]:
     reduces to a * b^-1 mod p, and a denominator divisible by p raises
     ParameterError.
     """
+    check_unipoly(P)
     ring = GF(p)  # validates the modulus
     return _trim([ring.coerce(c) for c in P._raw])
 
@@ -99,6 +100,7 @@ def has_root_of_multiplicity(f: UniPoly, m: int) -> bool:
     characteristic to exceed deg f so the derivative chain is faithful.
     The zero polynomial has no such answer and raises ParameterError.
     """
+    check_unipoly(f)
     check_int(m, "the multiplicity")
     ring = f.coeff_ring
     if not isinstance(ring, PrimeField):
@@ -117,7 +119,8 @@ def _compile_gens(d: int, l: int, q: int) -> list[list[tuple[tuple[int, ...], in
     pairs over the variables u_0..u_{d-1} in that order.
     """
     ideal = discriminant_ideal(d, l, ChartId(d, 0))
-    assert ideal.ring.names == tuple(f"u{k}" for k in range(d))
+    if ideal.ring.names != tuple(f"u{k}" for k in range(d)):
+        raise DisckitError(f"the monic chart ring {ideal.ring} is not over u0..u{d - 1}")
     compiled = []
     for gen in ideal.gens:
         terms = []

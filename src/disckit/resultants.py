@@ -17,7 +17,7 @@ have constant coefficients by its base ring's sequence.  Other
 polynomial-ring operands reach a Sylvester matrix, under packed
 Bareiss; a discriminant of small degree does not call resultant at all
 (below).  The determinant at the declared degrees stays as
-_resultant_reference, which the tests hold resultant to.
+det_fraction_free of sylvester_matrix, which the tests hold resultant to.
 
 The discriminant of P at declared degree d is the raw determinant
 Res_{d,d-1}(P, P'), with no content or sign normalization: for
@@ -64,7 +64,7 @@ from .rings import (
     from_integral,
     to_integral,
 )
-from .unipoly import MAX_DEGREE, UniPoly, _rem_mod, _trim
+from .unipoly import MAX_DEGREE, UniPoly, _rem_mod, _trim, check_unipoly
 
 
 class SylvesterSpec(Record):
@@ -89,6 +89,7 @@ def declared_degree(poly: UniPoly, declared: int | None, which: str) -> int:
     actual degree, nor above unipoly.MAX_DEGREE, the bound on every parsed
     degree (a declared degree sizes sylvester_matrix before any entry exists).
     """
+    check_unipoly(poly)
     if declared is None:
         if poly.is_zero():
             raise ParameterError(
@@ -119,13 +120,14 @@ def sylvester_matrix(
     0, row i shifted right by i columns; the remaining m rows carry G
     the same way.
     """
-    ring = F.coeff_ring
     rows = _sylvester_rows(F, G, *_declared_pair(F, G, spec))
+    ring = F.coeff_ring
     return [[RingElement(ring, x) for x in row] for row in rows]
 
 
 def _declared_pair(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None) -> tuple[int, int]:
     """The declared degrees (m, n) of a resultant's operands, which share one line."""
+    check_unipoly(F, G)
     if F.coeff_ring != G.coeff_ring or F.var != G.var:
         raise RingMismatchError("resultant arguments live in different polynomial rings")
     m = declared_degree(F, spec.m if spec else None, "the first polynomial")
@@ -414,8 +416,8 @@ def resultant(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = None) -> Ring
     Res_{a,b} is then a remainder sequence on the raw coefficient lists
     when the coefficients are scalars, or constants of a polynomial ring
     (_resultant_scalar); any other polynomial ring runs packed Bareiss on
-    the (a+b) x (a+b) Sylvester matrix.  _resultant_reference builds the
-    matrix at the declared degrees and is what this is tested against.
+    the (a+b) x (a+b) Sylvester matrix.  det_fraction_free of
+    sylvester_matrix, at the declared degrees, is what this is tested against.
     """
     m, n = _declared_pair(F, G, spec)
     ring = F.coeff_ring
@@ -444,12 +446,6 @@ def resultant(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = None) -> Ring
     elif l:
         value = ring._mul(value, ring._pow(f[-1], l))
     return RingElement(ring, value)
-
-
-def _resultant_reference(F: UniPoly, G: UniPoly, spec: SylvesterSpec | None = None) -> RingElement:
-    """The Sylvester determinant at the declared degrees; the reference resultant is tested against."""
-    rows = _sylvester_rows(F, G, *_declared_pair(F, G, spec))
-    return RingElement(F.coeff_ring, _det_raw(rows, F.coeff_ring))
 
 
 def _resultant_scalar(f: list, g: list, ring: Ring):

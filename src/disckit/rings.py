@@ -324,6 +324,7 @@ class PolynomialRing(Ring):
         self.base = base
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
+        self._twin = PolynomialRing(ZZ, names) if isinstance(base, RationalRing) else None
 
     def _position(self, name: str) -> int:
         """The index of the variable name in names; ParameterError if there is none."""
@@ -609,10 +610,10 @@ def _nonzero(acc: dict, p: int | None) -> dict:
 
 
 def to_integral(values: Sequence, ring: Ring) -> tuple[Ring, list, int]:
-    """(twin, [s*x for x in values], s) for raw values of ring, QQ or QQ[vars]:
-    twin is ZZ or ZZ[vars], and s the lcm of every coefficient denominator (1 for none)."""
+    """(twin, [s*x for x in values], s) for raw values of ring, QQ or QQ[vars]: twin is ZZ or
+    the ring's own ZZ[vars], built with it, and s the lcm of every denominator (1 for none)."""
     if isinstance(ring, PolynomialRing):
-        twin = PolynomialRing(ZZ, ring.names)
+        twin = ring._twin
         s = lcm(*(c.denominator for f in values for c in f.terms.values()))
         return twin, [MultiPoly(twin, {e: c.numerator * (s // c.denominator)
                                        for e, c in f.terms.items()}) for f in values], s
@@ -888,7 +889,8 @@ class RingHom:
     Fp (failing on non-invertible denominators), Fp maps only to the
     same Fp.  For a polynomial domain each variable needs an image in
     the codomain; omitted variables default to the same-named codomain
-    variable when one exists.
+    variable when one exists.  Each image is read once, as a raw value of
+    the codomain, into one list in the order of the domain's variables.
 
     __init__ picks one of two paths, and __call__ takes it.  When every
     image is zero or one term y_m -> c_m * x^(a_m), the term
@@ -910,14 +912,14 @@ class RingHom:
         check_ring(codomain)
         self.domain = domain
         self.codomain = codomain
-        self._images: dict[str, RingElement] = {}
+        self._raw_images = []
         if isinstance(domain, PolynomialRing):
             images = dict(images or {})
             for name in domain.names:
                 if name in images:
-                    self._images[name] = codomain.element(images.pop(name))
+                    self._raw_images.append(codomain.coerce(images.pop(name)))
                 elif isinstance(codomain, PolynomialRing) and name in codomain.names:
-                    self._images[name] = codomain.variable(name)
+                    self._raw_images.append(codomain.variable(name).value)
                 else:
                     raise ParameterError(f"no image given for variable {name!r}")
             if images:
@@ -927,10 +929,9 @@ class RingHom:
         self._scalar_domain = domain.base if isinstance(domain, PolynomialRing) else domain
         self._check_scalar_map()
         self._plan = None
-        if self._images and isinstance(codomain, PolynomialRing):
-            values = [self._images[name].value for name in domain.names]
-            if all(len(v.terms) <= 1 for v in values):
-                self._plan = _single_term_plan(values, len(codomain.names))
+        if self._raw_images and isinstance(codomain, PolynomialRing):
+            if all(len(v.terms) <= 1 for v in self._raw_images):
+                self._plan = _single_term_plan(self._raw_images, len(codomain.names))
 
     def _check_scalar_map(self):
         src, dst = self._scalar_domain, self.codomain
@@ -1016,7 +1017,7 @@ class RingHom:
         poly_dst = isinstance(dst, PolynomialRing)
         scalar = dst.base if poly_dst else dst
         one = dst.coerce(1)
-        images = [self._images[name].value for name in self.domain.names]
+        images = self._raw_images
         powers = [[one, img] for img in images]  # powers[i][e] = images[i]**e
         acc: dict = {}
         for exps, coeff in raw.terms.items():

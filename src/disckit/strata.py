@@ -31,7 +31,7 @@ from collections.abc import Sequence
 from .errors import ExactDivisionError, Record
 from .rings import MultiPoly, PolynomialRing, Ring, RingElement, RingHom
 from .resultants import classify_discriminant, declared_degree, discriminant
-from .unipoly import UniPoly
+from .unipoly import UniPoly, check_unipoly
 
 
 class Stratum(Record):
@@ -97,6 +97,7 @@ def standard_etale_check(P: UniPoly) -> bool:
     a unit; both conditions depend on the coefficient ring (t^2 + t + 1
     passes over QQ but not over ZZ, where 3 is not invertible).
     """
+    check_unipoly(P)
     if not isinstance(P.degree, int) or P.degree < 1:
         return False
     if not P.is_monic():

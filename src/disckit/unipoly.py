@@ -370,12 +370,11 @@ class UniPoly:
         return not self._raw
 
     def coefficient(self, k: int) -> RingElement:
-        if 0 <= k < len(self._raw):
-            return self.coeffs[k]
-        return self.coeff_ring.zero
+        raw, ring = self._raw, self.coeff_ring
+        return RingElement(ring, raw[k] if 0 <= k < len(raw) else ring.coerce(0))
 
     def leading_coeff(self) -> RingElement:
-        return self.coeffs[-1] if self._raw else self.coeff_ring.zero
+        return self.coefficient(len(self._raw) - 1)
 
     def is_monic(self) -> bool:
         return bool(self._raw) and self.coeff_ring._is_one(self._raw[-1])
@@ -503,8 +502,15 @@ def _mul_reference(f: UniPoly, g: UniPoly) -> UniPoly:
     return UniPoly(ring, f.var, out)
 
 
+def check_unipoly(*polys) -> None:
+    """Raise ParameterError unless every argument is a UniPoly."""
+    if bad := [poly for poly in polys if not isinstance(poly, UniPoly)]:
+        raise ParameterError(f"expected a univariate polynomial, got {bad[0]!r}")
+
+
 def unipoly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic greatest common divisor over a field (QQ or a prime field)."""
+    check_unipoly(f, g)
     if f.coeff_ring != g.coeff_ring or f.var != g.var:
         raise RingMismatchError("gcd arguments live in different polynomial rings")
     ring = f.coeff_ring

@@ -458,6 +458,14 @@ def _halves(q):
     return [range(q // 2), range(q // 2, q)]
 
 
+def test_compiling_a_chart_of_another_variable_order_raises(monkeypatch):
+    """The check survives `python -O`: it raises DisckitError, not AssertionError."""
+    real = oracle.discriminant_ideal
+    monkeypatch.setattr(oracle, "discriminant_ideal", lambda d, l, chart: real(d, l, ChartId(0, 0)))
+    with pytest.raises(DisckitError, match="is not over u0..u2"):
+        oracle._compile_gens(3, 1, 5)
+
+
 def test_reference_grid_covers_the_edge_cases():
     assert len(REFERENCE_GRID) == 54
     assert any(d == 1 for d, _, _ in REFERENCE_GRID)

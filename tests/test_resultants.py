@@ -20,20 +20,27 @@ from disckit import (
     UniPoly,
     bezout_certificate,
     classify_discriminant,
+    coeffs_mod,
     det_cofactor,
     det_fraction_free,
     discriminant,
     etale_verdict,
+    has_root_of_multiplicity,
     main1_strata,
     resultant,
+    standard_etale_check,
     sylvester_matrix,
     unipoly_gcd,
 )
 from disckit import resultants
 from disckit.parser import MAX_DEGREE
-from disckit.resultants import _det_packed, _resultant_reference, declared_degree
+from disckit.resultants import _det_packed, declared_degree
 from disckit.rings import from_integral, to_integral
 from conftest import rand_element, rand_scalar, rand_unipoly
+
+
+def sylvester_det(F, G, spec=None):  # the reference resultant is held to
+    return det_fraction_free(sylvester_matrix(F, G, spec), F.coeff_ring)
 
 
 def T(ring=ZZ, var="t"):
@@ -87,10 +94,10 @@ def test_declared_degree_padding_laws(ring):
         base = resultant(F, G)
         first = resultant(F, G, SylvesterSpec(m + k, n))
         assert first == base * G.leading_coeff() ** k * (-1) ** (n * k)
-        assert first == _resultant_reference(F, G, SylvesterSpec(m + k, n))
+        assert first == sylvester_det(F, G, SylvesterSpec(m + k, n))
         second = resultant(F, G, SylvesterSpec(m, n + k))
         assert second == base * F.leading_coeff() ** k
-        assert second == _resultant_reference(F, G, SylvesterSpec(m, n + k))
+        assert second == sylvester_det(F, G, SylvesterSpec(m, n + k))
 
 
 def test_padding_comes_off_before_the_sylvester_matrix_over_a_polynomial_ring(monkeypatch):
@@ -100,8 +107,8 @@ def test_padding_comes_off_before_the_sylvester_matrix_over_a_polynomial_ring(mo
     G = 2 * T(ring) - 1
     base = -1 - 2 * a
     assert resultant(F, G) == base
-    assert resultant(F, G, SylvesterSpec(3, 1)) == _resultant_reference(F, G, SylvesterSpec(3, 1))
-    assert resultant(G, F, SylvesterSpec(1, 3)) == _resultant_reference(G, F, SylvesterSpec(1, 3))
+    assert resultant(F, G, SylvesterSpec(3, 1)) == sylvester_det(F, G, SylvesterSpec(3, 1))
+    assert resultant(G, F, SylvesterSpec(1, 3)) == sylvester_det(G, F, SylvesterSpec(1, 3))
     sizes = []
     real = resultants._sylvester_rows
 
@@ -385,7 +392,7 @@ def test_remainder_sequences_equal_the_sylvester_reference(ring, monkeypatch):
         (three, three, SylvesterSpec(0, 0)),
     ]
     cases += edges
-    want = [_resultant_reference(F, G, spec) for F, G, spec in cases]
+    want = [sylvester_det(F, G, spec) for F, G, spec in cases]
     assert [str(w) for w in want[-5:]] == [str(ring.element(v)) for v in (9, 9, 1, 0, 1)]
     for name in ("_sylvester_rows", "_det_int", "_det_mod", "_det_packed"):
         monkeypatch.setattr(resultants, name, _no_matrix)
@@ -429,8 +436,8 @@ def test_degree_200_root_product_formula_over_zz(monkeypatch):
 def test_degree_60_remainder_sequences_equal_bareiss(ring):
     rng = random.Random(4018)
     F, G = _dense_poly(rng, ring, 60), _dense_poly(rng, ring, 60)
-    assert resultant(F, G) == _resultant_reference(F, G)
-    assert discriminant(F) == _resultant_reference(F, F.derivative())
+    assert resultant(F, G) == sylvester_det(F, G)
+    assert discriminant(F) == sylvester_det(F, F.derivative())
 
 
 # ----- resultant identities --------------------------------------------------
@@ -597,7 +604,7 @@ def test_bezout_certificate_at_every_padding(ring):
                         continue
                     spec = SylvesterSpec(m, n)
                     U, V, r = bezout_certificate(F, G, spec)
-                    assert r == _resultant_reference(F, G, spec)
+                    assert r == sylvester_det(F, G, spec)
                     assert U * F + V * G == UniPoly.constant(ring, "t", r)
                     assert U.degree < max(n, 1) and V.degree < m
 
@@ -744,7 +751,7 @@ def _depressed_cubic(ring):
 
 
 def _reference(P, d):
-    return _resultant_reference(P, P.derivative(), SylvesterSpec(d, d - 1))
+    return sylvester_det(P, P.derivative(), SylvesterSpec(d, d - 1))
 
 
 def _assert_route(cases, monkeypatch, refused):
@@ -874,3 +881,37 @@ def test_mapped_discriminants_leave_the_memo_intact():
         assert resultants._generic_raw_discriminant(d) == resultants._generic_raw_discriminant_sylvester(d)
     for chart in (ChartId(4, 0), ChartId(1, 1)):
         assert discriminant_ideal(4, 2, chart) == _discriminant_ideal_sylvester(4, 2, chart)
+
+
+class _NotAPolynomial:
+    """A stand-in for a UniPoly: reading any attribute of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read .{name} of an argument that is not a UniPoly")
+
+
+_T = UniPoly.monomial(ZZ, "t", 1)
+POLY_ENTRY_POINTS = {
+    "resultant": lambda x: resultant(x, x),
+    "resultant second": lambda x: resultant(_T, x),
+    "sylvester_matrix": lambda x: sylvester_matrix(x, _T),
+    "bezout_certificate": lambda x: bezout_certificate(_T, x),
+    "has_root_of_multiplicity": lambda x: has_root_of_multiplicity(x, 2),
+    "unipoly_gcd": lambda x: unipoly_gcd(x, x),
+    "unipoly_gcd second": lambda x: unipoly_gcd(UniPoly.monomial(QQ, "t", 1), x),
+    "discriminant": lambda x: discriminant(x),
+    "classify_discriminant": lambda x: classify_discriminant(x),
+    "etale_verdict": lambda x: etale_verdict(x),
+    "main1_strata": lambda x: main1_strata(x),
+    "declared_degree": lambda x: declared_degree(x, None, "f"),
+    "standard_etale_check": lambda x: standard_etale_check(x),
+    "coeffs_mod": lambda x: coeffs_mod(x, 7),
+}
+
+
+@pytest.mark.parametrize("name", POLY_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", ["t", 3, _NotAPolynomial()], ids=["str", "int", "probe"])
+def test_a_polynomial_of_the_wrong_type_exits_3_before_it_is_read(name, bad):
+    with pytest.raises(ParameterError, match="expected a univariate polynomial") as info:
+        POLY_ENTRY_POINTS[name](bad)
+    assert info.value.exit_code == 3

@@ -441,7 +441,7 @@ def test_hom_is_a_ring_map():
 def _hom_term_by_term(hom, x):
     """Reference image: map each term on its own and add the results."""
     acc = hom.codomain.zero
-    images = [hom._images[name] for name in hom.domain.names]
+    images = [hom.codomain.element(raw) for raw in hom._raw_images]
     for exps, coeff in sorted(x.value.terms.items()):
         term = hom.codomain.element(coeff)
         for img, e in zip(images, exps):
@@ -454,17 +454,31 @@ def _hom_term_by_term(hom, x):
     "src_base,dst_base", [(ZZ, ZZ), (QQ, QQ), (GF(7), GF(7)), (ZZ, QQ), (ZZ, GF(7))], ids=str
 )
 def test_hom_matches_term_by_term_evaluation(src_base, dst_base):
+    """Also: an image given as a RingElement, a raw MultiPoly or a base-ring element, or
+    left to default to the same-named variable, is read into one raw value in domain order."""
     rng = random.Random(1007)
     src = PolynomialRing(src_base, ("u", "v", "w"))
-    dst = PolynomialRing(dst_base, ("a", "b"))
+    dst = PolynomialRing(dst_base, ("a", "w"))
+    w = dst.variable("w")
     for _ in range(20):
         images = {name: rand_element(rng, dst, terms=2, max_exp=2) for name in src.names}
         to_poly = RingHom(src, dst, images)
         to_scalar = RingHom(src, dst_base, {name: rand_scalar(rng, dst_base) for name in src.names})
+        c = rand_scalar(rng, dst_base)
+        forms = [
+            {"u": images["u"], "v": dst.element(c), "w": w},
+            {"u": images["u"].value, "v": dst.coerce(c), "w": w.value},
+            {"u": images["u"], "v": c, "w": w},
+            {"u": images["u"].value, "v": c},
+        ]
+        homs = [RingHom(src, dst, form) for form in forms]
+        for hom in homs:
+            assert hom._raw_images == [images["u"].value, dst.coerce(c), w.value]
         for _ in range(5):
             x = rand_element(rng, src, terms=6, max_exp=4)
             assert to_poly(x) == _hom_term_by_term(to_poly, x)
             assert to_scalar(x) == _hom_term_by_term(to_scalar, x)
+            assert [hom(x) for hom in homs] == [_hom_term_by_term(homs[0], x)] * len(homs)
 
 
 def test_hom_default_images_and_errors():
@@ -526,6 +540,22 @@ def _boundary_cases(ring):
         polys.append([(c * u**k * v + 1).value for k, c in enumerate(values)] + [zero])
         polys.append([sum((c * u**k for k, c in enumerate(values)), v).value])
     return polys
+
+
+def test_to_integral_reads_the_rings_own_twin(monkeypatch):
+    """QQ[vars] builds its ZZ[vars] twin once, with itself; to_integral builds no ring."""
+    ring = PolynomialRing(QQ, ("u", "v"))
+    assert ring._twin == PolynomialRing(ZZ, ("u", "v"))
+    built = []
+    init = PolynomialRing.__init__
+    monkeypatch.setattr(PolynomialRing, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    values = [(ring.variable("u") * Fraction(1, 2) + 1).value, ring.element(Fraction(2, 3)).value]
+    assert to_integral(values, ring)[0] is ring._twin
+    assert to_integral(values, ring)[0] is ring._twin
+    assert built == []
+    for base in (ZZ, GF(7)):
+        assert PolynomialRing(base, ("u", "v"))._twin is None
 
 
 @pytest.mark.parametrize("ring", (QQ, QQ_UV), ids=str)

@@ -15,7 +15,9 @@ rings.from_integral, so neither module builds a Fraction.  Every
 module-level import outside __init__ (whose imports are its re-exports)
 is read somewhere as that import, not only as a local of the same name.
 No module but rings names a path of RingHom (_map_single_terms,
-_map_general), so every ring map goes through RingHom.__call__.
+_map_general), so every ring map goes through RingHom.__call__.  No module
+has an assert statement: `python -O` strips them, so every check that
+guards a result raises a DisckitError instead.
 """
 
 import ast
@@ -238,6 +240,24 @@ def test_the_environment_census_sees_every_form_of_read():
         (2, None), (3, "A"), (3, "B"), (3, "C"), (4, None), (4, None), (4, None)
     ]
 
+
+def _asserts(tree: ast.AST) -> list[int]:
+    """The lines of the assert statements in tree."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_no_module_has_an_assert_statement():
+    found = [f"{path.relative_to(SRC)}:{line}" for path in sorted(SRC.rglob("*.py"))
+             for line in _asserts(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert found == []
+
+
+def test_the_assert_census_sees_asserts_at_every_depth():
+    src = (
+        "assert x\nclass C:\n    def f(self):\n        assert self, 'msg'\n"
+        "        y = 'assert z'\n        return self.assert_ok(y)\n"
+    )
+    assert _asserts(ast.parse(src)) == [1, 4]
 
 
 MAP_PATHS = ("_map_single_terms", "_map_general")

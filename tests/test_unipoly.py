@@ -69,6 +69,19 @@ def test_coefficient_accessors():
     assert not UniPoly.zero(ZZ, "t").is_monic()
 
 
+@pytest.mark.parametrize(
+    "ring", (ZZ, QQ, GF(7), PolynomialRing(ZZ, ("u", "v")), PolynomialRing(QQ, ("u",))), ids=str
+)
+def test_coefficient_and_leading_coeff_agree_with_coeffs(ring):
+    rng = random.Random(1301)
+    polys = [UniPoly.zero(ring, "t")] + [rand_unipoly(rng, ring, 5) for _ in range(20)]
+    for f in polys:
+        n = len(f.coeffs)
+        for k in range(-2, n + 3):  # RingElement equality compares the rings too
+            assert f.coefficient(k) == (f.coeffs[k] if 0 <= k < n else ring.zero)
+        assert f.leading_coeff() == (f.coeffs[-1] if n else ring.zero)
+
+
 @pytest.mark.parametrize("ring", SCALAR_RINGS, ids=str)
 def test_arithmetic_commutes_with_evaluation(ring):
     rng = random.Random(2001)
