@@ -5,8 +5,10 @@ contains the locus M of forms with a root of multiplicity at least
 m = l+1, since each generator is U*f^(j) + V*f^(j+1) for polynomials U
 and V; Z can be larger (over F_7 at d = 4, l = 2 it has 91 points
 against 49).  Over a prime field F_q both sets are finite, so the
-containment and the difference are checkable.  The two point sets are
-built independently of each other:
+containment and the difference are checkable.  Both sets are byte maps
+over the points in row-major order (u_0 slowest), one byte per point,
+built independently of each other, one block of whole u_0 values at a
+time (_BLOCK points):
 
 * Z, the zero set of the generators, fiber by fiber: fix every
   coefficient but the last two, specialise the generators to
@@ -15,19 +17,24 @@ built independently of each other:
   the lanes of packed ints, in row-major order and in blocks of whole
   rows of up to _LANES (4096) lanes: a multiply-add per monomial sums a
   generator in every lane, and two masks and an add test all lanes for
-  divisibility by q (Lemire's test, see _Lanes).  At degree 2 only u_1
-  shares the lanes.  A generator that is a nonzero constant mod q
-  leaves Z empty, and nothing is scanned.
+  divisibility by q (Lemire's test, see _Lanes).  The test leaves one
+  byte per lane, so a fiber's slice of Z is one slice of bytes.  At
+  degree 2 only u_1 shares the lanes.  A generator that is a nonzero
+  constant mod q leaves Z empty, and nothing is scanned.
 * M, the forms with a root of multiplicity >= m in the algebraic
   closure, enumerated directly as the products h^m * g with h monic
   irreducible; over the perfect field F_q these are exactly those forms.
+  Their bytes are set by index, a line of them at a time.
 
-Every point of the symmetric difference of Z and M is tested again with
-the per-point predicates (evaluating the generators, and a gcd chain of
-derivatives that knows nothing about resultants); a disagreement raises
-DisckitError.  Z costs q^d lane evaluations spread over q^(d-2) fibers
-(q at degree 2).  Mismatch points are returned in sorted order, split by
-direction, so a failure is reproducible and attributable.
+Each slice of Z is compared with the same slice of M by one ==, and
+points are built only where the two differ.  Every point of the
+symmetric difference is tested again with the per-point predicates
+(evaluating the generators, and a gcd chain of derivatives that knows
+nothing about resultants); a disagreement raises DisckitError.  Z costs
+q^d lane evaluations spread over q^(d-2) fibers (q at degree 2), and the
+memory beyond the lanes is one block's byte map, whatever |Z| and |M|
+are.  Mismatch points are returned in sorted order, split by direction,
+so a failure is reproducible and attributable.
 
 Set DISCKIT_THREADS=n to spread the scan over n worker processes
 (capped at the CPU count, at q and by the predicted work, so a scan too
@@ -41,8 +48,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from fractions import Fraction
+from operator import getitem
 
 from .errors import (
     BudgetError,
@@ -132,18 +141,33 @@ def _compile_gens(d: int, l: int, q: int) -> list[list[tuple[tuple[int, ...], in
     return compiled
 
 
-def _eval_terms(terms, point: tuple[int, ...], q: int) -> int:
-    total = 0
-    for exps, c in terms:
-        v = c
-        for x, e in zip(point, exps):
-            if e:
-                v = v * pow(x, e, q) % q
-        total = (total + v) % q
-    return total
+def _power_table(q: int, compiled) -> list[list[int]]:
+    """powers[a][e] = a^e mod q, for a in F_q and e up to the generators' largest exponent.
+
+    Empty when no generator has a variable: no power is read then, and a
+    large q (possible only at d = 1) builds nothing of size q.
+    """
+    top = max((e for terms in compiled for exps, _ in terms for e in exps), default=0)
+    if not top:
+        return []
+    powers = []
+    for a in range(q):
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * a % q)
+        powers.append(row)
+    return powers
 
 
 Point = tuple[int, ...]
+
+
+def _eval_terms(terms, rows: list[list[int]], q: int) -> int:
+    """A generator's value mod q at a point, rows[t] its u_t's row of _power_table."""
+    total = 0
+    for exps, c in terms:
+        total += c * math.prod(map(getitem, rows, exps))
+    return total % q
 
 
 class VerifyReport(Record):
@@ -160,15 +184,20 @@ class VerifyReport(Record):
                "soundness_mismatches", "completeness_mismatches")
 
 
-def _classify(point: Point, compiled, m: int, q: int) -> tuple[bool, bool]:
-    """(the generators vanish, a root of multiplicity >= m) at one point."""
-    ideal_zero = all(_eval_terms(terms, point, q) == 0 for terms in compiled)
+def _classify(point: Point, compiled, m: int, q: int, powers) -> tuple[bool, bool]:
+    """(the generators vanish, a root of multiplicity >= m) at one point.
+
+    powers is _power_table(q, compiled).
+    """
+    rows = [powers[x] for x in point] if powers else []
+    ideal_zero = all(_eval_terms(terms, rows, q) == 0 for terms in compiled)
     return ideal_zero, _has_mult_root_ints(list(point) + [1], m, q)
 
 
 def _scan_chunk_brute(args) -> tuple[int, int, list[Point], list[Point]]:
     """Reference scan: classify each of the points one at a time."""
     d, l, q, compiled, first_coords = args
+    powers = _power_table(q, compiled)
     ideal_zero_count = 0
     mult_root_count = 0
     sound_miss: list[Point] = []
@@ -176,7 +205,7 @@ def _scan_chunk_brute(args) -> tuple[int, int, list[Point], list[Point]]:
     for u0 in first_coords:
         for rest in itertools.product(range(q), repeat=d - 1):
             point = (u0,) + rest
-            ideal_zero, mult_root = _classify(point, compiled, l + 1, q)
+            ideal_zero, mult_root = _classify(point, compiled, l + 1, q, powers)
             if ideal_zero:
                 ideal_zero_count += 1
             if mult_root:
@@ -213,7 +242,7 @@ class _Lanes:
         self.width = (terms * (q - 1) ** 2).bit_length()
         self.n = 2 * self.width
         self.size = (self.n + self.width + 8) // 8  # S / 8, the bytes of a lane
-        self.mark = bytes([1 << self.n % 8])  # the byte of a lane whose bit N is set
+        self.mark = 1 << self.n % 8  # the byte of a lane whose bit N is set
         self.c = -(-(1 << self.n) // q)
         self.q = q
 
@@ -258,11 +287,12 @@ class _Lanes:
             values = [v * p % q for v in values for p in powers]
         return values
 
-    def zeros(self, polys: list[tuple[list[int], list[int]]], block) -> list[int]:
-        """The points n of the block where every polynomial vanishes mod q.
+    def zeros(self, polys: list[tuple[list[int], list[int]]], block) -> bytes:
+        """The byte map of the block's lanes where every polynomial vanishes mod q.
 
-        Each polynomial is a pair (column indices, coefficients) of equal
-        lengths.
+        Byte i is self.mark when every polynomial vanishes at lane i, and 0
+        otherwise.  Each polynomial is a pair (column indices,
+        coefficients) of equal lengths.
         """
         points, columns, low, add, high = block
         flags = 0
@@ -273,19 +303,13 @@ class _Lanes:
                     value += c * columns[m]
             flags |= ((value & low) + add) & high
             if flags == high:
-                return []
-        return self.marked(high ^ flags, points)
+                break
+        return self.marked(high ^ flags, len(points))
 
-    def marked(self, flags: int, points: range) -> list[int]:
-        """points[i] for every lane i whose bit N, its only possible bit, is set in flags."""
-        size = self.size
-        marks = flags.to_bytes(size * len(points), "little")[self.n // 8::size]
-        out = []
-        i = marks.find(self.mark)
-        while i >= 0:
-            out.append(points[i])
-            i = marks.find(self.mark, i + 1)
-        return out
+    def marked(self, flags: int, count: int) -> bytes:
+        """One byte per lane of count: self.mark where the lane's bit N, its
+        only possible bit, is set in flags, and 0 elsewhere."""
+        return flags.to_bytes(self.size * count, "little")[self.n // 8::self.size]
 
 
 def _fiber_plan(compiled, depth: int):
@@ -308,14 +332,15 @@ def _fiber_plan(compiled, depth: int):
     return levels, keys
 
 
-def _fibers(levels, powers, q: int, vec: list[int], prefix: Point, coords):
-    """Yields (fiber, coefficients) below prefix, vec specialised at prefix.
+def _fibers(levels, powers, q: int, vec: list[int], coords, depth: int = 0):
+    """Yields vec specialised at every prefix (u_0, ..., u_{len(levels)-1}).
 
     Each level of _fiber_plan substitutes one more coordinate, the first
-    over coords and the others over range(q).  Not a closure: a recursive
-    one is a reference cycle that keeps the caller's lanes until gc runs.
+    over coords and the others over range(q), so the prefixes come in
+    row-major order.  Not a closure: a recursive one is a reference cycle
+    that keeps the caller's lanes until gc runs.
     """
-    size, moves = levels[len(prefix)]
+    size, moves = levels[depth]
     for a in coords:
         pw = powers[a]
         out = [0] * size
@@ -323,50 +348,59 @@ def _fibers(levels, powers, q: int, vec: list[int], prefix: Point, coords):
             if c:
                 out[j] += c * pw[e]
         sub = [c % q for c in out]
-        if len(prefix) + 1 < len(levels):
-            yield from _fibers(levels, powers, q, sub, prefix + (a,), range(q))
+        if depth + 1 < len(levels):
+            yield from _fibers(levels, powers, q, sub, range(q), depth + 1)
         else:
-            yield prefix + (a,), sub
+            yield sub
 
 
 def _lane_coords(d: int) -> int:
-    """k, the number of last coordinates that share the lanes in _ideal_zero_points."""
+    """k, the number of last coordinates that share the lanes in _IdealZeros."""
     return 2 if d >= 3 else 1
 
 
-def _ideal_zero_points(d: int, q: int, compiled, first_coords, plan):
-    """Z: yields the points with u_0 in first_coords where every generator vanishes.
+class _IdealZeros:
+    """Z of one chunk as byte maps, one per fiber and block of lanes.
 
     The last k = _lane_coords(d) coordinates share the lanes, and plan is
     _fiber_plan(compiled, d - k).  Each fiber over u_0..u_{d-k-1}
     specialises the generators to polynomials in the last k coordinates
     and evaluates them at every point of F_q^k at once on packed lanes
-    (see _Lanes), in blocks built once per call.  At d = 1 the plan has
+    (see _Lanes), in blocks built once per chunk.  At d = 1 the plan has
     no level, but no scan gets that far: the only level is l = d, whose
     generator is the nonzero constant 1.
     """
-    if any(len(terms) == 1 and not any(terms[0][0]) for terms in compiled):
-        return  # a nonzero constant generator vanishes nowhere
-    k = _lane_coords(d)
-    levels, last_keys = plan
-    monomials = sorted({key[1:] for key in last_keys})
-    column = {exps: m for m, exps in enumerate(monomials)}
-    # last_keys are sorted by generator, so each generator's keys are one slice
-    slices, start = [], 0
-    for _, group in itertools.groupby(last_keys, key=lambda key: key[0]):
-        cols = [column[key[1:]] for key in group]
-        slices.append((cols, start, start + len(cols)))
-        start += len(cols)
-    lanes = _Lanes(q, max((len(cols) for cols, _, _ in slices), default=0))
-    blocks = list(lanes.blocks(k, monomials))
-    top = max((e for terms in compiled for exps, _ in terms for e in exps), default=0)
-    powers = [[pow(a, e, q) for e in range(top + 1)] for a in range(q)]
-    vec = [c for terms in compiled for _, c in terms]
-    for prefix, sub in _fibers(levels, powers, q, vec, (), first_coords):
-        polys = [(cols, sub[lo:hi]) for cols, lo, hi in slices]
-        for block in blocks:
-            for n in lanes.zeros(polys, block):
-                yield prefix + (divmod(n, q) if k == 2 else (n,))
+
+    def __init__(self, d: int, q: int, compiled, plan, powers):
+        # a nonzero constant generator vanishes nowhere: no lane is built,
+        # and mark is any nonzero byte
+        self.blocks, self.mark = [], 1
+        if any(len(terms) == 1 and not any(terms[0][0]) for terms in compiled):
+            return
+        levels, last_keys = plan
+        monomials = sorted({key[1:] for key in last_keys})
+        column = {exps: m for m, exps in enumerate(monomials)}
+        # last_keys are sorted by generator, so each generator's keys are one slice
+        self.slices, start = [], 0
+        for _, group in itertools.groupby(last_keys, key=lambda key: key[0]):
+            cols = [column[key[1:]] for key in group]
+            self.slices.append((cols, start, start + len(cols)))
+            start += len(cols)
+        self.lanes = _Lanes(q, max((len(cols) for cols, _, _ in self.slices), default=0))
+        self.blocks = list(self.lanes.blocks(_lane_coords(d), monomials))
+        self.mark = self.lanes.mark
+        self.levels, self.powers, self.q = levels, powers, q
+        self.vec = [c for terms in compiled for _, c in terms]
+
+    def marks(self, coords: range):
+        """Yields the byte maps of Z (see _Lanes.zeros) over the points with
+        u_0 in coords, in row-major order; none when Z is empty."""
+        if not self.blocks:
+            return
+        for sub in _fibers(self.levels, self.powers, self.q, self.vec, coords):
+            polys = [(cols, sub[lo:hi]) for cols, lo, hi in self.slices]
+            for block in self.blocks:
+                yield self.lanes.zeros(polys, block)
 
 
 def _monic_irreducibles(top: int, q: int) -> list[list[list[int]]]:
@@ -387,44 +421,88 @@ def _monic_irreducibles(top: int, q: int) -> list[list[list[int]]]:
     return by_degree
 
 
-def _multiple_root_points(d: int, m: int, q: int, first_coords, irreducibles) -> set[Point]:
-    """M: the points with u_0 in first_coords of the forms h^m * g.
+def _multiple_root_marks(d: int, q: int, coords: range, factors, mark: int) -> bytearray:
+    """M as a byte map over the points with u_0 in coords, in row-major order.
 
-    h runs over irreducibles, the monic irreducibles with m * deg h <= d
-    (_monic_irreducibles(d // m, q)), and g over monic forms of degree
-    d - m * deg h; only the constant terms of g that give
-    u_0 = h(0)^m g(0) in first_coords are enumerated.  The product
-    is linear in g, so h^m * [0, *mid, 1] is formed once per mid and
-    g(0) * h^m is added to its first m * deg h + 1 coordinates.
+    Byte i is mark when the i-th point (see _point) is a form h^m * g,
+    h^m in factors and g monic of degree r = d - m deg h, and 0
+    elsewhere.  At r = 0 that is the one point h^m.  Otherwise the points
+    lie on lines: g's coefficient g_{r-1} runs over F_q for each choice of
+    g_0..g_{r-2} whose u_0 = h(0)^m g_0 is in coords, and at r = 1, where
+    g_{r-1} is g_0, over those g_0 alone.  So a line's length does not
+    depend on the block.  Along a line the last m deg h + 1 coordinates
+    move by multiples of h^m, and its indices take one list pass per
+    moved coordinate, the wrap mod q read off a table.
     """
-    points: set[Point] = set()
-    for k, of_degree in enumerate(irreducibles, start=1):
-        r = d - m * k
-        for h in of_degree:
-            hm = [1]
-            for _ in range(m):
-                hm = _mul_mod(hm, h, q)
-            if r == 0:
-                if hm[0] in first_coords:
-                    points.add(tuple(hm[:-1]))
-                continue
-            if hm[0]:
-                inv = pow(hm[0], -1, q)
-                lows = [u0 * inv % q for u0 in first_coords]
-            else:
-                lows = range(q) if 0 in first_coords else ()
-            offsets = [[g0 * c for c in hm] for g0 in lows]
-            for mid in itertools.product(range(q), repeat=r - 1):
-                base = _mul_mod(hm, [0, *mid, 1], q)
-                tail = tuple(base[len(hm):d])
-                for offset in offsets:
-                    points.add(tuple([(a + b) % q for a, b in zip(base, offset)]) + tail)
-    return points
+    width = q ** (d - 1)
+    out = bytearray(len(coords) * width)
+    weights = [q ** (d - 1 - j) for j in range(d)]
+    shift = coords.start * width
+    wraps = None
+    for hm in factors:
+        r = d + 1 - len(hm)
+        if r == 0:
+            if hm[0] in coords:
+                out[sum(c * w for c, w in zip(hm, weights)) - shift] = mark
+            continue
+        if wraps is None:  # the first line: wraps[j][x] is (x mod q) times u_j's weight
+            wraps = [[x % q * w for x in range(2 * q - 1)] for w in weights]
+        if hm[0]:
+            inv = pow(hm[0], -1, q)
+            lows = [u0 * inv % q for u0 in coords]
+        else:
+            lows = range(q) if 0 in coords else ()
+        line = lows if r == 1 else range(q)
+        moves = [[s * c % q for s in line] for c in hm]
+        for g in itertools.product(lows, *[range(q)] * (r - 2)) if r > 1 else [()]:
+            base = _mul_mod(hm, [*g, 0, 1], q)
+            index = [sum(b * w for b, w in zip(base[:r - 1], weights)) - shift] * len(line)
+            for j, move in enumerate(moves, r - 1):
+                wrap = wraps[j][base[j]:base[j] + q]
+                index = [i + wrap[s] for i, s in zip(index, move)]
+            for i in index:
+                out[i] = mark
+    return out
 
 
 def _scan_tables(d: int, l: int, q: int, compiled):
-    """What every chunk of one scan shares: the fiber plan of Z and the irreducibles of M."""
-    return _fiber_plan(compiled, d - _lane_coords(d)), _monic_irreducibles(d // (l + 1), q)
+    """What every chunk of one scan shares: (plan, powers, factors).
+
+    plan is Z's _fiber_plan, powers the _power_table that Z's fibers and
+    the per-point re-test read, and factors M's h^m (m = l + 1) for the
+    monic irreducibles h with m * deg h <= d.
+    """
+    m = l + 1
+    factors = []
+    for of_degree in _monic_irreducibles(d // m, q):
+        for h in of_degree:
+            hm = h
+            for _ in range(m - 1):
+                hm = _mul_mod(hm, h, q)
+            factors.append(hm)
+    return _fiber_plan(compiled, d - _lane_coords(d)), _power_table(q, compiled), factors
+
+
+# Points per block of whole u_0 values (at least one value): M's byte map
+# of one block is the largest thing a scan holds beyond its lanes.
+_BLOCK = 1 << 22
+
+
+def _point(coords: range, q: int, d: int, index: int) -> Point:
+    """The point at index in the row-major order of the points with u_0 in coords."""
+    digits = []
+    for _ in range(d - 1):
+        index, x = divmod(index, q)
+        digits.append(x)
+    return (coords[index], *reversed(digits))
+
+
+def _positions(marks, mark: int, start: int = 0):
+    """Yields the indices from start on where marks holds the byte mark."""
+    i = marks.find(mark, start)
+    while i >= 0:
+        yield i
+        i = marks.find(mark, i + 1)
 
 
 def _scan_chunk(args, tables=None) -> tuple[int, int, list[Point], list[Point]]:
@@ -434,28 +512,43 @@ def _scan_chunk(args, tables=None) -> tuple[int, int, list[Point], list[Point]]:
     tests on it are O(1) and need no set.  tables is _scan_tables of the
     scan, built here when not given.
 
-    Z and M are built independently (see the module docstring).  Z is
-    streamed against the set M, so only M and the mismatches are held.
-    Each point in exactly one of them is checked again with the
-    per-point predicates, and a disagreement raises DisckitError.
+    Z and M are built independently (see the module docstring), as byte
+    maps over one block of whole u_0 values at a time.  Each of Z's
+    slices is compared with M's by one ==, and points are built only
+    where they differ, found from the XOR of the two slices.  Each such
+    point is checked again with the per-point predicates, and a
+    disagreement raises DisckitError.  Points come in row-major order,
+    so both lists are sorted.
     """
     d, l, q, compiled, first_coords = args
-    plan, irreducibles = tables or _scan_tables(d, l, q, compiled)
-    multiple = _multiple_root_points(d, l + 1, q, first_coords, irreducibles)
-    mult_root_count = len(multiple)
-    ideal_zero_count = 0
+    plan, powers, factors = tables or _scan_tables(d, l, q, compiled)
+    zeros = _IdealZeros(d, q, compiled, plan, powers)
+    mark = zeros.mark
+    rows = max(1, _BLOCK // q ** (d - 1))
+    ideal_zero_count = mult_root_count = 0
+    sound_miss: list[Point] = []
     complete_miss: list[Point] = []
-    for point in _ideal_zero_points(d, q, compiled, first_coords, plan):
-        ideal_zero_count += 1
-        if point in multiple:
-            multiple.remove(point)
-        else:
-            complete_miss.append(point)
-    sound_miss = sorted(multiple)
-    complete_miss.sort()
+    for start in range(0, len(first_coords), rows):
+        coords = first_coords[start:start + rows]
+        multiple = _multiple_root_marks(d, q, coords, factors, mark)
+        mult_root_count += multiple.count(mark)
+        offset = 0
+        for ours in zeros.marks(coords):
+            stop = offset + len(ours)
+            theirs = multiple[offset:stop]
+            ideal_zero_count += ours.count(mark)
+            if ours != theirs:
+                diff = int.from_bytes(ours, "little") ^ int.from_bytes(theirs, "little")
+                for i in _positions(diff.to_bytes(stop - offset, "little"), mark):
+                    misses = complete_miss if ours[i] else sound_miss
+                    misses.append(_point(coords, q, d, offset + i))
+            offset = stop
+        # past Z's last byte map (all of the block when a generator is a
+        # nonzero constant) Z is empty, so every point of M there is a miss
+        sound_miss.extend(_point(coords, q, d, i) for i in _positions(multiple, mark, offset))
     for points, fast in ((sound_miss, (False, True)), (complete_miss, (True, False))):
         for point in points:
-            slow = _classify(point, compiled, l + 1, q)
+            slow = _classify(point, compiled, l + 1, q, powers)
             if slow != fast:
                 raise DisckitError(
                     f"the fiberwise scan over F_{q} disagrees with the per-point test at "
@@ -494,7 +587,9 @@ def _plan_chunks(q: int, threads: int, work: int) -> list[range]:
     repay a pool gets one chunk.  Chunk sizes differ by at most one.
     Starts no process.
     """
-    workers = min(threads, q, os.cpu_count() or 1, max(1, work // _POOL_WORK))
+    workers = min(threads, q, max(1, work // _POOL_WORK))
+    if workers > 1:  # os.cpu_count reads the system each call
+        workers = min(workers, os.cpu_count() or 1)
     bounds = [q * k // workers for k in range(workers + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 

@@ -87,6 +87,12 @@ def check_ring(ring) -> None:
         raise UnsupportedRingError(f"unsupported ring {ring!r}")
 
 
+def check_element(*values) -> None:
+    """Raise ParameterError unless every argument is a RingElement."""
+    if bad := [value for value in values if not isinstance(value, RingElement)]:
+        raise ParameterError(f"expected a ring element, got {bad[0]!r}")
+
+
 def _power(a, n: int, mul, one):
     """a^n for an int n >= 0 by square-and-multiply under the product mul; a^0 is one."""
     result = None
@@ -185,7 +191,10 @@ class _NumberRing(Ring):
         return a**n
 
     def _sign_mag(self, a):
-        return (1 if a >= 0 else -1), str(abs(a))
+        n, den = a.numerator, a.denominator  # ints have both, so no Fraction arithmetic
+        sign = -1 if n < 0 else 1
+        mag = str(sign * n)
+        return sign, mag if den == 1 else f"{mag}/{den}"
 
     def __eq__(self, other):
         return other.__class__ is self.__class__

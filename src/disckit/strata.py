@@ -29,7 +29,7 @@ import functools
 from collections.abc import Sequence
 
 from .errors import ExactDivisionError, Record
-from .rings import MultiPoly, PolynomialRing, Ring, RingElement, RingHom
+from .rings import MultiPoly, PolynomialRing, Ring, RingElement, RingHom, check_element
 from .resultants import classify_discriminant, declared_degree, discriminant
 from .unipoly import UniPoly, check_unipoly
 
@@ -57,6 +57,7 @@ def is_unit_localized(x: RingElement, inverted: Sequence[RingElement]) -> bool:
     sweep terminates.  Sound, not complete: True means x is a unit, but
     False may miss one (see the module docstring).
     """
+    check_element(x, *inverted)
     if x.is_zero():
         return False
     value = x

@@ -459,6 +459,8 @@ class UniPoly:
 
     def map_coefficients(self, hom: RingHom, var: str | None = None) -> "UniPoly":
         """Apply a coefficient-ring map; the main variable is carried along."""
+        if not isinstance(hom, RingHom):
+            raise ParameterError(f"expected a ring map, got {hom!r}")
         if hom.domain != self.coeff_ring:
             raise RingMismatchError(
                 f"map domain {hom.domain} does not match coefficient ring {self.coeff_ring}"

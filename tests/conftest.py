@@ -1,4 +1,4 @@
-"""Shared random generators for the property tests.
+"""Shared random generators for the property tests, and a fault seam of the oracle.
 
 Every test that samples random inputs builds its own random.Random with
 an explicit seed, usually through these helpers, so failures replay
@@ -9,7 +9,7 @@ import random
 import re
 from fractions import Fraction
 
-from disckit import GF, QQ, ZZ, PolynomialRing, PrimeField, RingElement, UniPoly
+from disckit import GF, QQ, ZZ, PolynomialRing, PrimeField, RingElement, UniPoly, oracle
 
 
 def rand_scalar(rng: random.Random, ring, bound: int = 9) -> RingElement:
@@ -61,6 +61,42 @@ def rand_unipoly(
 
 
 SCALAR_RINGS = (ZZ, QQ, GF(5), GF(31))
+
+
+def edit_oracle_maps(monkeypatch, d, q, point, present, maps=("M", "Z")):
+    """Make the oracle's byte maps of M, of Z, or of both, hold point or not.
+
+    Each scan of the degree-d forms over F_q then sees point in the named
+    sets when present is true, and misses it when false; the other set
+    is left as built.
+    """
+
+    def edit(marks, coords, mark):
+        if point[0] in coords:
+            index = point[0] - coords.start
+            for x in point[1:]:
+                index = index * q + x
+            marks[index] = mark if present else 0
+
+    if "M" in maps:
+        real_m = oracle._multiple_root_marks
+
+        def multiple(*args):
+            marks = real_m(*args)
+            edit(marks, args[2], args[-1])
+            return marks
+
+        monkeypatch.setattr(oracle, "_multiple_root_marks", multiple)
+    if "Z" in maps:
+        real_z = oracle._IdealZeros.marks
+
+        def zeros(self, coords):
+            # Z's byte maps joined into one; all zero where Z is empty
+            marks = bytearray(b"".join(real_z(self, coords)) or len(coords) * q ** (d - 1))
+            edit(marks, coords, self.mark)
+            yield bytes(marks)
+
+        monkeypatch.setattr(oracle._IdealZeros, "marks", zeros)
 
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)([a-z]*)_(\w+)")

@@ -19,6 +19,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from conftest import edit_oracle_maps
 from disckit import cli, dims, oracle, resultants, strata
 from disckit.cli import _format_parser, build_parser, main
 from disckit.resultants import discriminant
@@ -413,11 +414,8 @@ def test_verify_growth(capsys):
 @pytest.mark.parametrize("fmt", ["plain", "json"])
 def test_verify_multiple_root_count_off_its_closed_form_is_an_internal_error(fmt, capsys,
                                                                             monkeypatch):
-    real_m, real_z = oracle._multiple_root_points, oracle._ideal_zero_points
-    # drop one form from M and from Z alike, so only the count can tell
-    monkeypatch.setattr(oracle, "_multiple_root_points", lambda *a: set(sorted(real_m(*a))[1:]))
-    monkeypatch.setattr(oracle, "_ideal_zero_points",
-                        lambda *a: [p for p in real_z(*a) if p != (0, 0, 0)])
+    # drop one form, t^3, from M and from Z alike, so only the count can tell
+    edit_oracle_maps(monkeypatch, 3, 5, (0, 0, 0), False)
     code, out, err = run(["verify", "--d", "3", "--l", "1", "--q", "5", "--format", fmt], capsys)
     assert (code, out) == (5, "")
     assert "found 24 forms with a root of multiplicity >= 2, but there are 25" in err

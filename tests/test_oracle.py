@@ -2,19 +2,25 @@
 
 The multiplicity test is checked against trial division by linear
 factors, the locus comparison against hand-verified counts over small
-fields, the fiberwise scan against the per-point reference scan, and
-the packed divisibility test of its lanes against remainders.
+fields, the byte-map scan against the set-based scan it replaced and
+the per-point reference scan, and the packed divisibility test of its
+lanes against remainders.
 """
 
 import concurrent.futures
+import itertools
 import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from conftest import edit_oracle_maps
 from disckit import oracle
 from disckit import (
     GF,
@@ -361,8 +367,9 @@ def test_worker_count_does_not_change_the_report(monkeypatch):
 
 
 def test_a_pooled_scan_builds_its_tables_once(monkeypatch):
-    """The fiber plan and the irreducible sieve are built once, in the
-    calling process, and handed to every chunk; the report is unchanged."""
+    """The fiber plan, the power table and the irreducible sieve are built
+    once, in the calling process, and handed to every chunk; the report is
+    unchanged."""
     baseline = verify_discriminant_locus(4, 2, 7)
     monkeypatch.setattr(oracle, "_POOL_WORK", 1)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
@@ -381,7 +388,7 @@ def test_a_pooled_scan_builds_its_tables_once(monkeypatch):
 
         return build
 
-    for name in ("_fiber_plan", "_monic_irreducibles"):
+    for name in ("_fiber_plan", "_monic_irreducibles", "_power_table"):
         monkeypatch.setattr(oracle, name, counting(name))
     pools = []
     real_pool = concurrent.futures.ProcessPoolExecutor
@@ -393,7 +400,7 @@ def test_a_pooled_scan_builds_its_tables_once(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     report = verify_discriminant_locus(4, 2, 7)
     assert pools == [3]
-    assert sorted(calls) == ["_fiber_plan", "_monic_irreducibles"]
+    assert sorted(calls) == ["_fiber_plan", "_monic_irreducibles", "_power_table"]
     assert repr(report) == repr(baseline)
 
 
@@ -458,6 +465,81 @@ def _halves(q):
     return [range(q // 2), range(q // 2, q)]
 
 
+def _multiple_root_points(d, m, q, first_coords):
+    """M as a set of point tuples, enumerated as the scan did before its byte maps.
+
+    h runs over the monic irreducibles with m * deg h <= d, and g over
+    the monic forms of degree d - m * deg h whose product h^m * g has
+    u_0 in first_coords.
+    """
+    points = set()
+    for k, of_degree in enumerate(oracle._monic_irreducibles(d // m, q), start=1):
+        r = d - m * k
+        for h in of_degree:
+            hm = [1]
+            for _ in range(m):
+                hm = oracle._mul_mod(hm, h, q)
+            if r == 0:
+                if hm[0] in first_coords:
+                    points.add(tuple(hm[:-1]))
+                continue
+            if hm[0]:
+                inv = pow(hm[0], -1, q)
+                lows = [u0 * inv % q for u0 in first_coords]
+            else:
+                lows = range(q) if 0 in first_coords else ()
+            offsets = [[g0 * c for c in hm] for g0 in lows]
+            for mid in itertools.product(range(q), repeat=r - 1):
+                base = oracle._mul_mod(hm, [0, *mid, 1], q)
+                tail = tuple(base[len(hm):d])
+                for offset in offsets:
+                    points.add(tuple([(a + b) % q for a, b in zip(base, offset)]) + tail)
+    return points
+
+
+def _row_major(d, q, first_coords):
+    """The points with u_0 in first_coords, in the order of the oracle's byte maps."""
+    return itertools.product(first_coords, *[range(q)] * (d - 1))
+
+
+def _scan_chunk_sets(args):
+    """The set-based scan that the byte maps replaced: Z streamed against the set M.
+
+    Z's points are read off the byte maps of oracle._IdealZeros, M is
+    _multiple_root_points, and every point in one of them only is
+    re-tested per point, as oracle._scan_chunk does.
+    """
+    d, l, q, compiled, first_coords = args
+    plan, powers, _factors = oracle._scan_tables(d, l, q, compiled)
+    zeros = oracle._IdealZeros(d, q, compiled, plan, powers)
+    marks = b"".join(zeros.marks(first_coords))
+    multiple = _multiple_root_points(d, l + 1, q, first_coords)
+    mult_root_count = len(multiple)
+    ideal_zero_count = 0
+    complete_miss = []
+    for point, byte in zip(_row_major(d, q, first_coords), marks):
+        if byte:
+            ideal_zero_count += 1
+            if point in multiple:
+                multiple.remove(point)
+            else:
+                complete_miss.append(point)
+    sound_miss = sorted(multiple)
+    for points, fast in ((sound_miss, (False, True)), (complete_miss, (True, False))):
+        for point in points:
+            assert oracle._classify(point, compiled, l + 1, q, powers) == fast, point
+    return ideal_zero_count, mult_root_count, sound_miss, complete_miss
+
+
+def _assert_scans_agree(d, l, q, compiled, chunk):
+    """The byte-map scan against the set-based scan and the per-point scan."""
+    args = (d, l, q, compiled, chunk)
+    fast = oracle._scan_chunk(args)
+    assert fast == _scan_chunk_sets(args)
+    assert fast == oracle._scan_chunk_brute(args)
+    return fast
+
+
 def test_compiling_a_chart_of_another_variable_order_raises(monkeypatch):
     """The check survives `python -O`: it raises DisckitError, not AssertionError."""
     real = oracle.discriminant_ideal
@@ -491,13 +573,95 @@ def test_fiberwise_scan_matches_the_brute_force(d, l, q, monkeypatch):
     if (d, l, q) in MULTI_BLOCK_GRID:
         monkeypatch.setattr(oracle, "_LANES", 64)
     compiled = oracle._compile_gens(d, l, q)
-    brute = [oracle._scan_chunk_brute((d, l, q, compiled, c)) for c in _halves(q)]
-    for chunk, want in zip(_halves(q), brute):
-        assert oracle._scan_chunk((d, l, q, compiled, chunk)) == want
-    # the brute scan loops over first_coords in order, so on range(q) it
-    # returns the two halves' counts added and their lists concatenated
-    whole = tuple(a + b for a, b in zip(*brute))
-    assert oracle._scan_chunk((d, l, q, compiled, range(q))) == whole
+    halves = [_assert_scans_agree(d, l, q, compiled, c) for c in _halves(q)]
+    # the scans run over first_coords in order, so on range(q) they return
+    # the two halves' counts added and their lists concatenated
+    whole = tuple(a + b for a, b in zip(*halves))
+    assert _assert_scans_agree(d, l, q, compiled, range(q)) == whole
+
+
+# cases whose chunks the blocks below cut into runs of u_0 values: M is
+# single points at (2, 1) and (3, 2), lines over g_0 at (3, 1) and (4, 2),
+# over g_1 at (4, 1) and over g_2 at (5, 1)
+BLOCK_CASES = [(2, 1, 13), (2, 2, 5), (3, 1, 7), (3, 2, 7), (3, 3, 5), (4, 1, 5), (4, 2, 7),
+               (4, 3, 5), (5, 1, 7)]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("d,l,q", BLOCK_CASES, ids=["-".join(map(str, c)) for c in BLOCK_CASES])
+def test_blocks_that_cut_the_first_coordinate_match_the_references(d, l, q, rows, monkeypatch):
+    width = q ** (d - 1)
+    # every block size from rows * width to just below the next row walks rows values at a time
+    monkeypatch.setattr(oracle, "_BLOCK", rows * width + width - 1)
+    walked = []
+    real = oracle._multiple_root_marks
+
+    def recording(*args):
+        marks = real(*args)
+        coords = args[2]
+        walked.append(coords)
+        assert len(marks) == len(coords) * width
+        on = {point for point, byte in zip(_row_major(d, q, coords), marks) if byte}
+        assert on == _multiple_root_points(d, l + 1, q, coords)
+        return marks
+
+    monkeypatch.setattr(oracle, "_multiple_root_marks", recording)
+    compiled = oracle._compile_gens(d, l, q)
+    for chunk in [range(q)] + _halves(q):
+        walked.clear()
+        _assert_scans_agree(d, l, q, compiled, chunk)
+        assert walked == [chunk[i:i + rows] for i in range(0, len(chunk), rows)]
+
+
+def test_block_size_does_not_depend_on_the_worker_count(monkeypatch):
+    """A chunk walks blocks of _BLOCK // q^(d-1) values of u_0 (at least one),
+    whatever the number of chunks."""
+    monkeypatch.setattr(oracle, "_BLOCK", 2 * 7**2)
+    walked = []
+    real = oracle._multiple_root_marks
+
+    def recording(*args):
+        walked.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_multiple_root_marks", recording)
+    compiled = oracle._compile_gens(3, 1, 7)
+    for workers in (1, 2, 3):
+        walked.clear()
+        for chunk in oracle._plan_chunks(7, workers, 10**9):
+            oracle._scan_chunk((3, 1, 7, compiled, chunk))
+        assert {len(coords) for coords in walked} <= {1, 2}
+        assert [u0 for coords in walked for u0 in coords] == list(range(7))
+
+
+# The child's peak resident set: on Linux its ru_maxrss starts at the size of
+# the process it was started from (exec records the old address space's peak),
+# so it reads its own VmHWM there.
+_PEAK_PROBE = """
+import resource, sys
+from disckit import verify_discriminant_locus
+r = verify_discriminant_locus(4, 1, 97, budget=10**9)
+try:
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS
+print(r.ideal_zero_count, r.mult_root_count, len(r.mismatches), peak)
+"""
+
+
+@pytest.mark.slow
+def test_a_large_scan_holds_one_block_of_bytes_not_sets_of_points():
+    """verify(4, 1, 97) with one worker peaks under 48 MiB in a fresh process
+    (119 MiB when Z and M were sets of its 912 673 points)."""
+    src = Path(oracle.__file__).resolve().parents[1]
+    env = dict(os.environ, DISCKIT_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _PEAK_PROBE], env=env, capture_output=True,
+                         text=True, check=True, timeout=600)
+    zeros, multiple, mismatches, peak = map(int, out.stdout.split())
+    assert (zeros, multiple, mismatches) == (912673, 912673, 0)
+    assert peak < 48 * 2**20
 
 
 def _bump_one_coefficient(compiled, q):
@@ -540,7 +704,9 @@ def _lane_zeros(lanes, values):
     for start in range(0, len(values), oracle._LANES):
         part = values[start:start + oracle._LANES]
         block = lanes.block(range(len(part)), [list(part)])
-        out += [part[i] for i in lanes.zeros([([0], [1])], block)]
+        marks = lanes.zeros([([0], [1])], block)
+        assert len(marks) == len(part) and set(marks) <= {0, lanes.mark}
+        out += [v for v, byte in zip(part, marks) if byte]
     return out
 
 
@@ -593,14 +759,14 @@ def test_grid_lane_width_counts_monomials_not_powers(monkeypatch):
     assert all(largest < 2**lanes.width for lanes in made)
 
 
-def _marked_by_bits(lanes, flags, points):
-    """The reference zero read: one lane per set bit, lowest first."""
-    out = []
+def _marked_by_bits(lanes, flags, count):
+    """The reference zero read: one byte per lane, lanes.mark where a bit is set."""
+    out = bytearray(count)
     while flags:
         bit = flags & -flags
-        out.append(points[bit.bit_length() // (8 * lanes.size)])
+        out[bit.bit_length() // (8 * lanes.size)] = lanes.mark
         flags ^= bit
-    return out
+    return bytes(out)
 
 
 @pytest.mark.parametrize("q,terms", [(2, 1), (7, 9), (47, 5), (47, 25), (3163, 5)])
@@ -615,16 +781,16 @@ def test_zero_lanes_are_read_off_their_own_bytes(q, terms):
         raw = high.to_bytes(lanes.size * count, "little")
         hit = [j for j, byte in enumerate(raw) if byte]
         assert hit == [lanes.size * i + lanes.n // 8 for i in range(count)]
-        assert {raw[j] for j in hit} == {lanes.mark[0]}
+        assert {raw[j] for j in hit} == {lanes.mark}
         masks = [0, high] + [
             sum(1 << (8 * lanes.size * i + lanes.n) for i in range(count) if rng.random() < p)
             for p in (0.01, 0.5, 0.99)
         ]
         for flags in masks:
             assert flags & high == flags
-            assert lanes.marked(flags, points) == _marked_by_bits(lanes, flags, points)
-        assert lanes.marked(0, points) == []
-        assert lanes.marked(high, points) == list(points)
+            assert lanes.marked(flags, count) == _marked_by_bits(lanes, flags, count)
+        assert lanes.marked(0, count) == bytes(count)
+        assert lanes.marked(high, count) == bytes([lanes.mark]) * count
 
 
 def _record_blocks(monkeypatch):
@@ -671,9 +837,10 @@ def test_grid_blocks_of_whole_rows_match_the_brute_force(cap, d, l, q, blocks, m
     compiled = oracle._compile_gens(d, l, q)
     for chunk in [range(q)] + _halves(q):
         built.clear()
-        fast = oracle._scan_chunk((d, l, q, compiled, chunk))
-        assert fast == oracle._scan_chunk_brute((d, l, q, compiled, chunk))
+        args = (d, l, q, compiled, chunk)
+        fast = oracle._scan_chunk(args)
         _assert_whole_rows(built, q, cap, blocks)
+        assert fast == _scan_chunk_sets(args) == oracle._scan_chunk_brute(args)
 
 
 # q^2 > 4096: the default cap holds 61 rows of 67 lanes, or 31 rows of 131
@@ -704,17 +871,20 @@ def test_a_nonzero_constant_generator_builds_no_block(d, l, q, extra, monkeypatc
         raise AssertionError("built a block of lanes")
 
     monkeypatch.setattr(oracle._Lanes, "block", no_block)
-    zeros, _multiple, _sound, complete = oracle._scan_chunk((d, l, q, compiled, range(q)))
+    args = (d, l, q, compiled, range(q))
+    zeros, multiple, sound, complete = oracle._scan_chunk(args)
     assert (zeros, complete) == (0, [])
+    # Z is empty, so every point of M is a soundness miss
+    assert len(sound) == multiple == (q ** (d - l) if l < d else 0)
+    if q**d <= 10**4:  # the references visit every point
+        assert (zeros, multiple, sound, complete) == _scan_chunk_sets(args)
+        assert (zeros, multiple, sound, complete) == oracle._scan_chunk_brute(args)
 
 
 def test_fiberwise_disagreement_with_the_per_point_test_raises(monkeypatch):
-    honest = oracle._multiple_root_points
     # t^3 + 1 has three simple roots over the closure of F_5
-    monkeypatch.setattr(
-        oracle, "_multiple_root_points", lambda *args: honest(*args) | {(1, 0, 0)}
-    )
-    with pytest.raises(DisckitError) as info:
+    edit_oracle_maps(monkeypatch, 3, 5, (1, 0, 0), True, maps=("M",))
+    with pytest.raises(DisckitError, match=r"disagrees with the per-point test at \(1, 0, 0\)") as info:
         verify_discriminant_locus(3, 1, 5)
     assert info.value.exit_code == 5
 
@@ -829,51 +999,35 @@ def test_growth_checks_both_fields_before_scanning_either(
 
 # ----- the closed form of M -----------------------------------------------------
 
-def omit_consistently(monkeypatch, extra=None):
+def omit_consistently(monkeypatch, d, l, q, extra=None):
     """Drop the least point of M from both M and Z, or add extra to both.
 
     Z and M then still agree, so the re-test of their symmetric difference
     sees nothing: only the closed-form count of M can catch the change.
     """
-    real_m, real_z = oracle._multiple_root_points, oracle._ideal_zero_points
-    changed = []
-
-    def multiple(*args):
-        points = real_m(*args)
-        if extra is not None:
-            points.add(extra)
-        elif points:
-            changed.append(min(points))
-            points.discard(changed[-1])
-        return points
-
-    def zeros(*args):
-        points = [p for p in real_z(*args) if p not in changed]
-        return points + ([extra] if extra is not None else [])
-
-    monkeypatch.setattr(oracle, "_multiple_root_points", multiple)
-    monkeypatch.setattr(oracle, "_ideal_zero_points", zeros)
+    point = min(_multiple_root_points(d, l + 1, q, range(q))) if extra is None else extra
+    edit_oracle_maps(monkeypatch, d, q, point, extra is not None)
 
 
 @pytest.mark.parametrize("d, l, q", [(2, 1, 5), (3, 1, 5), (3, 2, 7), (4, 2, 5)])
 def test_multiple_root_count_is_held_to_its_closed_form(d, l, q, monkeypatch):
     assert verify_discriminant_locus(d, l, q).mult_root_count == q ** (d - l)
-    omit_consistently(monkeypatch)
+    omit_consistently(monkeypatch, d, l, q)
     with pytest.raises(DisckitError, match=rf"found {q ** (d - l) - 1} forms .* there are {q ** (d - l)}"):
         verify_discriminant_locus(d, l, q)
 
 
 def test_no_multiple_root_form_at_level_d(monkeypatch):
     assert verify_discriminant_locus(3, 3, 5).mult_root_count == 0
-    omit_consistently(monkeypatch, extra=(1, 2, 3))
+    omit_consistently(monkeypatch, 3, 3, 5, extra=(1, 2, 3))
     with pytest.raises(DisckitError, match="found 1 forms .* there are 0"):
         verify_discriminant_locus(3, 3, 5)
 
 
 def test_a_point_dropped_from_m_alone_raises(monkeypatch):
-    real = oracle._multiple_root_points
-    monkeypatch.setattr(oracle, "_multiple_root_points", lambda *a: set(sorted(real(*a))[1:]))
-    with pytest.raises(DisckitError):
+    least = min(_multiple_root_points(3, 2, 5, range(5)))
+    edit_oracle_maps(monkeypatch, 3, 5, least, False, maps=("M",))
+    with pytest.raises(DisckitError, match=re.escape(f"disagrees with the per-point test at {least}")):
         verify_discriminant_locus(3, 1, 5)
 
 

@@ -149,6 +149,17 @@ def test_coerce_errors_are_shared_by_the_scalar_rings(ring):
     assert "coerce" not in vars(type(ring))
 
 
+@pytest.mark.parametrize("ring", (ZZ, QQ), ids=str)
+def test_a_number_prints_its_sign_and_the_str_of_its_absolute_value(ring):
+    values = [0, 1, -1, 7, -12, 10**30, -(10**30)]
+    if ring == QQ:
+        values += [Fraction(3, 4), Fraction(-3, 4), Fraction(-(10**20), 7), Fraction(6, 3),
+                   Fraction(-6, 4)]
+    for value in values:
+        a = ring.coerce(value)
+        assert ring._sign_mag(a) == ((-1 if a < 0 else 1), str(abs(a)))
+
+
 def test_integer_coercion_in_mixed_arithmetic():
     u = PolynomialRing(ZZ, ("u",)).variable("u")
     assert 2 * u + 1 == u + u + 1

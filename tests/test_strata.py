@@ -410,6 +410,14 @@ def test_is_unit_localized():
     assert is_unit_localized(ZZ.element(8), [ZZ.element(2)])
 
 
+@pytest.mark.parametrize("x, inverted", [("t", []), (ZZ.one, ["t"]), (ZZ.one, [ZZ.one, 2])],
+                         ids=["x", "inverted", "second inverted"])
+def test_is_unit_localized_refuses_what_is_not_a_ring_element(x, inverted):
+    with pytest.raises(ParameterError, match="expected a ring element") as info:
+        is_unit_localized(x, inverted)
+    assert info.value.exit_code == 3
+
+
 @pytest.mark.xfail(
     reason="the exact-division sweep is sound, not complete: after inverting "
     "u*v it takes -u^3*v only to -u^2, so the empty ramified stratum "

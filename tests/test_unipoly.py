@@ -338,6 +338,13 @@ def test_a_coefficient_degree_counts_toward_the_limit_before_any_work(monkeypatc
     assert UniPoly.monomial(ring, "t", 5000, u**5000).coefficient(5000) == u**5000
 
 
+@pytest.mark.parametrize("hom", ["hom", None, ZZ], ids=repr)
+def test_map_coefficients_refuses_what_is_not_a_ring_map(hom):
+    with pytest.raises(ParameterError, match="expected a ring map") as info:
+        UniPoly(ZZ, "t", [1, 2]).map_coefficients(hom)
+    assert info.value.exit_code == 3
+
+
 @pytest.mark.parametrize("c", ["junk", 1.5, GF(7).element(3)], ids=repr)
 def test_a_monomial_exponent_past_the_limit_is_refused_before_its_coefficient_is_read(c):
     """The degree error comes first, whatever c is, as unipoly.MAX_DEGREE bounds k alone."""
