@@ -36,10 +36,18 @@ product.  The relabelling of chart_consistency and the inclusion of
 incidence_ideal are coordinate maps too (RingHom describes its two
 paths).  The per-chart Sylvester determinants are kept as the reference
 the cached path is tested against.
+
+The images are memoized too, one map per chart and level per process:
+discriminant_ideal keeps the generators of each (d, l, chart) with
+d <= MEMO_MAX_DEGREE = 6 in an LRU of MEMO_SIZE = 256 entries, which
+holds all 224 such keys (about 4.2 MiB), and every call returns copies
+of the memoized generators, so a caller may mutate what it gets.  Above
+d = 6 every call maps afresh.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -144,6 +152,22 @@ def _check_level(d: int, l: int):
         raise ParameterError(f"level must satisfy 1 <= l <= d, got l={l}, d={d}")
 
 
+# The largest degree whose chart ideals are memoized, and the memo's
+# bound (see the module docstring).  A generator has at most 246 terms
+# up to d = 6, but one R_9 image alone is about 4 MiB.
+MEMO_MAX_DEGREE = 6
+MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _chart_ideal(d: int, l: int, chart: ChartId) -> tuple[PolynomialRing, tuple[MultiPoly, ...]]:
+    """(chart ring, raw P_0..P_{l-1}) for checked arguments; never hand the raw ones out."""
+    f = generic_section(d, chart, ZZ)
+    gens = [_generic_discriminant_image(deriv, d - j).value
+            for j, deriv in enumerate(_derivatives(f, l))]
+    return f.coeff_ring, tuple(gens)
+
+
 def discriminant_ideal(d: int, l: int, chart: ChartId | None = None) -> IdealGens:
     """Resultant generators P_0, ..., P_{l-1} over the chart ring.
 
@@ -151,8 +175,11 @@ def discriminant_ideal(d: int, l: int, chart: ChartId | None = None) -> IdealGen
     declared degrees (d-j, d-j-1).  It is computed as the image of the
     memoized generic R_{d-j} (see the module docstring) under
     y_m -> coefficient m of f^(j), so the determinant runs once per
-    degree, not once per chart and level; every call returns freshly
-    built generators.
+    degree, not once per chart and level.  For d <= MEMO_MAX_DEGREE the
+    images are memoized too, per (d, l, chart) in an LRU of MEMO_SIZE
+    entries, and every call returns copies of the memoized generators;
+    above it every call maps afresh.  The arguments are checked before
+    the memo is read.
 
     The generators' common zeros contain the forms with a root of
     multiplicity at least l+1, as P_j = U*f^(j) + V*f^(j+1) (see
@@ -164,10 +191,10 @@ def discriminant_ideal(d: int, l: int, chart: ChartId | None = None) -> IdealGen
         chart = ChartId(d, 0)
     _check_chart(d, chart)
     _check_level(d, l)
-    f = generic_section(d, chart, ZZ)
-    gens = [_generic_discriminant_image(deriv, d - j).value
-            for j, deriv in enumerate(_derivatives(f, l))]
-    return IdealGens(f.coeff_ring, tuple(gens))
+    if d > MEMO_MAX_DEGREE:
+        return IdealGens(*_chart_ideal.__wrapped__(d, l, chart))
+    ring, gens = _chart_ideal(d, l, chart)
+    return IdealGens(ring, tuple([MultiPoly(ring, dict(g.terms)) for g in gens]))
 
 
 def _discriminant_ideal_sylvester(d: int, l: int, chart: ChartId) -> IdealGens:

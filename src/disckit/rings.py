@@ -307,8 +307,9 @@ ZZ = IntegerRing()
 QQ = RationalRing()
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def GF(p: int) -> PrimeField:
+    """The field F_p; recent fields are memoized, and fields compare by p."""
     return PrimeField(p)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 
-from .errors import ExactDivisionError, Record
+from .errors import ExactDivisionError, ParameterError, Record
 from .rings import MultiPoly, PolynomialRing, Ring, RingElement, RingHom, check_element
 from .resultants import classify_discriminant, declared_degree, discriminant
 from .unipoly import UniPoly, check_unipoly
@@ -55,8 +55,11 @@ def is_unit_localized(x: RingElement, inverted: Sequence[RingElement]) -> bool:
     then asks the base ring.  Each successful division strictly shrinks
     the value (in degree, then in leading-coefficient size), so the
     sweep terminates.  Sound, not complete: True means x is a unit, but
-    False may miss one (see the module docstring).
+    False may miss one (see the module docstring).  inverted must be a
+    list or tuple of ring elements.
     """
+    if not isinstance(inverted, (list, tuple)):
+        raise ParameterError(f"the inverted elements must be a list or tuple, got {inverted!r}")
     check_element(x, *inverted)
     if x.is_zero():
         return False

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from disckit import (
     bezout_certificate,
     chart_consistency,
     chart_ring,
+    dimension_growth_check,
     discriminant_ideal,
     generic_section,
     homogeneous_classical_discriminant,
@@ -31,8 +33,9 @@ from disckit import (
     rank_table,
     resultant,
     taylor_map,
+    verify_discriminant_locus,
 )
-from disckit import resultants
+from disckit import jets, oracle, resultants
 from disckit.jets import _discriminant_ideal_sylvester
 from disckit.resultants import (
     MAX_SYMBOLIC_DEGREE,
@@ -313,7 +316,8 @@ def test_cached_ideal_matches_sylvester_reference_degree6():
 def test_each_ladder_stops_at_the_last_derivative_it_uses(d, l, monkeypatch):
     """Up to f^(l) for the jets and the reference, up to f^(l-1) for the ideal."""
     chart = ChartId(d, 0)
-    discriminant_ideal(d, l, chart)  # the memoized R_n are built before the count starts
+    discriminant_ideal(d, l, chart)  # the memoized R_n are built before the count starts,
+    jets._chart_ideal.cache_clear()  # but the chart ideal is built inside it
     calls = []
     derivative = UniPoly.derivative
 
@@ -327,6 +331,9 @@ def test_each_ladder_stops_at_the_last_derivative_it_uses(d, l, monkeypatch):
         calls.clear()
         build(d, l, chart)
         assert len(calls) == taken, build.__name__
+    calls.clear()
+    discriminant_ideal(d, l, chart)
+    assert calls == [], "a memoized ideal takes no derivative"
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -346,6 +353,105 @@ def test_cached_results_are_fresh_copies():
     assert homogeneous_classical_discriminant(4).terms == expected
     # the generic R_4 itself survives both mutations
     assert discriminant_ideal(4, 1, ChartId(4, 0)) == _discriminant_ideal_sylvester(4, 1, ChartId(4, 0))
+
+
+@pytest.mark.parametrize("d, chart", [(4, ChartId(2, 1)), (4, ChartId(4, 0)), (6, ChartId(0, 1))],
+                         ids=["chart (2, 1)", "monic chart", "degree 6"])
+def test_a_mutated_copy_leaves_the_next_call_intact(d, chart):
+    for l in range(1, d + 1):
+        for gen in discriminant_ideal(d, l, chart).gens:
+            gen.terms.popitem()
+            gen.terms[(7,) * d] = 5
+        assert discriminant_ideal(d, l, chart) == _discriminant_ideal_sylvester(d, l, chart), l
+
+
+def test_verify_reads_the_memo_not_a_mutated_copy():
+    """verify compiles the monic chart (d, 0), the default chart of discriminant_ideal."""
+    levels = (1, 2, 3)
+    compiled = [oracle._compile_gens(3, l, 5) for l in levels]
+    reports = [verify_discriminant_locus(3, l, 5) for l in levels]
+    for l in levels:
+        for gen in discriminant_ideal(3, l).gens:
+            gen.terms.clear()
+    assert [oracle._compile_gens(3, l, 5) for l in levels] == compiled
+    assert [verify_discriminant_locus(3, l, 5) for l in levels] == reports
+
+
+def _memo_keys(top: int) -> list[tuple[int, int, ChartId]]:
+    return [(d, l, ChartId(i, patch)) for d in range(1, top + 1) for i in range(d + 1)
+            for patch in (0, 1) for l in range(1, d + 1)]
+
+
+def test_every_chart_and_level_in_shuffled_order_matches_the_reference():
+    keys = _memo_keys(5)
+    references = {(d, chart): _discriminant_ideal_sylvester(d, d, chart)
+                  for d, l, chart in keys if l == d}
+    order = keys * 2
+    random.Random(3305).shuffle(order)
+    jets._chart_ideal.cache_clear()
+    for d, l, chart in order:
+        ideal = discriminant_ideal(d, l, chart)
+        reference = references[d, chart]
+        assert (ideal.ring, ideal.gens) == (reference.ring, reference.gens[:l]), (d, l, chart)
+    info = jets._chart_ideal.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (len(keys), len(keys), len(keys))
+
+
+def test_chart_ideal_memo_is_bounded_and_lazy():
+    assert jets._chart_ideal.cache_info().maxsize == jets.MEMO_SIZE == 256
+    assert len(_memo_keys(jets.MEMO_MAX_DEGREE)) == 224 <= jets.MEMO_SIZE
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import disckit, disckit.jets as j; print(*j._chart_ideal.cache_info())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0", "256", "0"]
+
+
+def test_a_full_chart_ideal_memo_holds_under_16_mib():
+    for n in range(1, jets.MEMO_MAX_DEGREE + 1):
+        _generic_raw_discriminant(n)  # R_n lives in its own memo, outside the count
+    jets._chart_ideal.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for key in _memo_keys(jets.MEMO_MAX_DEGREE):
+            discriminant_ideal(*key)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert jets._chart_ideal.cache_info().currsize == 224
+    assert held < 16 * 2**20
+
+
+def _count_maps(monkeypatch) -> list[int]:
+    """The degree n of each R_n that discriminant_ideal maps, from a cold chart memo."""
+    degrees = []
+    image = jets._generic_discriminant_image
+    monkeypatch.setattr(jets, "_generic_discriminant_image",
+                        lambda P, n: degrees.append(n) or image(P, n))
+    jets._chart_ideal.cache_clear()
+    return degrees
+
+
+def test_above_the_memo_degree_every_call_maps_afresh(monkeypatch):
+    degrees = _count_maps(monkeypatch)
+    first, second = discriminant_ideal(7, 1), discriminant_ideal(7, 1)
+    assert degrees == [7, 7]
+    assert first == second and first.gens[0] is not second.gens[0]
+    assert jets._chart_ideal.cache_info().currsize == 0
+    degrees.clear()
+    discriminant_ideal(6, 2)
+    discriminant_ideal(6, 2)
+    assert degrees == [6, 5]
+
+
+def test_dimension_growth_check_maps_each_generator_once(monkeypatch):
+    degrees = _count_maps(monkeypatch)
+    assert dimension_growth_check(3, 1, 5, 7).within_tolerance
+    assert degrees == [3]
+    degrees.clear()
+    dimension_growth_check(4, 2, 5, 7)
+    assert degrees == [4, 3]
 
 
 def test_generic_discriminant_memo_is_bounded_and_lazy():

@@ -35,7 +35,7 @@ from disckit import (
     incidence_ideal,
     main1_strata,
 )
-from disckit import strata
+from disckit import jets, strata
 from disckit.resultants import _generic_raw_discriminant
 from disckit.rings import _Packed
 
@@ -347,6 +347,7 @@ def only_path(monkeypatch, keep):
 
     for name in PATHS:
         monkeypatch.setattr(RingHom, name, record if name == keep else fail)
+    jets._chart_ideal.cache_clear()  # else a memoized chart ideal takes no map
     return calls
 
 

@@ -17,7 +17,9 @@ is read somewhere as that import, not only as a local of the same name.
 No module but rings names a path of RingHom (_map_single_terms,
 _map_general), so every ring map goes through RingHom.__call__.  No module
 has an assert statement: `python -O` strips them, so every check that
-guards a result raises a DisckitError instead.
+guards a result raises a DisckitError instead.  Every functools memo has
+a finite bound, so a long-lived process does not grow with its inputs;
+the two zero-argument parser builders of cli are the only exceptions.
 """
 
 import ast
@@ -258,6 +260,55 @@ def test_the_assert_census_sees_asserts_at_every_depth():
         "        y = 'assert z'\n        return self.assert_ok(y)\n"
     )
     assert _asserts(ast.parse(src)) == [1, 4]
+
+
+def _lru_maxsize_is_none(call: ast.Call) -> bool:
+    """Does a call of lru_cache pass maxsize=None? Without one, the bound is 128."""
+    given = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+    return any(isinstance(arg, ast.Constant) and arg.value is None for arg in given)
+
+
+def _unbounded_caches(tree: ast.AST) -> list[str]:
+    """The functions memoized with no bound, and the lines of any other unbounded memo."""
+    decorated = {id(dec): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for dec in fn.decorator_list}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            unbounded = name == "lru_cache" and _lru_maxsize_is_none(node)
+        elif isinstance(node, ast.Attribute):
+            unbounded = (node.attr == "cache" and isinstance(node.value, ast.Name)
+                         and node.value.id == "functools")
+        elif isinstance(node, ast.ImportFrom):
+            unbounded = node.module == "functools" and any(a.name == "cache" for a in node.names)
+        else:
+            unbounded = False
+        if unbounded:
+            found.append(decorated.get(id(node), f"line {node.lineno}"))
+    return sorted(found)
+
+
+def test_every_memo_is_bounded_but_the_parser_builders():
+    found = [(str(path.relative_to(SRC)), name) for path in sorted(SRC.rglob("*.py"))
+             for name in _unbounded_caches(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert found == [("cli.py", "_format_parser"), ("cli.py", "build_parser")]
+
+
+def test_the_memo_census_sees_every_form_of_unbounded_cache():
+    src = (
+        "import functools\nfrom functools import lru_cache, cache\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(): pass\n"
+        "@lru_cache(None)\ndef b(): pass\n"
+        "@functools.cache\ndef c(): pass\n"
+        "@functools.lru_cache(maxsize=8)\ndef d(): pass\n"
+        "@lru_cache\ndef e(): pass\n"
+        "@lru_cache(typed=True)\ndef g(): pass\n"
+        "f = functools.lru_cache(maxsize=None)(len)\n"
+    )
+    assert _unbounded_caches(ast.parse(src)) == ["a", "b", "c", "line 15", "line 2"]
 
 
 MAP_PATHS = ("_map_single_terms", "_map_general")

@@ -418,6 +418,14 @@ def test_is_unit_localized_refuses_what_is_not_a_ring_element(x, inverted):
     assert info.value.exit_code == 3
 
 
+@pytest.mark.parametrize("inverted", [None, 5, "u", {ZZ.one}, iter([ZZ.one])],
+                         ids=["None", "int", "str", "set", "iterator"])
+def test_is_unit_localized_refuses_inverted_that_is_not_a_list_or_tuple(inverted):
+    with pytest.raises(ParameterError, match="must be a list or tuple") as info:
+        is_unit_localized(ZZ.one, inverted)
+    assert info.value.exit_code == 3
+
+
 @pytest.mark.xfail(
     reason="the exact-division sweep is sound, not complete: after inverting "
     "u*v it takes -u^3*v only to -u^2, so the empty ramified stratum "
