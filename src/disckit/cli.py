@@ -130,6 +130,8 @@ def cmd_discriminant(args) -> dict:
 
 def cmd_disc_ideal(args) -> dict:
     if args.homogeneous:
+        if args.i is not None or args.chart is not None:
+            raise ParameterError("--homogeneous does not combine with --i/--chart")
         if args.l != 1:
             raise ParameterError("--homogeneous is only defined at level l = 1")
         gen = homogeneous_classical_discriminant(args.d)
@@ -141,7 +143,7 @@ def cmd_disc_ideal(args) -> dict:
             "gens": [str(gen)],
         }
     i = args.i if args.i is not None else args.d
-    chart = ChartId(i, args.chart)
+    chart = ChartId(i, args.chart or 0)
     ideal = discriminant_ideal(args.d, args.l, chart)
     return {
         "d": args.d,
@@ -202,7 +204,7 @@ class _UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    commands: tuple[str, ...] = ()  # the subcommand names, set on the top parser
+    commands: dict[str, argparse.ArgumentParser] = {}  # name -> parser, set on the top parser
 
     def error(self, message):
         raise _UsageError(self, message)
@@ -231,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared.
 
     Parsing does not mutate an argparse parser, so every call of main
-    reuses the same one; callers must not add to it.
+    reuses the same one; callers must not add to it.  A request that names
+    a subcommand is parsed once, by that subcommand's parser (see _parse);
+    the top-level parser only answers help and a missing or unknown
+    subcommand.
     """
     common = _format_parser()
     family = _ArgumentParser(add_help=False)  # the polynomial of discriminant and etale
@@ -266,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True, help="level (number of generators)")
     p.add_argument("--i", type=int, default=None,
                    help="pinned coefficient index (default: d, the monic chart)")
-    p.add_argument("--chart", type=int, choices=(0, 1), default=0,
+    p.add_argument("--chart", type=int, choices=(0, 1), default=None,
                    help="affine patch (default: 0)")
     p.add_argument("--homogeneous", action="store_true",
                    help="classical discriminant of the generic form (needs l = 1)")
@@ -303,8 +308,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"enumeration budget (default: {DEFAULT_BUDGET})")
     p.set_defaults(handler=cmd_verify)
 
-    top.commands = tuple(sub.choices)
+    top.commands = dict(sub.choices)
     return top
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), parsed by the subcommand's parser alone when argv names one."""
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -326,7 +343,7 @@ def _run(argv: list[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
     except _UsageError as exc:
         # The envelope needs a command from the schema's enum, so a usage
         # error before a known subcommand keeps argparse's plain text.

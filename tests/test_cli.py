@@ -5,6 +5,7 @@ renderings are checked for byte determinism across runs and worker
 counts.
 """
 
+import argparse
 import concurrent.futures
 import functools
 import json
@@ -175,6 +176,16 @@ def test_disc_ideal_homogeneous_needs_level_one(capsys):
     assert env["status"] == "error"
     assert env["payload"] is None
     assert any("level" in d for d in env["diagnostics"])
+
+
+@pytest.mark.parametrize("extra", [["--i", "2"], ["--chart", "1"], ["--chart", "0"],
+                                   ["--i", "3", "--chart", "0"]], ids=" ".join)
+def test_disc_ideal_homogeneous_refuses_a_chart(extra, capsys):
+    argv = ["disc-ideal", "--d", "3", "--l", "1", "--homogeneous"] + extra
+    message = "error: --homogeneous does not combine with --i/--chart"
+    assert run(argv, capsys) == (3, "", message + "\n")
+    env = run_json(argv, capsys, expect_code=3)
+    assert (env["status"], env["payload"], env["diagnostics"]) == ("error", None, [message])
 
 
 def test_disc_ideal_other_chart(capsys):
@@ -726,7 +737,105 @@ def test_parser_built_once_matches_fresh_parsers(capsys):
     assert helped == ("exit", 0) and help_out.startswith("usage: disckit")
 
 
-HELP_USAGE = {
+# One small valid request of each subcommand.
+VALID_REQUESTS = [
+    ["resultant", "t - 2", "t - 5", "--ring", "ZZ"],
+    ["discriminant", "t^2 + 1", "--ring", "ZZ"],
+    ["disc-ideal", "--d", "2", "--l", "1", "--format", "json"],
+    ["etale", "t^2 + 1", "--ring", "QQ", "--strata"],
+    ["dims", "--N", "1", "--d", "4", "--k", "1", "--table"],
+    ["verify", "--d", "2", "--l", "1", "--q", "5", "--format", "json"],
+]
+
+PARSE_EDGE_CASES = [
+    ["resultant", "t - 2", "t - 5", "--ring", "ZZ", "--deg", "3"],  # ambiguous abbreviation
+    ["resultant", "t - 2", "t - 5", "--ring", "ZZ", "--form", "json"],
+    ["resultant", "t - 2", "t - 5", "--ring", "ZZ", "--format=json"],
+    ["etale", "--", "t^2 + 1", "--ring", "QQ"],
+    ["etale", "t^2 + 1", "--ring", "QQ", "--"],
+    ["etale", "--ring", "QQ", "--", "-t+1"],
+    ["etale", "-t+1", "--ring", "QQ"],
+    ["discriminant", "-3", "--ring", "ZZ"],
+    ["discriminant", "t^2", "--ring", "ZZ", "stray"],
+    ["resultant", "t", "t", "--ring", "ZZ", "--bogus", "--format", "json"],
+    ["etale", "-h"],
+    ["etale", "--he"],
+    ["verify", "-h"],
+    ["dims"],
+    ["disc-ideal"],
+    ["dims", "--N", "x", "--d", "4", "--k", "1", "--format", "yaml"],
+    ["verify", "--d", "2", "--l", "1", "--q", "5", "--q2"],
+    ["disc-ideal", "--d", "2", "--l", "1", "--chart", "2"],
+    # no subcommand first: the top parser answers these on both routes
+    [],
+    ["--help"],
+    ["frobnicate"],
+    ["--format", "json", "dims"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        result = ("args", vars(parse(list(argv))))
+    except cli._UsageError as exc:
+        result = ("usage error", exc.parser, str(exc))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", VALID_REQUESTS + PARSE_EDGE_CASES,
+                         ids=lambda argv: " ".join(argv) or "(empty)")
+def test_parse_matches_the_top_parsers_parse_args(argv, capsys, monkeypatch):
+    """cli._parse skips the top parser's pass but yields what parse_args yields."""
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    ours = _parse_outcome(functools.partial(cli._parse, parser), argv, capsys)
+    assert ours == _parse_outcome(parser.parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("argv, code", [
+    *((argv, 0) for argv in VALID_REQUESTS),
+    (["dims", "--N", "x", "--d", "4", "--k", "1", "--format", "json"], 2),
+    (["discriminant", "t^2", "--ring", "ZZ", "stray", "--format", "json"], 2),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit {value}")
+def test_a_request_is_parsed_once(argv, code, capsys, monkeypatch):
+    """One argparse pass per request; a usage error adds the --format lookup."""
+    parsed = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parsed.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(argv) == code
+    sub = build_parser().commands[argv[0]]
+    assert parsed == ([sub] if code == 0 else [sub, _format_parser()])
+
+
+HELP_USAGE = {  # the usage block of `disckit <command> --help`; "disckit" is `disckit --help`
+    "disckit": (
+        "usage: disckit [-h] {resultant,discriminant,disc-ideal,etale,dims,verify} ...\n"
+    ),
+    "disc-ideal": (
+        "usage: disckit disc-ideal [-h] [--format {plain,json}] --d D --l L [--i I]\n"
+        "                          [--chart {0,1}] [--homogeneous]\n"
+    ),
+    "dims": (
+        "usage: disckit dims [-h] [--format {plain,json}] --N N --d D --k K [--j J]\n"
+        "                    [--i I] [--table]\n"
+    ),
+    "resultant": (
+        "usage: disckit resultant [-h] [--format {plain,json}] --ring RING [--var VAR]\n"
+        "                         [--deg-f DEG_F] [--deg-g DEG_G]\n"
+        "                         f g\n"
+    ),
+    "verify": (
+        "usage: disckit verify [-h] [--format {plain,json}] --d D --l L --q Q [--q2 Q2]\n"
+        "                      [--budget BUDGET]\n"
+    ),
     "discriminant": (
         "usage: disckit discriminant [-h] [--format {plain,json}] --ring RING\n"
         "                            [--var VAR] [--degree DEGREE]\n"
@@ -744,7 +853,7 @@ HELP_USAGE = {
 def test_help_usage_lines_of_the_polynomial_commands(command, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exit_info:
-        main([command, "--help"])
+        main(["--help"] if command == "disckit" else [command, "--help"])
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
     assert out.split("\n\n")[0] + "\n" == HELP_USAGE[command]
